@@ -85,7 +85,8 @@ def _build_parser() -> argparse.ArgumentParser:
         p.add_argument("--config", help="INI config file; flags override it")
         p.add_argument("--out", help="output directory (under $VEGPATCH_OUT)")
         p.add_argument("--workers", type=int, default=None,
-                       help="worker processes (default: available cores)")
+                       help="accepted for compatibility; runs are "
+                       "single-process")
 
     pk = sub.add_parser("kernels", help="kernel admissibility checks")
     pk.add_argument("action", choices=["check"])
@@ -368,7 +369,7 @@ def _sweep_config_from(args, res: Resolver) -> SweepConfig:
                        d_v=d_v, d_w=d_w, h_t=h_t, tol=cfg.tol,
                        max_steps=max_steps, n_min=cfg.n_min,
                        nodes_per_L=cfg.nodes_per_L, threshold=threshold,
-                       scheme=scheme, workers=_workers(args))
+                       scheme=scheme)
 
 
 def cmd_sweep(args) -> int:
@@ -384,8 +385,17 @@ def cmd_sweep(args) -> int:
     if not args.no_plots:
         write_plot_scripts(outdir / "plots", rows=rows)
     write_manifest(outdir / "manifest.json", {
-        **_run_config_payload(res, "sweep", outdir, cfg.workers),
+        **_run_config_payload(res, "sweep", outdir),
         "config": {f: getattr(cfg, f) for f in cfg.__dataclass_fields__},
+        "steady_state": {
+            "scheme": "linearly implicit Euler: water d_w Lap - (v^2 + 1) "
+                      "and local vegetation diffusion implicit, dispersal "
+                      "and reaction explicit",
+            "step": sorted({r.step_size for r in rows}),
+            "stopping_rule": f"h_t * ||F(v, w)||_2 < tol with h_t = "
+                             f"{cfg.h_t!r}, tol = {cfg.tol!r}",
+            "total_steps": sum(r.steps for r in rows),
+            "unconverged": sum(not r.converged for r in rows)},
         "grid_policy": {
             "rule": "N = max(n_min, ceil(nodes_per_L * L)), capped by the "
                     "explicit stability bound",

@@ -21,6 +21,16 @@ class SingularSystem(VegpatchError):
     """Tridiagonal elimination hit a zero pivot."""
 
 
+class WaterBoundViolated(VegpatchError):
+    """Stationary water profile left the maximum-principle range [0, A]."""
+
+    def __init__(self, w_min: float, w_max: float, A: float):
+        self.w_min = w_min
+        self.w_max = w_max
+        super().__init__(f"water maximum principle violated: W in "
+                         f"[{w_min!r}, {w_max!r}], A = {A!r}")
+
+
 class Blowup(VegpatchError):
     """Time integration produced a non-finite or huge value."""
 

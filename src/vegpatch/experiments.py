@@ -15,7 +15,6 @@ the integral mean.
 from __future__ import annotations
 
 import math
-from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -68,7 +67,6 @@ class SweepConfig:
     threshold: float = 0.1
     scheme: str = "exact"
     variants: tuple = VARIANTS
-    workers: int = 1
 
 
 def log_spaced_L(n_points: int, lo: float = 1.0, hi: float = 100.0):
@@ -76,22 +74,21 @@ def log_spaced_L(n_points: int, lo: float = 1.0, hi: float = 100.0):
                                                n_points))
 
 
-def full_sweep_config(workers: int = 1) -> SweepConfig:
+def full_sweep_config() -> SweepConfig:
     """Full 50-point sweep over L in [1, 100] at the reference step size."""
-    return SweepConfig(L_values=log_spaced_L(50), workers=workers)
+    return SweepConfig(L_values=log_spaced_L(50))
 
 
-def fast_sweep_config(workers: int = 1) -> SweepConfig:
+def fast_sweep_config() -> SweepConfig:
     """Reduced 20-point sweep over L in [1, 10]; coarser time step.
 
-    Intended for the quick ordering-and-bracketing check.  Non-local cells
-    share the minimum node count and advance as one batch; local cells at
-    small widths get stability-capped grids of their own.  The larger step
-    stays inside the explicit stability bounds, and the unchanged tolerance
-    makes the stopping rule strictly tighter per unit time.
+    Intended for the quick ordering-and-bracketing check.  The steady states
+    come from the implicit stepper, whose step does not depend on h_t; the
+    larger h_t loosens the stopping rule h_t * ||F||_2 < tol tenfold and
+    coarsens the local variant's stability-capped grids at small widths.
     """
     return SweepConfig(L_values=log_spaced_L(20, 1.0, 10.0), h_t=1e-3,
-                       max_steps=300_000, workers=workers)
+                       max_steps=300_000)
 
 
 def sweep_resolution(cfg: SweepConfig, L: float,
@@ -101,7 +98,8 @@ def sweep_resolution(cfg: SweepConfig, L: float,
     The base rule keeps at least n_min nodes and nodes_per_L per unit
     half-width.  Node counts are then capped so the explicit diffusion
     numbers (vegetation d_v/2 for the local variant, water d_w for all)
-    stay at or below 0.4 for the configured time step.
+    stay at or below 0.4 for the configured time step.  The implicit
+    stepper needs no cap; it is kept so the sweep's grids stay fixed.
     """
     n = max(cfg.n_min, int(math.ceil(cfg.nodes_per_L * L)))
     caps = [cfg.d_w]
@@ -124,6 +122,7 @@ class SweepRow:
     max_biomass: float
     steps: int
     converged: bool
+    step_size: float = math.nan   # implicit step used; not written to the CSV
 
 
 @dataclass(frozen=True)
@@ -136,19 +135,24 @@ class CriticalPatchResult:
     rule: str
 
 
-def _sweep_group(cfg: SweepConfig, n_nodes: int,
-                 group: list[tuple[float, str, str]]) -> list[SweepRow]:
-    """Integrate every (L, variant) cell sharing one node count as a batch."""
+def run_patch_sweep(cfg: SweepConfig) -> list[SweepRow]:
+    """Steady-state rows for every (half-width, variant) cell of the sweep.
+
+    All cells go through one run_to_steady_batch call.  Rows come back
+    sorted by (variant, kernel, L) so repeated runs produce identical files.
+    """
     cells = []
-    for L, variant, kernel_family in group:
-        grid = make_grid(L, n_nodes)
-        kernel = builtin_kernel(kernel_family) if kernel_family else None
-        ops = build_operators(grid, variant, kernel, scheme=cfg.scheme)
-        params = ModelParams(cfg.A, cfg.B, cfg.d_v, cfg.d_w, variant,
-                             kernel_family or "")
-        v0, w0 = cosine_perturbed_start(grid, cfg.A, cfg.B, cfg.perturbation)
-        cells.append(BatchCell(ops, params, v0, w0,
-                               tag=(variant, kernel_family, L)))
+    for L in cfg.L_values:
+        for variant, kernel_family in cfg.variants:
+            grid = make_grid(L, sweep_resolution(cfg, L, variant))
+            kernel = builtin_kernel(kernel_family) if kernel_family else None
+            ops = build_operators(grid, variant, kernel, scheme=cfg.scheme)
+            params = ModelParams(cfg.A, cfg.B, cfg.d_v, cfg.d_w, variant,
+                                 kernel_family or "")
+            v0, w0 = cosine_perturbed_start(grid, cfg.A, cfg.B,
+                                            cfg.perturbation)
+            cells.append(BatchCell(ops, params, v0, w0,
+                                   tag=(variant, kernel_family, L)))
     results = run_to_steady_batch(cells, cfg.h_t, cfg.tol, cfg.max_steps)
     rows = []
     for cell, res in zip(cells, results):
@@ -160,38 +164,8 @@ def _sweep_group(cfg: SweepConfig, n_nodes: int,
             avg_biomass=float(grid.quad_weights @ v) / (2.0 * grid.half_width),
             avg_biomass_nodes=float(v.mean()),
             max_biomass=float(v.max()),
-            steps=res.steps, converged=res.converged))
-    return rows
-
-
-def _sweep_group_spec(args):
-    cfg_kwargs, n_nodes, group = args
-    return _sweep_group(SweepConfig(**cfg_kwargs), n_nodes, group)
-
-
-def run_patch_sweep(cfg: SweepConfig) -> list[SweepRow]:
-    """Steady-state rows for every (half-width, variant) cell of the sweep.
-
-    Cells sharing a node count are advanced together; groups run in parallel
-    when cfg.workers > 1.  Rows come back sorted by (variant, kernel, L) so
-    repeated runs produce identical files.
-    """
-    groups: dict[int, list[tuple[float, str, str]]] = {}
-    for L in cfg.L_values:
-        for variant, kernel_family in cfg.variants:
-            n = sweep_resolution(cfg, L, variant)
-            groups.setdefault(n, []).append((L, variant, kernel_family))
-
-    rows: list[SweepRow] = []
-    if cfg.workers > 1 and len(groups) > 1:
-        cfg_kwargs = {f: getattr(cfg, f) for f in cfg.__dataclass_fields__}
-        tasks = [(cfg_kwargs, n, group) for n, group in sorted(groups.items())]
-        with ProcessPoolExecutor(max_workers=cfg.workers) as pool:
-            for part in pool.map(_sweep_group_spec, tasks):
-                rows.extend(part)
-    else:
-        for n, group in sorted(groups.items()):
-            rows.extend(_sweep_group(cfg, n, group))
+            steps=res.steps, converged=res.converged,
+            step_size=res.step_size))
     rows.sort(key=lambda r: (r.variant, r.kernel, r.L))
     return rows
 

@@ -4,7 +4,7 @@ The kinetic (space-free) system has a desert equilibrium (0, A) for all
 parameters, two vegetated equilibria when rainfall exceeds twice the
 mortality, and a single merged state (1, B) exactly at that threshold.  The
 stationary water profile W(v) solves a linear elliptic problem and obeys the
-maximum principle 0 <= W <= A, which is asserted on every solve.
+maximum principle 0 <= W <= A, which is checked on every solve.
 """
 from __future__ import annotations
 
@@ -14,6 +14,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .discretization import Grid1D
+from .errors import WaterBoundViolated
 from .tridiag import thomas_solve
 
 EQ_DESERT = 1
@@ -77,32 +78,43 @@ def vegetated_equilibrium(A: float, B: float) -> KineticEquilibrium:
     return states[-1]
 
 
-def solve_water_stationary(v: np.ndarray, params: ModelParams,
-                           grid: Grid1D) -> np.ndarray:
-    """Water profile solving d_w W'' - (v^2 + 1) W + A = 0, W(+-L) = 0.
+def water_bands(v: np.ndarray, params: ModelParams, grid: Grid1D,
+                shift: float = 0.0):
+    """Interior bands of d_w W'' - (v^2 + 1 + shift) W with W(+-L) = 0.
 
-    The tridiagonal system is strictly diagonally dominant, so plain Thomas
-    elimination is exact for this structure.  The output is clipped against
-    nothing: the discrete maximum principle 0 <= W <= A is asserted.
+    shift = 0 gives the stationary water operator; shift = 1/h gives the
+    matrix of one implicit Euler step of length h with v frozen.
     """
-    v = np.asarray(v, dtype=float)
-    if v.shape != (grid.n_nodes,):
-        raise ValueError("v must be a node vector")
-    if v.min() < 0:
-        raise ValueError("v must be non-negative")
     h2 = grid.spacing ** 2
     m = grid.n_nodes - 2
     lower = np.full(m, params.d_w / h2)
     upper = np.full(m, params.d_w / h2)
     lower[0] = 0.0
     upper[-1] = 0.0
-    diag = -2.0 * params.d_w / h2 - (v[1:-1] ** 2 + 1.0)
-    rhs = np.full(m, -params.A)
-    w_int = thomas_solve(lower, diag, upper, rhs)
+    diag = -2.0 * params.d_w / h2 - (v[1:-1] ** 2 + 1.0 + shift)
+    return lower, diag, upper
+
+
+def solve_water_stationary(v: np.ndarray, params: ModelParams,
+                           grid: Grid1D) -> np.ndarray:
+    """Water profile solving d_w W'' - (v^2 + 1) W + A = 0, W(+-L) = 0.
+
+    The tridiagonal system is strictly diagonally dominant, so plain Thomas
+    elimination is exact for this structure.  The output is clipped against
+    nothing: a profile outside the discrete maximum principle 0 <= W <= A
+    raises WaterBoundViolated.
+    """
+    v = np.asarray(v, dtype=float)
+    if v.shape != (grid.n_nodes,):
+        raise ValueError("v must be a node vector")
+    if v.min() < 0:
+        raise ValueError("v must be non-negative")
+    lower, diag, upper = water_bands(v, params, grid)
     w = np.zeros(grid.n_nodes)
-    w[1:-1] = w_int
-    assert w.min() >= -1e-10 and w.max() <= params.A + 1e-10, \
-        "water maximum principle violated"
+    w[1:-1] = thomas_solve(lower, diag, upper,
+                           np.full(grid.n_nodes - 2, -params.A))
+    if not (w.min() >= -1e-10 and w.max() <= params.A + 1e-10):
+        raise WaterBoundViolated(float(w.min()), float(w.max()), params.A)
     return w
 
 

@@ -1,13 +1,15 @@
 import numpy as np
 import pytest
 
+from vegpatch.continuation import StationaryResidual, solve_stationary
 from vegpatch.discretization import build_operators, make_grid
-from vegpatch.dynamics import (BatchCell, State, euler_step,
+from vegpatch.dynamics import (BatchCell, _rhs, euler_step,
                                extinction_decay_check, initial_state,
                                perturbation_decay, run_to_steady,
                                run_to_steady_batch, simulate_horizon)
 from vegpatch.errors import Blowup, EnvelopeViolated, UnstableTimestep
-from vegpatch.experiments import cosine_perturbed_start
+from vegpatch.experiments import (cosine_perturbed_start, fast_sweep_config,
+                                  sweep_resolution)
 from vegpatch.kinetics import (ModelParams, solve_water_stationary,
                                vegetated_equilibrium)
 
@@ -173,27 +175,49 @@ class TestExtinctionDecay:
             dyn.decay_envelope = template
 
 
-def test_batch_matches_single_runs(default_params, laplace, super_gaussian):
-    grid = make_grid(6.0, 97)
-    cells = []
-    for kernel in (laplace, super_gaussian):
-        ops = build_operators(grid, "nonlocal", kernel)
-        v0, w0 = cosine_perturbed_start(grid, 1.8, 0.45)
-        cells.append(BatchCell(ops, default_params, v0, w0))
-    local_params = ModelParams(1.8, 0.45, 2.0, 0.1, "local")
-    ops_local = build_operators(grid, "local")
+@pytest.mark.parametrize("variant", ["nonlocal", "local"])
+def test_implicit_batch_reaches_stationary_state(variant, laplace):
+    # a vegetated cell of the fast sweep, at its grid and stopping rule
+    grid = make_grid(3.0, sweep_resolution(fast_sweep_config(), 3.0, variant))
+    params = ModelParams(1.8, 0.45, 2.0, 0.1, variant)
+    ops = build_operators(grid, variant,
+                          laplace if variant == "nonlocal" else None)
     v0, w0 = cosine_perturbed_start(grid, 1.8, 0.45)
-    cells.append(BatchCell(ops_local, local_params, v0, w0))
+    h_t, tol = 1e-3, 1e-5
+    (got,) = run_to_steady_batch([BatchCell(ops, params, v0, w0)], h_t, tol,
+                                 max_steps=10_000)
+    assert got.converged and not got.blowup
+    assert got.step_size == pytest.approx(0.1)
 
-    batch = run_to_steady_batch(cells, h_t=1e-3, tol=1e-4, max_steps=40_000)
-    for cell, got in zip(cells, batch):
-        single = run_to_steady(initial_state(cell.ops, cell.v0, cell.w0),
-                               cell.ops, cell.params, h_t=1e-3, tol=1e-4,
-                               max_steps=40_000)
-        assert got.converged == single.converged
-        assert abs(got.steps - single.steps) <= 2
-        assert np.allclose(got.state.v, single.state.v, atol=1e-8)
-        assert np.allclose(got.state.w, single.state.w, atol=1e-8)
+    def mean(v):
+        return float(grid.quad_weights @ v) / (2.0 * grid.half_width)
+
+    # the stopping rule holds on the returned state
+    rhs_v, rhs_w = _rhs(got.state.v, got.state.w, ops, params)
+    assert h_t * np.sqrt(rhs_v @ rhs_v + rhs_w @ rhs_w) < tol
+    # Newton polishing barely moves it
+    sr = StationaryResidual(ops, params)
+    u, _ = solve_stationary(sr, 1.8, sr.join(got.state.v, got.state.w))
+    assert abs(mean(sr.split(u)[0]) - mean(got.state.v)) < 2e-3
+    # explicit Euler with the same rule lands on the same state
+    explicit = run_to_steady(initial_state(ops, v0, w0), ops, params, h_t,
+                             tol, max_steps=200_000)
+    assert explicit.converged
+    assert got.steps < explicit.steps / 20
+    assert abs(mean(explicit.state.v) - mean(got.state.v)) < 2e-3
+
+
+def test_implicit_step_lowered_for_fast_dispersal(laplace):
+    # d_v = 4 would put the explicit dispersal factor at 0.8 for h = 0.1
+    grid = make_grid(3.0, 65)
+    ops = build_operators(grid, "nonlocal", laplace)
+    params = ModelParams(1.8, 0.45, 4.0, 0.1)
+    v0, w0 = cosine_perturbed_start(grid, 1.8, 0.45)
+    (got,) = run_to_steady_batch([BatchCell(ops, params, v0, w0)], 1e-3,
+                                 1e-5, max_steps=0)
+    norm_k = float(ops.dispersal.row_sums().max())
+    assert got.step_size < 0.1
+    assert params.d_v * got.step_size * (1.0 + norm_k) == pytest.approx(0.4)
 
 
 def test_perturbation_decay_negative_slope(default_params, laplace):

@@ -94,12 +94,6 @@ class TestSmallSweep:
         again = run_patch_sweep(cfg)
         assert rows == again   # dataclass equality covers every float
 
-    def test_worker_pool_matches_serial(self, tiny_rows):
-        cfg, rows = tiny_rows
-        from dataclasses import replace
-        parallel = run_patch_sweep(replace(cfg, workers=2))
-        assert parallel == rows
-
 
 def test_bifurcation_suite_small_range(laplace):
     cfg = BifurcationConfig(A_range=(2.0, 3.0), d_w_values=(0.1,),

@@ -6,7 +6,10 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from conftest import water_profile_oracle
+from vegpatch import kinetics
+from vegpatch.cli import main
 from vegpatch.discretization import make_grid
+from vegpatch.errors import WaterBoundViolated
 from vegpatch.kinetics import (EQ_DESERT, EQ_MERGED, EQ_UPPER, ModelParams,
                                constant_steady_states, reaction_rhs, scalar_f,
                                solve_water_stationary, vegetated_equilibrium)
@@ -128,6 +131,20 @@ class TestWaterSolve:
         with pytest.raises(ValueError):
             solve_water_stationary(np.full(grid.n_nodes, -0.1),
                                    default_params, grid)
+
+    @pytest.mark.parametrize("level", [-0.01, 2.5, math.nan])
+    def test_out_of_range_profile_is_a_typed_error(self, level, monkeypatch,
+                                                   tmp_path, default_params):
+        # the bound check must survive python -O, and the CLI maps it to 3
+        monkeypatch.setattr(kinetics, "thomas_solve",
+                            lambda lower, diag, upper, rhs:
+                            np.full(diag.shape[0], level))
+        grid = make_grid(5.0, 51)
+        with pytest.raises(WaterBoundViolated):
+            solve_water_stationary(np.zeros(grid.n_nodes), default_params,
+                                   grid)
+        monkeypatch.setenv("VEGPATCH_OUT", str(tmp_path))
+        assert main(["steady", "--init", "desert", "--L", "5"]) == 3
 
 
 class TestReactionAndScalarF:
