@@ -8,15 +8,15 @@ from __future__ import annotations
 import argparse
 import json
 import math
-import os
 import sys
 import time
+from dataclasses import asdict
 
 import numpy as np
 
 from .config import Resolver, finalize, make_resolver, resolve_output_dir
 from .continuation import PalcControls
-from .discretization import build_operators, make_grid
+from .discretization import DENSE_LIMIT, build_operators, make_grid
 from .dynamics import (State, initial_state, run_to_steady, simulate_horizon)
 from .errors import ConfigError, VegpatchError
 from .experiments import (BifurcationConfig, SweepConfig, builtin_kernel,
@@ -67,11 +67,10 @@ def _error_summary(kind: str, exc: Exception) -> None:
                       "message": str(exc)}), file=sys.stderr)
 
 
-def _run_config_payload(res: Resolver, experiment: str, outdir,
-                        workers: int = 1) -> dict:
-    cfg = finalize(res, experiment, outdir, workers)
+def _run_config_payload(res: Resolver, experiment: str, outdir) -> dict:
+    cfg = finalize(res, experiment, outdir)
     return {"experiment": cfg.experiment, "output_dir": str(cfg.output_dir),
-            "workers": cfg.workers, "resolved": cfg.sections}
+            "resolved": cfg.sections}
 
 
 def _build_parser() -> argparse.ArgumentParser:
@@ -166,12 +165,6 @@ def _add_model_flags(p) -> None:
     p.add_argument("--max-steps", type=int, default=None)
 
 
-def _workers(args) -> int:
-    if args.workers is not None:
-        return max(1, args.workers)
-    return os.cpu_count() or 1
-
-
 def cmd_kernels(args) -> int:
     if args.table:
         kernel = kernel_from_table(args.table)
@@ -208,9 +201,15 @@ def cmd_spectral(args) -> int:
     B = res.get("model", "B", float, 0.45)
     d_w = res.get("model", "d_w", float, 0.1)
     kernel = builtin_kernel(args.kernel)
+    nodes = [max(3, int(round(2.0 * L / args.spacing)) + 1) for L in args.L]
+    for L, n in zip(args.L, nodes):
+        if n > DENSE_LIMIT:
+            raise ConfigError(
+                f"--L {L!r} at --spacing {args.spacing!r} needs {n} nodes; "
+                f"the spectral routines allow at most {DENSE_LIMIT} (dense "
+                f"dispersal matrix), so raise --spacing or lower --L")
     lines = ["L,beta1,lambda1,extinction_guaranteed"]
-    for L in args.L:
-        n = max(3, int(round(2.0 * L / args.spacing)) + 1)
+    for L, n in zip(args.L, nodes):
         grid = make_grid(L, n)
         ops = build_operators(grid, "nonlocal", kernel)
         beta = principal_eigenvalue_nonlocal(ops.dispersal)
@@ -273,7 +272,11 @@ def _initial_from_flag(spec: str, params, grid, ops) -> State:
     if spec == "desert":
         return initial_state(ops, np.zeros(grid.n_nodes), w_desert)
     if spec.startswith("uniform:"):
-        level = float(spec.split(":", 1)[1])
+        try:
+            level = float(spec.split(":", 1)[1])
+        except ValueError as exc:
+            raise ConfigError(
+                f"--init {spec!r}: LEVEL must be a number") from exc
         return initial_state(ops, np.full(grid.n_nodes, level), w_desert)
     raise ConfigError(f"unknown --init {spec!r}")
 
@@ -483,14 +486,10 @@ def cmd_bifurcate(args) -> int:
     written += write_branch_snapshots(profiles_dir, suite, grids,
                                       stride=args.snapshot_stride or 0)
     if not args.no_plots:
-        write_plot_scripts(outdir / "plots", suite=suite)
-    cfg_echo = {f: getattr(cfg, f) for f in cfg.__dataclass_fields__
-                if f != "controls"}
-    cfg_echo["controls"] = {f: getattr(cfg.controls, f)
-                            for f in cfg.controls.__dataclass_fields__}
+        write_plot_scripts(outdir / "plots", suite=suite, B=cfg.B)
     write_manifest(outdir / "manifest.json", {
-        **_run_config_payload(res, "bifurcate", outdir, _workers(args)),
-        "config": cfg_echo,
+        **_run_config_payload(res, "bifurcate", outdir),
+        "config": asdict(cfg),
         "grid": {"L": cfg.L, "N": n},
         "rng": "deterministic (no random seeds used)",
         "profiles": written, "suite_errors": suite.errors,

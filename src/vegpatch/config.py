@@ -49,7 +49,6 @@ class RunConfig:
 
     experiment: str
     output_dir: Path
-    workers: int
     sections: dict
 
 
@@ -61,10 +60,17 @@ class Resolver:
     resolved: dict[str, dict] = field(default_factory=dict)
 
     def get(self, section: str, key: str, kind, default, override=None):
+        """Typed value of [section] key; file keys match in any case.
+
+        configparser lowercases the keys it reads, so ``A`` finds ``a``.
+        The resolved echo keeps the key as the caller spells it.
+        """
+        items = {k.lower(): v
+                 for k, v in self.sections.get(section, {}).items()}
         if override is not None:
             value = override
-        elif key in self.sections.get(section, {}):
-            value = _cast(self.sections[section][key], kind, section, key)
+        elif key.lower() in items:
+            value = _cast(items[key.lower()], kind, section, key)
         else:
             value = default
         self.resolved.setdefault(section, {})[key] = value
@@ -86,10 +92,9 @@ def make_resolver(config_path: str | None) -> Resolver:
     return Resolver()
 
 
-def finalize(resolver: Resolver, experiment: str, output_dir,
-             workers: int = 1) -> RunConfig:
+def finalize(resolver: Resolver, experiment: str, output_dir) -> RunConfig:
     return RunConfig(experiment=experiment, output_dir=Path(output_dir),
-                     workers=workers, sections=resolver.resolved)
+                     sections=resolver.resolved)
 
 
 def resolve_output_dir(out: str | None, default: str = ".") -> Path:

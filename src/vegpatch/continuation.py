@@ -19,6 +19,10 @@ from .errors import NewtonDiverged, SingularJacobian
 from .kinetics import ModelParams
 
 NEWTON_BLOWUP = 1e8
+STABLE_BELOW = -1e-8   # rightmost eigenvalue below this flags a stable state
+CORRECTOR_CAP = 8      # corrector iterations per continuation step
+STEP_GROWTH = 1.3      # arclength step growth after an easy step
+GROW_BELOW = 4         # an easy step took at most this many iterations
 
 
 def newton(fun, jac, x0: np.ndarray, tol: float = 1e-10,
@@ -63,18 +67,28 @@ class StationaryResidual:
         n = ops.grid.n_nodes
         self.n_nodes = n
         self.n_unknowns = 2 * n
-        self._lap = ops.laplacian.dense()
+        lap = ops.laplacian.dense()
         if ops.variant == "local":
-            self._mv = 0.5 * params.d_v * self._lap
+            self._mv = 0.5 * params.d_v * lap
         else:
             self._mv = params.d_v * (ops.dispersal.matrix - np.eye(n))
-        self._mw = params.d_w * self._lap
+        self._mw = params.d_w * lap
         # Constraint rows: value pinned to zero there.
         self._v_pinned = np.zeros(n, dtype=bool)
         if ops.variant == "local":
             self._v_pinned[[0, -1]] = True
         self._w_pinned = np.zeros(n, dtype=bool)
         self._w_pinned[[0, -1]] = True
+        # Jacobian template: transport blocks on the free rows, identity on
+        # the pinned ones; jacobian() adds the reaction diagonals.
+        self._free_v = np.flatnonzero(~self._v_pinned)
+        self._free_w = np.flatnonzero(~self._w_pinned)
+        t = np.zeros((2 * n, 2 * n))
+        t[self._free_v, :n] = self._mv[self._free_v]
+        t[n + self._free_w, n:] = self._mw[self._free_w]
+        pinned = np.flatnonzero(~self.free_mask())
+        t[pinned, pinned] = 1.0
+        self._jac_template = t
 
     def split(self, u: np.ndarray):
         n = self.n_nodes
@@ -95,21 +109,13 @@ class StationaryResidual:
     def jacobian(self, u: np.ndarray, A: float) -> np.ndarray:
         n = self.n_nodes
         v, w = self.split(u)
-        jvv = self._mv + np.diag(2.0 * v * w - self.params.B)
-        jvw = np.diag(v * v)
-        jwv = np.diag(-2.0 * v * w)
-        jww = self._mw - np.diag(v * v + 1.0)
-        for i in np.flatnonzero(self._v_pinned):
-            jvv[i, :] = 0.0
-            jvw[i, :] = 0.0
-            jvv[i, i] = 1.0
-        for i in np.flatnonzero(self._w_pinned):
-            jwv[i, :] = 0.0
-            jww[i, :] = 0.0
-            jww[i, i] = 1.0
-        top = np.hstack([jvv, jvw])
-        bot = np.hstack([jwv, jww])
-        return np.vstack([top, bot])
+        fv, fw = self._free_v, self._free_w
+        j = self._jac_template.copy()
+        j[fv, fv] += 2.0 * v[fv] * w[fv] - self.params.B
+        j[fv, n + fv] = v[fv] * v[fv]
+        j[n + fw, fw] = -2.0 * v[fw] * w[fw]
+        j[n + fw, n + fw] -= v[fw] * v[fw] + 1.0
+        return j
 
     def d_dA(self, u: np.ndarray, A: float) -> np.ndarray:
         out = np.zeros(self.n_unknowns)
@@ -143,9 +149,6 @@ class PalcControls:
     ds_max: float = 0.1
     point_cap: int = 20_000
     newton_tol: float = 1e-10
-    corrector_cap: int = 8
-    growth: float = 1.3
-    grow_below: int = 4        # grow ds when the corrector took <= this
     direction: float = -1.0    # initial sign of dA/ds
     fold_cap: int | None = None
 
@@ -183,26 +186,37 @@ def _scaled_dot(du1, da1, du2, da2, scale):
     return float(du1 @ du2) * scale + da1 * da2
 
 
+def _bordered_solve(sr: StationaryResidual, u, A, tu, ta, scale, rhs):
+    """Solve the system bordered by the weighted tangent row at (u, A).
+
+    The matrix is [[J, dF/dA], [scale * tu, ta]]; a singular one raises
+    SingularJacobian.
+    """
+    n = sr.n_unknowns
+    m = np.empty((n + 1, n + 1))
+    m[:n, :n] = sr.jacobian(u, A)
+    m[:n, n] = sr.d_dA(u, A)
+    m[n, :n] = tu * scale
+    m[n, n] = ta
+    try:
+        return np.linalg.solve(m, rhs)
+    except np.linalg.LinAlgError as exc:
+        raise SingularJacobian(f"bordered system singular: {exc}") from exc
+
+
 def _tangent(sr: StationaryResidual, u, A, prev_u, prev_a, scale):
     """Unit tangent of the branch through (u, A), oriented like the previous."""
     n = sr.n_unknowns
-    m = np.zeros((n + 1, n + 1))
-    m[:n, :n] = sr.jacobian(u, A)
-    m[:n, n] = sr.d_dA(u, A)
-    m[n, :n] = prev_u * scale
-    m[n, n] = prev_a
     rhs = np.zeros(n + 1)
     rhs[n] = 1.0
-    try:
-        t = np.linalg.solve(m, rhs)
-    except np.linalg.LinAlgError as exc:
-        raise SingularJacobian(f"tangent system singular: {exc}") from exc
+    t = _bordered_solve(sr, u, A, prev_u, prev_a, scale, rhs)
     norm = math.sqrt(_scaled_dot(t[:n], t[n], t[:n], t[n], scale))
     return t[:n] / norm, t[n] / norm
 
 
 def _corrector(sr, u0, a0, tu, ta, ds, scale, tol, cap):
     """Newton on the bordered system; returns (u, A, iterations) or None."""
+    n = sr.n_unknowns
     u = u0 + ds * tu
     a = a0 + ds * ta
     for it in range(cap + 1):
@@ -215,19 +229,34 @@ def _corrector(sr, u0, a0, tu, ta, ds, scale, tol, cap):
             return u, a, it
         if it == cap:
             return None
-        n = sr.n_unknowns
-        m = np.zeros((n + 1, n + 1))
-        m[:n, :n] = sr.jacobian(u, a)
-        m[:n, n] = sr.d_dA(u, a)
-        m[n, :n] = tu * scale
-        m[n, n] = ta
         try:
-            step = np.linalg.solve(m, -np.concatenate([r, [g]]))
-        except np.linalg.LinAlgError:
+            step = _bordered_solve(sr, u, a, tu, ta, scale,
+                                   -np.concatenate([r, [g]]))
+        except SingularJacobian:
             return None
         u = u + step[:n]
         a = a + step[n]
     return None
+
+
+def _accepted_step(sr, u, a, tu, ta, ds, scale, tol):
+    """One continuation step: corrector, residual re-check, new tangent.
+
+    Returns (u, A, corrector iterations, tu, tA), or None when the step
+    must be retried with a smaller ds.
+    """
+    result = _corrector(sr, u, a, tu, ta, ds, scale, tol, CORRECTOR_CAP)
+    if result is None:
+        return None
+    u_new, a_new, iters = result
+    # Independent re-verification of the accepted solution.
+    if float(np.linalg.norm(sr.residual(u_new, a_new))) > tol:
+        return None
+    try:
+        tu_new, ta_new = _tangent(sr, u_new, a_new, tu, ta, scale)
+    except SingularJacobian:
+        return None
+    return u_new, a_new, iters, tu_new, ta_new
 
 
 def _fold_quadratic(a0, ta0, a1, ta1, s0, s1):
@@ -322,30 +351,15 @@ def palc_continue(sr: StationaryResidual, A_start: float,
         if len(branch.points) >= controls.point_cap:
             branch.termination = "point_cap"
             break
-        result = _corrector(sr, u, a, tu, ta, ds, scale,
-                            controls.newton_tol, controls.corrector_cap)
-        if result is None:
+        step = _accepted_step(sr, u, a, tu, ta, ds, scale,
+                              controls.newton_tol)
+        if step is None:
             ds *= 0.5
             if ds < controls.ds_min:
                 branch.termination = "step_failure"
                 break
             continue
-        u_new, a_new, iters = result
-        # Independent re-verification of the accepted solution.
-        if float(np.linalg.norm(sr.residual(u_new, a_new))) > controls.newton_tol:
-            ds *= 0.5
-            if ds < controls.ds_min:
-                branch.termination = "step_failure"
-                break
-            continue
-        try:
-            tu_new, ta_new = _tangent(sr, u_new, a_new, tu, ta, scale)
-        except SingularJacobian:
-            ds *= 0.5
-            if ds < controls.ds_min:
-                branch.termination = "step_failure"
-                break
-            continue
+        u_new, a_new, iters, tu_new, ta_new = step
         s_new = s + ds
         if ta * ta_new < 0.0:
             fold_a = _locate_fold(sr, u, a, tu, ta, ds, ta_new, scale,
@@ -361,51 +375,30 @@ def palc_continue(sr: StationaryResidual, A_start: float,
         if not (a_lo <= a <= a_hi):
             branch.termination = "parameter_exit"
             break
-        if iters <= controls.grow_below:
-            ds = min(ds * controls.growth, controls.ds_max)
+        if iters <= GROW_BELOW:
+            ds = min(ds * STEP_GROWTH, controls.ds_max)
     return branch
-
-
-def stability_flag(sr: StationaryResidual, A: float, u: np.ndarray,
-                   threshold: float = -1e-8, max_iter: int = 3000,
-                   tol: float = 1e-9, dense_fallback_limit: int = 1500):
-    """Sign of the rightmost eigenvalue of the linearization, or None.
-
-    Power iteration runs first on the free-unknown Jacobian shifted by its
-    infinity norm.  That settles quickly when the dominant shifted
-    eigenvalue is real and separated, but the coupled Jacobian is strongly
-    nonsymmetric and its shifted spectrum is often clustered or led by a
-    complex pair; in that case the iteration cannot settle and the rightmost
-    eigenvalue is taken from a dense eigensolve instead (cheap at the
-    problem sizes used here).  None is returned only when both routes are
-    unavailable; the flag never blocks continuation.
-    """
-    free = sr.free_mask()
-    j = sr.jacobian(u, A)[np.ix_(free, free)]
-    sigma = float(np.abs(j).sum(axis=1).max())
-    m = j + sigma * np.eye(j.shape[0])
-    x = np.ones(m.shape[0])
-    x /= np.linalg.norm(x)
-    rho = 0.0
-    for _ in range(max_iter):
-        y = m @ x
-        rho = float(x @ y)
-        resid = float(np.linalg.norm(y - rho * x))
-        if resid <= tol * max(abs(rho), 1.0):
-            return bool(rho - sigma < threshold)
-        ny = float(np.linalg.norm(y))
-        if ny == 0.0:
-            return None
-        x = y / ny
-    if j.shape[0] <= dense_fallback_limit:
-        rightmost = float(np.linalg.eigvals(j).real.max())
-        return bool(rightmost < threshold)
-    return None
 
 
 def rightmost_eigenvalue_dense(sr: StationaryResidual, A: float,
                                u: np.ndarray) -> float:
-    """Dense-eigensolve oracle for the rightmost Jacobian eigenvalue."""
+    """Real part of the rightmost eigenvalue of the free-unknown Jacobian.
+
+    The pinned boundary rows are constraints, not dynamics, so they are
+    dropped before the dense eigensolve.
+    """
     free = sr.free_mask()
     j = sr.jacobian(u, A)[np.ix_(free, free)]
     return float(np.linalg.eigvals(j).real.max())
+
+
+def stability_flag(sr: StationaryResidual, A: float, u: np.ndarray) -> bool:
+    """Linear stability of the stationary state (u, A).
+
+    True when the rightmost eigenvalue of the free-unknown Jacobian, from
+    one dense eigensolve, lies below STABLE_BELOW.  The coupled Jacobian is
+    strongly nonsymmetric and its rightmost eigenvalues are often clustered
+    or complex, so iterative routes settle poorly; at the problem sizes used
+    here (a few hundred unknowns) the dense solve is also the cheaper one.
+    """
+    return rightmost_eigenvalue_dense(sr, A, u) < STABLE_BELOW

@@ -89,14 +89,12 @@ class DispersalOperator:
         return self.grid.n_nodes
 
     def apply(self, v: np.ndarray) -> np.ndarray:
-        """Operator action Kv - v; v may be (N,) or batched (..., N)."""
+        """Operator action Kv - v on one node vector v of shape (N,)."""
         if self.matrix is not None:
             return v @ self.matrix.T - v
         return self._apply_banded(v)
 
     def _apply_banded(self, v: np.ndarray) -> np.ndarray:
-        if v.ndim != 1:
-            return np.stack([self._apply_banded(row) for row in v])
         n = self.n_nodes
         hb = (self._band.shape[0] - 1) // 2
         full = np.convolve(v[1:-1], self._band)

@@ -13,8 +13,8 @@ A state that is already stationary converges after zero steps.
 from __future__ import annotations
 
 import math
+from collections.abc import Iterable
 from dataclasses import dataclass
-from typing import Any
 
 import numpy as np
 
@@ -229,7 +229,6 @@ class BatchCell:
     params: ModelParams
     v0: np.ndarray
     w0: np.ndarray
-    tag: Any = None
 
 
 def _run_imex(cell: BatchCell, h_t: float, tol: float,
@@ -293,7 +292,8 @@ def _run_imex(cell: BatchCell, h_t: float, tol: float,
     return pack(max_steps, delta, False)
 
 
-def run_to_steady_batch(cells: list[BatchCell], h_t: float, tol: float = 1e-5,
+def run_to_steady_batch(cells: Iterable[BatchCell], h_t: float,
+                        tol: float = 1e-5,
                         max_steps: int = 2_000_000) -> list[SteadyResult]:
     """Steady states of independent cells by linearly implicit Euler.
 
@@ -301,7 +301,8 @@ def run_to_steady_batch(cells: list[BatchCell], h_t: float, tol: float = 1e-5,
     stopping rule is run_to_steady's, h_t * ||F(v, w)||_2 < tol with F the
     right-hand side, so h_t only scales the criterion; max_steps caps the
     implicit steps of each cell.  Cells that blow up come back unconverged
-    with blowup=True.
+    with blowup=True.  Cells run one at a time in iteration order, so a
+    generator of cells keeps only the running cell's operators alive.
     """
     if h_t <= 0:
         raise UnstableTimestep("time step must be positive")

@@ -138,26 +138,28 @@ class CriticalPatchResult:
 def run_patch_sweep(cfg: SweepConfig) -> list[SweepRow]:
     """Steady-state rows for every (half-width, variant) cell of the sweep.
 
-    All cells go through one run_to_steady_batch call.  Rows come back
-    sorted by (variant, kernel, L) so repeated runs produce identical files.
+    All cells go through one run_to_steady_batch call, which receives them
+    from a generator: each cell's operators are built only when the cell
+    runs, so memory is bounded by the largest cell.  Rows come back sorted
+    by (variant, kernel, L) so repeated runs produce identical files.
     """
-    cells = []
-    for L in cfg.L_values:
-        for variant, kernel_family in cfg.variants:
-            grid = make_grid(L, sweep_resolution(cfg, L, variant))
+    keys = [(variant, kernel_family, L,
+             make_grid(L, sweep_resolution(cfg, L, variant)))
+            for L in cfg.L_values for variant, kernel_family in cfg.variants]
+
+    def cells():
+        for variant, kernel_family, L, grid in keys:
             kernel = builtin_kernel(kernel_family) if kernel_family else None
             ops = build_operators(grid, variant, kernel, scheme=cfg.scheme)
             params = ModelParams(cfg.A, cfg.B, cfg.d_v, cfg.d_w, variant,
                                  kernel_family or "")
             v0, w0 = cosine_perturbed_start(grid, cfg.A, cfg.B,
                                             cfg.perturbation)
-            cells.append(BatchCell(ops, params, v0, w0,
-                                   tag=(variant, kernel_family, L)))
-    results = run_to_steady_batch(cells, cfg.h_t, cfg.tol, cfg.max_steps)
+            yield BatchCell(ops, params, v0, w0)
+
+    results = run_to_steady_batch(cells(), cfg.h_t, cfg.tol, cfg.max_steps)
     rows = []
-    for cell, res in zip(cells, results):
-        variant, kernel_family, L = cell.tag
-        grid = cell.ops.grid
+    for (variant, kernel_family, L, grid), res in zip(keys, results):
         v = res.state.v
         rows.append(SweepRow(
             variant=variant, kernel=kernel_family, L=L, N=grid.n_nodes,
@@ -205,7 +207,6 @@ class BifurcationConfig:
     stability_stride: int = 25
     gallery_A: tuple[float, ...] = (1.2, 1.5, 2.0)
     gallery_d_w: float = 80.0
-    workers: int = 1
 
 
 @dataclass

@@ -167,7 +167,7 @@ set datafile separator ','
 set xlabel 'rainfall A'
 set ylabel 'biomass'
 set key left top
-set arrow from 0.9, graph 0 to 0.9, graph 1 nohead dashtype 3 lc rgb 'purple'
+set arrow from {two_b}, graph 0 to {two_b}, graph 1 nohead dashtype 3 lc rgb 'purple'
 plot \\
   'branch_nonlocal_laplace_dw{dw}.dat' using 1:2 with lines title 'max, fat tails', \\
   'branch_nonlocal_laplace_dw{dw}.dat' using 1:3 with lines title 'avg, fat tails', \\
@@ -175,13 +175,18 @@ plot \\
   'branch_nonlocal_super_gaussian_dw{dw}.dat' using 1:3 with lines title 'avg, thin tails', \\
   'branch_local__dw{dw}.dat' using 1:2 with lines dashtype 2 title 'max, local', \\
   'branch_local__dw{dw}.dat' using 1:3 with lines dashtype 2 title 'avg, local', \\
-  0.45/x with lines lc rgb 'red' title 'B/A'
+  {b}/x with lines lc rgb 'red' title 'B/A'
 """
 
 
 def write_plot_scripts(directory, rows: list[SweepRow] | None = None,
-                       suite: BifurcationSuite | None = None) -> None:
-    """Gnuplot scripts plus the per-curve data files they reference."""
+                       suite: BifurcationSuite | None = None,
+                       B: float | None = None) -> None:
+    """Gnuplot scripts plus the per-curve data files they reference.
+
+    Branch diagrams need the run's mortality B for their B/A floor curve
+    and the 2B kinetic rainfall threshold.
+    """
     directory = Path(directory)
     directory.mkdir(parents=True, exist_ok=True)
     if rows is not None:
@@ -193,6 +198,9 @@ def write_plot_scripts(directory, rows: list[SweepRow] | None = None,
                        [(r.L, r.avg_biomass, r.max_biomass) for r in sel])
         (directory / "fig_patch_sweep.gp").write_text(FIG1_SCRIPT)
     if suite is not None:
+        if B is None:
+            raise ValueError("branch plot scripts need the mortality B")
+        b = float(B)
         d_ws = sorted({run.d_w for run in suite.runs})
         for d_w in d_ws:
             for run in suite.runs:
@@ -202,5 +210,6 @@ def write_plot_scripts(directory, rows: list[SweepRow] | None = None,
                 _write_csv(directory / name, ["A", "max_v", "avg_v"],
                            [(pt.A, pt.max_v, pt.avg_v)
                             for pt in run.branch.points])
-            script = BRANCH_SCRIPT.format(dw=f"{d_w:g}")
+            script = BRANCH_SCRIPT.format(dw=f"{d_w:g}", b=repr(b),
+                                          two_b=repr(2.0 * b))
             (directory / f"fig_branches_dw{d_w:g}.gp").write_text(script)

@@ -82,6 +82,39 @@ def test_config_file_and_flag_precedence(tmp_path, monkeypatch):
     assert res.get("integration", "tol", float, 1e-5) == 1e-5
 
 
+def test_uppercase_config_keys_reach_the_run(tmp_path, monkeypatch):
+    # configparser lowercases keys; A and N must still be found
+    cfg = tmp_path / "run.ini"
+    cfg.write_text("[model]\nA = 2.5\n\n[grid]\nL = 10\nN = 33\n")
+    code = run_cli(["simulate", "--config", str(cfg), "--ht", "1e-3",
+                    "--t-final", "0.01", "--out", "upper"],
+                   monkeypatch, tmp_path)
+    assert code == 0
+    outdir = tmp_path / "upper"
+    resolved = json.loads((outdir / "manifest.json").read_text())["resolved"]
+    assert resolved["model"]["A"] == 2.5
+    assert resolved["grid"] == {"L": 10.0, "N": 33, "scheme": "exact"}
+    profile = (outdir / "final_profile.csv").read_text().splitlines()
+    assert len(profile) == 1 + 33
+
+
+@pytest.mark.parametrize("argv, needles", [
+    (["simulate", "--L", "5", "--nodes", "21", "--init", "uniform:abc"],
+     ["uniform:abc"]),
+    # default spacing 0.05 needs 4401 nodes, above the dense limit
+    (["spectral", "--L", "110"], ["4401 nodes", "4096", "--spacing"]),
+])
+def test_bad_input_exits_2_without_traceback(argv, needles, tmp_path,
+                                             monkeypatch, capsys):
+    assert run_cli(argv, monkeypatch, tmp_path) == 2
+    err = capsys.readouterr().err
+    assert "Traceback" not in err
+    summary = json.loads(err)
+    assert summary["error"] == "config"
+    for needle in needles:
+        assert needle in summary["message"]
+
+
 def test_missing_config_file_rejected():
     with pytest.raises(ConfigError):
         load_ini("/nonexistent/path.ini")

@@ -156,6 +156,39 @@ class TestJacobian:
             assert np.linalg.norm(jv - fd) / denom <= 1e-6
 
 
+    @pytest.mark.parametrize("variant", ["nonlocal", "local"])
+    def test_bitwise_equal_to_block_assembly(self, variant, laplace):
+        # reference: the full blocks with reaction diagonals, then the
+        # pinned rows overwritten by unit rows
+        grid = make_grid(25.0, 75)
+        kernel = laplace if variant == "nonlocal" else None
+        ops = build_operators(grid, variant, kernel)
+        params = ModelParams(1.8, 0.45, 2.0, 0.1)
+        sr = StationaryResidual(ops, params)
+        n = grid.n_nodes
+        lap = ops.laplacian.dense()
+        if variant == "local":
+            mv = 0.5 * params.d_v * lap
+            pinned = [0, n - 1, n, 2 * n - 1]
+        else:
+            mv = params.d_v * (ops.dispersal.matrix - np.eye(n))
+            pinned = [n, 2 * n - 1]
+        mw = params.d_w * lap
+        rng = np.random.default_rng(7)
+        for k in range(4):
+            v = rng.uniform(0.0, 4.0, n) if k != 1 else np.zeros(n)
+            w = rng.uniform(0.0, 1.8, n) if k != 2 else np.zeros(n)
+            ref = np.block([
+                [mv + np.diag(2.0 * v * w - params.B), np.diag(v * v)],
+                [np.diag(-2.0 * v * w), mw - np.diag(v * v + 1.0)]])
+            for i in pinned:
+                ref[i, :] = 0.0
+                ref[i, i] = 1.0
+            got = sr.jacobian(sr.join(v, w), 1.8)
+            # int64 views compare bit patterns, so signed zeros count too
+            assert np.array_equal(got.view(np.int64), ref.view(np.int64))
+
+
 @pytest.fixture(scope="module")
 def vegetated_branch(habitat_sr):
     sr = habitat_sr
