@@ -250,7 +250,8 @@ def _resolve_model(args, res: Resolver):
     variant = res.get("model", "variant", str, "nonlocal", args.variant)
     kernel_family = res.get("model", "kernel", str, "laplace", args.kernel)
     L = res.get("grid", "L", float, 25.0, args.L)
-    n_default = max(3, int(math.floor(3 * L)))
+    # floor(3 L) needs a finite L; make_grid rejects any other bad width
+    n_default = max(3, int(math.floor(3 * L))) if math.isfinite(L) else 3
     n = res.get("grid", "N", int, n_default, args.nodes)
     try:
         params = ModelParams(A, B, d_v, d_w, variant,
@@ -356,6 +357,8 @@ def _sweep_config_from(args, res: Resolver) -> SweepConfig:
     else:
         raise ConfigError(f"unknown sweep preset {preset!r}")
     points = res.get("sweep", "points", int, len(cfg.L_values), args.points)
+    if points < 1:
+        raise ConfigError(f"sweep points must be at least 1, got {points}")
     lo = res.get("sweep", "L_min", float, cfg.L_values[0], args.L_min)
     hi = res.get("sweep", "L_max", float, cfg.L_values[-1], args.L_max)
     h_t = res.get("integration", "h_t", float, cfg.h_t, args.ht)

@@ -27,13 +27,6 @@ def load_ini(path) -> dict[str, dict[str, str]]:
 
 def _cast(value: str, kind, section: str, key: str):
     try:
-        if kind is bool:
-            lowered = value.strip().lower()
-            if lowered in ("1", "true", "yes", "on"):
-                return True
-            if lowered in ("0", "false", "no", "off"):
-                return False
-            raise ValueError(value)
         if kind == "floats":
             return tuple(float(tok) for tok in value.replace(",", " ").split())
         return kind(value)

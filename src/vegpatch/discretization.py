@@ -18,6 +18,7 @@ the boundary is lost.  Two assembly schemes are provided:
 """
 from __future__ import annotations
 
+import math
 import warnings
 from dataclasses import dataclass
 
@@ -43,8 +44,9 @@ class Grid1D:
 
 
 def make_grid(half_width: float, n_nodes: int) -> Grid1D:
-    if half_width <= 0:
-        raise BadGrid(f"half-width must be positive, got {half_width}")
+    if not (math.isfinite(half_width) and half_width > 0):
+        raise BadGrid(
+            f"half-width must be finite and positive, got {half_width}")
     if n_nodes < 3:
         raise BadGrid(f"need at least 3 nodes, got {n_nodes}")
     h = 2.0 * half_width / (n_nodes - 1)

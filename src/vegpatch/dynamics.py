@@ -1,14 +1,17 @@
 """Time integration with steady-state and decay diagnostics.
 
-Transients (fixed horizons, decay checks) use forward Euler under explicit
-stability guards.  Steady states are found two ways: run_to_steady takes
-explicit steps, and run_to_steady_batch takes linearly implicit (IMEX) Euler
-steps, whose fixed points are exactly the discrete stationary states, at a
-step of 0.1, 100 to 1000 times the explicit ones (Ascher, Ruuth & Wetton,
-SIAM J. Numer. Anal. 32, 1995).  Both stop when h_t times the l2 norm of
-the right-hand side (vegetation and water concatenated) drops below the
-tolerance, which for explicit Euler is the l2 size of the would-be update.
-A state that is already stationary converges after zero steps.
+Every integrator drives one time loop, _march: each step it rejects a
+non-finite or huge biomass, evaluates the right-hand side, hands it to the
+caller and then applies one of two in-place updates.  Explicit Euler, under
+explicit stability guards, serves the transients (fixed horizons, decay
+checks) and run_to_steady.  run_to_steady_batch takes linearly implicit
+(IMEX) Euler steps, whose fixed points are exactly the discrete stationary
+states, at a step of 0.1, 100 to 1000 times the explicit ones (Ascher,
+Ruuth & Wetton, SIAM J. Numer. Anal. 32, 1995).  Both steady-state runs
+stop when h_t times the l2 norm of the right-hand side (vegetation and
+water concatenated) drops below the tolerance, which for explicit Euler is
+the l2 size of the would-be update.  A state that is already stationary
+converges after zero steps.
 """
 from __future__ import annotations
 
@@ -25,6 +28,7 @@ from .tridiag import thomas_solve
 
 BLOWUP_LIMIT = 1e6
 IMEX_STEP = 0.1
+MONITOR_EVERY = 25   # steady runs sample their running extremes this often
 
 
 @dataclass
@@ -33,9 +37,6 @@ class State:
     w: np.ndarray
     t: float = 0.0
     step_count: int = 0
-
-    def copy(self) -> "State":
-        return State(self.v.copy(), self.w.copy(), self.t, self.step_count)
 
 
 @dataclass
@@ -50,7 +51,7 @@ class SteadyResult:
     region_bound: float | None = None
     region_violations: int = 0
     blowup: bool = False
-    step_size: float | None = None         # set by the implicit stepper
+    step_size: float | None = None         # time step taken
     trajectory: np.ndarray | None = None   # rows (t, min v, max v, avg v, max w)
 
 
@@ -105,17 +106,123 @@ def _rhs(v: np.ndarray, w: np.ndarray, ops: Operators, params: ModelParams):
     return rhs_v, rhs_w
 
 
+def _march(state: State, ops: Operators, params: ModelParams, n_steps: int,
+           advance):
+    """The time loop: yields (n, rhs_v, rhs_w) for the state after n steps.
+
+    state.v and state.w are the live fields; after each yield but the last,
+    advance(v, w, rhs_v, rhs_w) updates them in place.  A non-finite biomass
+    or one above BLOWUP_LIMIT raises Blowup at step state.step_count + n.
+    """
+    v, w = state.v, state.w
+    for n in range(n_steps + 1):
+        if not np.abs(v).max() <= BLOWUP_LIMIT:
+            bad = ~np.isfinite(v) | (np.abs(v) > BLOWUP_LIMIT)
+            node = int(np.argmax(bad))
+            raise Blowup(state.step_count + n, node, float(v[node]))
+        rhs_v, rhs_w = _rhs(v, w, ops, params)
+        yield n, rhs_v, rhs_w
+        if n < n_steps:
+            advance(v, w, rhs_v, rhs_w)
+
+
+def _euler(h_t: float):
+    def advance(v, w, rhs_v, rhs_w):
+        v += h_t * rhs_v
+        w += h_t * rhs_w
+    return advance
+
+
+def _imex(ops: Operators, params: ModelParams):
+    """Linearly implicit Euler: returns (step, in-place update).
+
+    Water takes d_w Lap - (v^2 + 1) implicitly with v frozen (one Thomas
+    solve); dispersal and reaction are explicit; the local variant's
+    vegetation diffusion is implicit through its inverse, formed once.  The
+    step is IMEX_STEP, lowered where needed to keep the explicit dispersal
+    factor d_v * h * (1 + max row sum) at or below 0.4.
+    """
+    h = IMEX_STEP
+    implicit_v = None
+    if ops.variant == "local":
+        lap = ops.laplacian.dense()[1:-1, 1:-1]
+        implicit_v = np.linalg.inv(np.eye(lap.shape[0])
+                                   - h * 0.5 * params.d_v * lap)
+    else:
+        norm_k = float(ops.dispersal.row_sums().max())
+        h = min(h, 0.4 / (params.d_v * (1.0 + norm_k)))
+
+    def advance(v, w, rhs_v, rhs_w):
+        if implicit_v is None:
+            v += h * rhs_v
+        else:
+            reaction = v * v * w - params.B * v
+            v[1:-1] = implicit_v @ (v[1:-1] + h * reaction[1:-1])
+        lower, diag, upper = water_bands(v, params, ops.grid, 1.0 / h)
+        w[1:-1] = thomas_solve(lower, diag, upper, -params.A - w[1:-1] / h)
+    return h, advance
+
+
+def _trajectory_row(t: float, v: np.ndarray, w: np.ndarray) -> tuple:
+    return (t, float(v.min()), float(v.max()), float(v.mean()),
+            float(w.max()))
+
+
+def _steady(state: State, ops: Operators, params: ModelParams, h_t: float,
+            tol: float, max_steps: int, step: float, advance,
+            trajectory_every: int = 0,
+            raise_blowup: bool = True) -> SteadyResult:
+    """Step until h_t * ||F(v, w)||_2 < tol or max_steps runs out.
+
+    The running extremes of both fields are sampled every MONITOR_EVERY
+    steps, and excursions of the biomass above B / max(sup w0, A) counted
+    when the initial biomass starts inside that invariant interval.  With
+    raise_blowup False a blowup ends the run with blowup=True and the state
+    at the failing step instead of raising.
+    """
+    v, w = state.v, state.w
+    r1 = max(float(w.max()), params.A)
+    bound = params.B / r1 if float(v.max()) <= params.B / r1 + 1e-12 else None
+    min_v, max_v, max_w = float(v.min()), float(v.max()), float(w.max())
+    violations, n, delta = 0, 0, math.inf
+    converged = blowup = False
+    track: list[tuple] = []
+    try:
+        for n, rhs_v, rhs_w in _march(state, ops, params, max_steps, advance):
+            delta = h_t * math.sqrt(float(np.dot(rhs_v, rhs_v)
+                                          + np.dot(rhs_w, rhs_w)))
+            # the states after steps 1, 1 + MONITOR_EVERY, ...
+            if (n - 1) % MONITOR_EVERY == 0:
+                cur_max = float(v.max())
+                min_v = min(min_v, float(v.min()))
+                max_v = max(max_v, cur_max)
+                max_w = max(max_w, float(w.max()))
+                if bound is not None and cur_max > bound + 1e-8:
+                    violations += 1
+            if trajectory_every > 0 and n % trajectory_every == 0:
+                track.append(_trajectory_row(n * step, v, w))
+            if delta < tol:
+                converged = True
+                break
+    except Blowup as err:
+        if raise_blowup:
+            raise
+        n, delta, blowup = err.step, math.inf, True
+    state.t, state.step_count = n * step, n
+    traj = np.asarray(track) if trajectory_every > 0 else None
+    return SteadyResult(state, converged, n, delta, min_v, max_v, max_w,
+                        bound, violations, blowup, step, traj)
+
+
 def euler_step(state: State, ops: Operators, params: ModelParams,
                h_t: float) -> State:
     """One explicit step; raises Blowup on non-finite or huge values."""
-    rhs_v, rhs_w = _rhs(state.v, state.w, ops, params)
-    v = state.v + h_t * rhs_v
-    w = state.w + h_t * rhs_w
-    bad = ~np.isfinite(v) | (np.abs(v) > BLOWUP_LIMIT)
-    if bad.any():
-        node = int(np.argmax(bad))
-        raise Blowup(state.step_count + 1, node, float(v[node]))
-    return State(v, w, state.t + h_t, state.step_count + 1)
+    out = State(state.v.copy(), state.w.copy(), state.t, state.step_count)
+    for _ in _march(out, ops, params, 1, _euler(h_t)):
+        pass
+    out.t += h_t
+    out.step_count += 1
+    return out
 
 
 def initial_state(ops: Operators, v: np.ndarray, w: np.ndarray) -> State:
@@ -130,7 +237,6 @@ def initial_state(ops: Operators, v: np.ndarray, w: np.ndarray) -> State:
 
 def run_to_steady(initial: State, ops: Operators, params: ModelParams,
                   h_t: float, tol: float = 1e-5, max_steps: int = 2_000_000,
-                  monitor_every: int = 25,
                   trajectory_every: int = 0) -> SteadyResult:
     """Iterate explicit steps until the step-difference criterion is met.
 
@@ -143,54 +249,8 @@ def run_to_steady(initial: State, ops: Operators, params: ModelParams,
     check_timestep(ops, params, h_t)
     if tol <= 0:
         raise ValueError("tol must be positive")
-    v = initial.v.copy()
-    w = initial.w.copy()
-    w[0] = w[-1] = 0.0
-    if ops.variant == "local":
-        v[0] = v[-1] = 0.0
-
-    r1 = max(float(w.max()), params.A)
-    bound = params.B / r1 if float(v.max()) <= params.B / r1 + 1e-12 else None
-
-    min_v, max_v, max_w = float(v.min()), float(v.max()), float(w.max())
-    violations = 0
-    delta = math.inf
-    track: list[tuple] = []
-
-    def snapshot(n):
-        track.append((n * h_t, float(v.min()), float(v.max()),
-                      float(v.mean()), float(w.max())))
-
-    def pack(n, converged):
-        state = State(v, w, n * h_t, n)
-        traj = np.asarray(track) if trajectory_every > 0 else None
-        return SteadyResult(state, converged, n, delta, min_v, max_v, max_w,
-                            bound, violations, trajectory=traj)
-
-    for n in range(max_steps + 1):
-        rhs_v, rhs_w = _rhs(v, w, ops, params)
-        sq = float(np.dot(rhs_v, rhs_v) + np.dot(rhs_w, rhs_w))
-        delta = h_t * math.sqrt(sq)
-        if not math.isfinite(delta) or abs(v).max() > BLOWUP_LIMIT:
-            bad = ~np.isfinite(v) | (np.abs(v) > BLOWUP_LIMIT)
-            node = int(np.argmax(bad)) if bad.any() else int(np.argmax(np.abs(v)))
-            raise Blowup(n, node, float(v[node]))
-        if trajectory_every > 0 and n % trajectory_every == 0:
-            snapshot(n)
-        if delta < tol:
-            return pack(n, True)
-        if n == max_steps:
-            break
-        v += h_t * rhs_v
-        w += h_t * rhs_w
-        if n % monitor_every == 0:
-            cur_min, cur_max, cur_w = float(v.min()), float(v.max()), float(w.max())
-            min_v = min(min_v, cur_min)
-            max_v = max(max_v, cur_max)
-            max_w = max(max_w, cur_w)
-            if bound is not None and cur_max > bound + 1e-8:
-                violations += 1
-    return pack(max_steps, False)
+    return _steady(initial_state(ops, initial.v, initial.w), ops, params,
+                   h_t, tol, max_steps, h_t, _euler(h_t), trajectory_every)
 
 
 def simulate_horizon(initial: State, ops: Operators, params: ModelParams,
@@ -198,27 +258,15 @@ def simulate_horizon(initial: State, ops: Operators, params: ModelParams,
                      trajectory_every: int = 0):
     """Integrate to a fixed horizon; returns (state, trajectory array)."""
     check_timestep(ops, params, h_t)
-    v = initial.v.copy()
-    w = initial.w.copy()
-    w[0] = w[-1] = 0.0
-    if ops.variant == "local":
-        v[0] = v[-1] = 0.0
+    state = initial_state(ops, initial.v, initial.w)
     n_steps = int(round(t_final / h_t))
     track: list[tuple] = []
-    for n in range(n_steps + 1):
-        if trajectory_every > 0 and (n % trajectory_every == 0 or n == n_steps):
-            track.append((n * h_t, float(v.min()), float(v.max()),
-                          float(v.mean()), float(w.max())))
-        if n == n_steps:
-            break
-        rhs_v, rhs_w = _rhs(v, w, ops, params)
-        v += h_t * rhs_v
-        w += h_t * rhs_w
-        if not np.isfinite(v).all() or np.abs(v).max() > BLOWUP_LIMIT:
-            bad = ~np.isfinite(v) | (np.abs(v) > BLOWUP_LIMIT)
-            node = int(np.argmax(bad))
-            raise Blowup(n + 1, node, float(v[node]))
-    return State(v, w, n_steps * h_t, n_steps), np.asarray(track)
+    for n, _, _ in _march(state, ops, params, n_steps, _euler(h_t)):
+        if trajectory_every > 0 and (n % trajectory_every == 0
+                                     or n == n_steps):
+            track.append(_trajectory_row(n * h_t, state.v, state.w))
+    state.t, state.step_count = n_steps * h_t, n_steps
+    return state, np.asarray(track)
 
 
 @dataclass
@@ -229,67 +277,6 @@ class BatchCell:
     params: ModelParams
     v0: np.ndarray
     w0: np.ndarray
-
-
-def _run_imex(cell: BatchCell, h_t: float, tol: float,
-              max_steps: int) -> SteadyResult:
-    """Linearly implicit Euler to the steady state of one cell.
-
-    Water takes d_w Lap - (v^2 + 1) implicitly with v frozen (one Thomas
-    solve); dispersal and reaction are explicit; the local variant's
-    vegetation diffusion is implicit through its inverse, formed once.  The
-    step is IMEX_STEP, lowered where needed to keep the explicit dispersal
-    factor d_v * h * (1 + max row sum) at or below 0.4.
-    """
-    ops, params = cell.ops, cell.params
-    local = ops.variant == "local"
-    v = np.asarray(cell.v0, dtype=float).copy()
-    w = np.asarray(cell.w0, dtype=float).copy()
-    w[0] = w[-1] = 0.0
-    h = IMEX_STEP
-    if local:
-        v[0] = v[-1] = 0.0
-        lap = ops.laplacian.dense()[1:-1, 1:-1]
-        implicit_v = np.linalg.inv(np.eye(lap.shape[0])
-                                   - h * 0.5 * params.d_v * lap)
-    else:
-        norm_k = float(ops.dispersal.row_sums().max())
-        h = min(h, 0.4 / (params.d_v * (1.0 + norm_k)))
-
-    r1 = max(float(w.max()), params.A)
-    bound = params.B / r1 if float(v.max()) <= params.B / r1 + 1e-12 else None
-    min_v, max_v, max_w = float(v.min()), float(v.max()), float(w.max())
-    violations = 0
-
-    def pack(n, delta, converged, blowup=False):
-        return SteadyResult(State(v, w, n * h, n), converged, n, delta,
-                            min_v, max_v, max_w, bound, violations,
-                            blowup=blowup, step_size=h)
-
-    for n in range(max_steps + 1):
-        rhs_v, rhs_w = _rhs(v, w, ops, params)
-        delta = h_t * math.sqrt(float(np.dot(rhs_v, rhs_v)
-                                      + np.dot(rhs_w, rhs_w)))
-        if not math.isfinite(delta) or abs(v).max() > BLOWUP_LIMIT:
-            return pack(n, delta, False, blowup=True)
-        if delta < tol:
-            return pack(n, delta, True)
-        if n == max_steps:
-            break
-        if local:
-            reaction = v * v * w - params.B * v
-            v[1:-1] = implicit_v @ (v[1:-1] + h * reaction[1:-1])
-        else:
-            v += h * rhs_v
-        lower, diag, upper = water_bands(v, params, ops.grid, 1.0 / h)
-        w[1:-1] = thomas_solve(lower, diag, upper, -params.A - w[1:-1] / h)
-        cur_max = float(v.max())
-        min_v = min(min_v, float(v.min()))
-        max_v = max(max_v, cur_max)
-        max_w = max(max_w, float(w.max()))
-        if bound is not None and cur_max > bound + 1e-8:
-            violations += 1
-    return pack(max_steps, delta, False)
 
 
 def run_to_steady_batch(cells: Iterable[BatchCell], h_t: float,
@@ -308,7 +295,10 @@ def run_to_steady_batch(cells: Iterable[BatchCell], h_t: float,
         raise UnstableTimestep("time step must be positive")
     if tol <= 0:
         raise ValueError("tol must be positive")
-    return [_run_imex(cell, h_t, tol, max_steps) for cell in cells]
+    return [_steady(initial_state(c.ops, c.v0, c.w0), c.ops, c.params, h_t,
+                    tol, max_steps, *_imex(c.ops, c.params),
+                    raise_blowup=False)
+            for c in cells]
 
 
 def decay_envelope(t, b: float, m: float, nu0: float):
@@ -341,27 +331,19 @@ def extinction_decay_check(params: ModelParams, ops: Operators,
     slack = 1e-9 + 0.05 * h_t
     n_steps = int(round(t_final / h_t))
     times, maxima, envs, gaps = [], [], [], []
-
-    def sample(s: State):
-        t = s.step_count * h_t
-        mx = float(s.v.max())
+    for n, _, _ in _march(state, ops, params, n_steps, _euler(h_t)):
+        if n % sample_every and n != n_steps:
+            continue
+        t = n * h_t
+        mx = float(state.v.max())
         env = float(decay_envelope(t, params.B, m, v0_level))
-        gap = float(np.max(np.abs(s.w - w0)))
+        gap = float(np.max(np.abs(state.w - w0)))
         times.append(t)
         maxima.append(mx)
         envs.append(env)
         gaps.append(gap)
         if mx > env + slack:
             raise EnvelopeViolated(t, mx - env)
-
-    sample(state)
-    v, w = state.v, state.w
-    for n in range(1, n_steps + 1):
-        rhs_v, rhs_w = _rhs(v, w, ops, params)
-        v += h_t * rhs_v
-        w += h_t * rhs_w
-        if n % sample_every == 0 or n == n_steps:
-            sample(State(v, w, n * h_t, n))
 
     return DecayReport(
         times=np.asarray(times), max_v=np.asarray(maxima),
@@ -384,21 +366,14 @@ def perturbation_decay(ops: Operators, params: ModelParams,
     """
     grid = ops.grid
     profile = np.cos(np.pi * grid.nodes / (2.0 * grid.half_width))
-    state = initial_state(ops, v_ref * (1.0 + amplitude * profile),
-                          w_ref.copy())
+    state = initial_state(ops, v_ref * (1.0 + amplitude * profile), w_ref)
     check_timestep(ops, params, h_t)
     n_steps = int(round(t_final / h_t))
     times, gaps = [], []
-    v, w = state.v, state.w
-    for n in range(n_steps + 1):
+    for n, _, _ in _march(state, ops, params, n_steps, _euler(h_t)):
         if n % sample_every == 0:
             times.append(n * h_t)
-            gaps.append(float(np.linalg.norm(v - v_ref)))
-        if n == n_steps:
-            break
-        rhs_v, rhs_w = _rhs(v, w, ops, params)
-        v += h_t * rhs_v
-        w += h_t * rhs_w
+            gaps.append(float(np.linalg.norm(state.v - v_ref)))
     times = np.asarray(times)
     gaps = np.asarray(gaps)
     usable = gaps > norm_floor

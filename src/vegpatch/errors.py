@@ -5,10 +5,6 @@ class VegpatchError(Exception):
     """Base class for all package errors."""
 
 
-class BadGrid(VegpatchError):
-    """Grid construction with invalid half-width or node count."""
-
-
 class NonIntegrable(VegpatchError):
     """Kernel moment quadrature failed to converge within budget."""
 
@@ -60,6 +56,10 @@ class SingularJacobian(VegpatchError):
 
 class ConfigError(VegpatchError):
     """Invalid or incomplete run configuration."""
+
+
+class BadGrid(ConfigError):
+    """Grid construction with invalid half-width or node count."""
 
 
 class UnstableTimestep(ConfigError):

@@ -36,8 +36,10 @@ class ModelParams:
 
     def __post_init__(self):
         for name in ("A", "B", "d_v", "d_w"):
-            if getattr(self, name) <= 0:
-                raise ValueError(f"{name} must be strictly positive")
+            value = getattr(self, name)
+            if not (math.isfinite(value) and value > 0):
+                raise ValueError(
+                    f"{name} must be finite and strictly positive")
         if self.variant not in ("nonlocal", "local"):
             raise ValueError(f"unknown variant {self.variant!r}")
 

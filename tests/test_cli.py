@@ -103,6 +103,11 @@ def test_uppercase_config_keys_reach_the_run(tmp_path, monkeypatch):
      ["uniform:abc"]),
     # default spacing 0.05 needs 4401 nodes, above the dense limit
     (["spectral", "--L", "110"], ["4401 nodes", "4096", "--spacing"]),
+    (["simulate", "--L", "nan"], ["half-width", "nan"]),
+    (["simulate", "--L", "-1"], ["half-width", "-1"]),
+    (["simulate", "--nodes", "2"], ["3 nodes"]),
+    (["simulate", "--A", "inf"], ["A must be finite"]),
+    (["sweep", "--preset", "fast", "--points", "0"], ["points", "0"]),
 ])
 def test_bad_input_exits_2_without_traceback(argv, needles, tmp_path,
                                              monkeypatch, capsys):

@@ -3,7 +3,7 @@ import pytest
 
 from vegpatch.continuation import StationaryResidual, solve_stationary
 from vegpatch.discretization import build_operators, make_grid
-from vegpatch.dynamics import (BatchCell, _rhs, euler_step,
+from vegpatch.dynamics import (BLOWUP_LIMIT, BatchCell, _rhs, euler_step,
                                extinction_decay_check, initial_state,
                                perturbation_decay, run_to_steady,
                                run_to_steady_batch, simulate_horizon)
@@ -60,6 +60,29 @@ def test_blowup_reports_step_and_node(small_ops, default_params):
     assert 0 <= err.value.node < n
 
 
+def test_steady_blowup_raises_with_step_and_node(small_ops, default_params):
+    n = small_ops.grid.n_nodes
+    state = initial_state(small_ops, np.full(n, 9e5), np.full(n, 1.8))
+    with pytest.raises(Blowup) as err:
+        run_to_steady(state, small_ops, default_params, h_t=1e-2)
+    # node 0 sees no water (pinned at zero) and so does not grow
+    assert err.value.step == 1 and err.value.node == 1
+    assert err.value.value > BLOWUP_LIMIT
+
+
+def test_batch_blowup_returns_failing_state(small_ops, default_params):
+    n = small_ops.grid.n_nodes
+    v0, w0 = np.full(n, 9e5), np.full(n, 1.8)
+    (got,) = run_to_steady_batch(
+        [BatchCell(small_ops, default_params, v0, w0)], 1e-2)
+    assert got.blowup and not got.converged
+    assert got.steps == got.state.step_count == 1
+    # the non-local variant moves v explicitly: one step from the start
+    start = initial_state(small_ops, v0, w0)
+    rhs_v, _ = _rhs(start.v, start.w, small_ops, default_params)
+    assert np.array_equal(got.state.v, start.v + got.step_size * rhs_v)
+
+
 def test_steady_convergence_to_uniform_state(default_params, laplace):
     ops = build_operators(make_grid(50.0, 401), "nonlocal", laplace)
     v0, w0 = cosine_perturbed_start(ops.grid, 1.8, 0.45)
@@ -96,12 +119,17 @@ def test_invariant_region_and_water_bound(small_ops, default_params):
     w0 = solve_water_stationary(np.zeros(grid.n_nodes), default_params, grid)
     state = initial_state(small_ops, np.full(grid.n_nodes, 0.2), w0)
     result = run_to_steady(state, small_ops, default_params, h_t=1e-3,
-                           tol=1e-5, max_steps=60_000, monitor_every=5)
+                           tol=1e-5, max_steps=60_000, trajectory_every=5)
     assert result.region_bound == pytest.approx(0.45 / 1.8)
     assert result.region_violations == 0
     assert result.max_v <= result.region_bound + 1e-8
     assert result.min_v >= -1e-12
     assert result.max_w <= max(w0.max(), default_params.A) + 1e-8
+    # every 5th step: columns (t, min v, max v, avg v, max w)
+    track = result.trajectory
+    assert track.max(axis=0)[2] <= result.region_bound + 1e-8
+    assert track.min(axis=0)[1] >= -1e-12
+    assert track.max(axis=0)[4] <= max(w0.max(), default_params.A) + 1e-8
 
 
 def test_trajectory_sampling(small_ops, default_params):
