@@ -67,6 +67,21 @@ def _error_summary(kind: str, exc: Exception) -> None:
                       "message": str(exc)}), file=sys.stderr)
 
 
+def _positive(name: str, value: float) -> float:
+    """value itself if it is finite and positive; otherwise a ConfigError."""
+    if not (math.isfinite(value) and value > 0):
+        raise ConfigError(f"{name} must be finite and positive, got {value!r}")
+    return value
+
+
+def _non_negative(name: str, value):
+    """value itself if it is finite and not negative; otherwise a ConfigError."""
+    if not (math.isfinite(value) and value >= 0):
+        raise ConfigError(
+            f"{name} must be finite and non-negative, got {value!r}")
+    return value
+
+
 def _run_config_payload(res: Resolver, experiment: str, outdir) -> dict:
     cfg = finalize(res, experiment, outdir)
     return {"experiment": cfg.experiment, "output_dir": str(cfg.output_dir),
@@ -200,14 +215,25 @@ def cmd_spectral(args) -> int:
     A = res.get("model", "A", float, 1.8)
     B = res.get("model", "B", float, 0.45)
     d_w = res.get("model", "d_w", float, 0.1)
+    try:
+        params = ModelParams(A, B, d_v, d_w)
+    except ValueError as exc:
+        raise ConfigError(str(exc)) from exc
+    if args.M is not None:
+        _non_negative("--M", args.M)
     kernel = builtin_kernel(args.kernel)
-    nodes = [max(3, int(round(2.0 * L / args.spacing)) + 1) for L in args.L]
-    for L, n in zip(args.L, nodes):
+    spacing = _positive("--spacing", args.spacing)
+    nodes = []
+    for L in args.L:
+        intervals = 2.0 * _positive("--L", L) / spacing
+        n = max(3, int(round(intervals)) + 1) if math.isfinite(intervals) \
+            else math.inf
         if n > DENSE_LIMIT:
             raise ConfigError(
-                f"--L {L!r} at --spacing {args.spacing!r} needs {n} nodes; "
+                f"--L {L!r} at --spacing {spacing!r} needs {n} nodes; "
                 f"the spectral routines allow at most {DENSE_LIMIT} (dense "
                 f"dispersal matrix), so raise --spacing or lower --L")
+        nodes.append(n)
     lines = ["L,beta1,lambda1,extinction_guaranteed"]
     for L, n in zip(args.L, nodes):
         grid = make_grid(L, n)
@@ -222,7 +248,6 @@ def cmd_spectral(args) -> int:
         if args.M is not None:
             m_const = args.M
         else:
-            params = ModelParams(A, B, d_v, d_w)
             v3 = max(s.v_star for s in constant_steady_states(A, B))
             m_const = estimate_lipschitz_M(params, grid,
                                            v_range=max(1.0, v3)).value
@@ -278,6 +303,7 @@ def _initial_from_flag(spec: str, params, grid, ops) -> State:
         except ValueError as exc:
             raise ConfigError(
                 f"--init {spec!r}: LEVEL must be a number") from exc
+        _non_negative(f"--init {spec!r}: LEVEL", level)
         return initial_state(ops, np.full(grid.n_nodes, level), w_desert)
     raise ConfigError(f"unknown --init {spec!r}")
 
@@ -285,11 +311,11 @@ def _initial_from_flag(spec: str, params, grid, ops) -> State:
 def cmd_simulate(args) -> int:
     res = make_resolver(args.config)
     params, grid, ops = _resolve_model(args, res)
-    h_t = res.get("integration", "h_t", float, 1e-4, args.ht)
-    t_final = res.get("integration", "t_final", float, 10.0,
-                      getattr(args, "t_final", None))
-    every = res.get("integration", "trajectory_every", int, 100,
-                    args.dump_every)
+    h_t = _positive("h_t", res.get("integration", "h_t", float, 1e-4, args.ht))
+    t_final = _positive("t_final", res.get("integration", "t_final", float,
+                                           10.0, args.t_final))
+    every = _non_negative("trajectory_every", res.get(
+        "integration", "trajectory_every", int, 100, args.dump_every))
     state0 = _initial_from_flag(args.init, params, grid, ops)
     t0 = time.time()
     state, track = simulate_horizon(state0, ops, params, h_t, t_final,
@@ -318,12 +344,13 @@ def _write_trajectory(path, track) -> None:
 def cmd_steady(args) -> int:
     res = make_resolver(args.config)
     params, grid, ops = _resolve_model(args, res)
-    h_t = res.get("integration", "h_t", float, 1e-4, args.ht)
-    tol = res.get("integration", "tol", float, 1e-5, args.tol)
-    max_steps = res.get("integration", "max_steps", int, 2_000_000,
-                        args.max_steps)
-    every = res.get("integration", "trajectory_every", int, 0,
-                    args.dump_every)
+    h_t = _positive("h_t", res.get("integration", "h_t", float, 1e-4, args.ht))
+    tol = _positive("tol", res.get("integration", "tol", float, 1e-5,
+                                   args.tol))
+    max_steps = _non_negative("max_steps", res.get(
+        "integration", "max_steps", int, 2_000_000, args.max_steps))
+    every = _non_negative("trajectory_every", res.get(
+        "integration", "trajectory_every", int, 0, args.dump_every))
     state0 = _initial_from_flag(args.init, params, grid, ops)
     t0 = time.time()
     result = run_to_steady(state0, ops, params, h_t, tol, max_steps,
@@ -359,13 +386,16 @@ def _sweep_config_from(args, res: Resolver) -> SweepConfig:
     points = res.get("sweep", "points", int, len(cfg.L_values), args.points)
     if points < 1:
         raise ConfigError(f"sweep points must be at least 1, got {points}")
-    lo = res.get("sweep", "L_min", float, cfg.L_values[0], args.L_min)
-    hi = res.get("sweep", "L_max", float, cfg.L_values[-1], args.L_max)
-    h_t = res.get("integration", "h_t", float, cfg.h_t, args.ht)
-    max_steps = res.get("integration", "max_steps", int, cfg.max_steps,
-                        args.max_steps)
-    threshold = res.get("sweep", "threshold", float, cfg.threshold,
-                        args.threshold)
+    lo = _positive("L_min", res.get("sweep", "L_min", float,
+                                    cfg.L_values[0], args.L_min))
+    hi = _positive("L_max", res.get("sweep", "L_max", float,
+                                    cfg.L_values[-1], args.L_max))
+    h_t = _positive("h_t", res.get("integration", "h_t", float, cfg.h_t,
+                                   args.ht))
+    max_steps = _non_negative("max_steps", res.get(
+        "integration", "max_steps", int, cfg.max_steps, args.max_steps))
+    threshold = _positive("threshold", res.get(
+        "sweep", "threshold", float, cfg.threshold, args.threshold))
     A = res.get("model", "A", float, cfg.A)
     B = res.get("model", "B", float, cfg.B)
     d_v = res.get("model", "d_v", float, cfg.d_v)
@@ -458,9 +488,10 @@ def cmd_bifurcate(args) -> int:
     res = make_resolver(args.config)
     d_w_values = tuple(args.dw) if args.dw else \
         res.get("bifurcation", "d_w_values", "floats", (0.1, 80.0))
-    L = res.get("bifurcation", "L", float, 25.0, args.L)
-    B = res.get("model", "B", float, 0.45)
-    d_v = res.get("model", "d_v", float, 2.0)
+    d_w_values = tuple(_positive("d_w", d_w) for d_w in d_w_values)
+    L = _positive("L", res.get("bifurcation", "L", float, 25.0, args.L))
+    B = _positive("B", res.get("model", "B", float, 0.45))
+    d_v = _positive("d_v", res.get("model", "d_v", float, 2.0))
     scheme = res.get("grid", "scheme", str, "exact")
     gallery_A = res.get("bifurcation", "gallery_A", "floats", (1.2, 1.5, 2.0))
     stride = res.get("bifurcation", "stability_stride", int, 25)

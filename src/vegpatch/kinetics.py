@@ -15,7 +15,7 @@ import numpy as np
 
 from .discretization import Grid1D
 from .errors import WaterBoundViolated
-from .tridiag import thomas_solve
+from .tridiag import thomas_solve, thomas_solve_columns
 
 EQ_DESERT = 1
 EQ_LOWER = 2
@@ -115,9 +115,37 @@ def solve_water_stationary(v: np.ndarray, params: ModelParams,
     w = np.zeros(grid.n_nodes)
     w[1:-1] = thomas_solve(lower, diag, upper,
                            np.full(grid.n_nodes - 2, -params.A))
-    if not (w.min() >= -1e-10 and w.max() <= params.A + 1e-10):
-        raise WaterBoundViolated(float(w.min()), float(w.max()), params.A)
+    _check_maximum_principle(w[None, :], params.A)
     return w
+
+
+def solve_water_uniform(levels: np.ndarray, params: ModelParams,
+                        grid: Grid1D) -> np.ndarray:
+    """Stationary water profiles for constant biomass levels, one row each.
+
+    All levels are solved in one batched Thomas sweep
+    (thomas_solve_columns), which performs the same operations as
+    solve_water_stationary on each level, so every row is bitwise equal to
+    that level's solve_water_stationary(level * ones).  Each row is checked
+    against the maximum principle 0 <= W <= A.
+    """
+    levels = np.asarray(levels, dtype=float)
+    if levels.min() < 0:
+        raise ValueError("levels must be non-negative")
+    v = np.broadcast_to(levels, (grid.n_nodes, levels.size))
+    lower, diag, upper = water_bands(v, params, grid)
+    w = np.zeros((levels.size, grid.n_nodes))
+    w[:, 1:-1] = thomas_solve_columns(lower, diag, upper, -params.A).T
+    _check_maximum_principle(w, params.A)
+    return w
+
+
+def _check_maximum_principle(w: np.ndarray, A: float) -> None:
+    """Raise WaterBoundViolated for the first row of w outside [0, A]."""
+    lo, hi = w.min(axis=1), w.max(axis=1)
+    bad = np.flatnonzero(~((lo >= -1e-10) & (hi <= A + 1e-10)))
+    if bad.size:
+        raise WaterBoundViolated(float(lo[bad[0]]), float(hi[bad[0]]), A)
 
 
 def reaction_rhs(v: np.ndarray, w: np.ndarray, params: ModelParams):

@@ -6,6 +6,15 @@ one, so its spectral radius mu_max is below one and beta1 = 1 - mu_max.
 Extinction of vegetation is guaranteed whenever d_v * beta1 exceeds the
 Lipschitz constant of the reduced nonlinearity, and beta1 shrinks as the
 habitat grows, which is what produces a critical patch size.
+
+beta1 comes from Arnoldi iteration on the weighted symmetrization of K,
+applied through the dispersal operator's action only, so dense and
+matrix-free operators are handled alike.  The relative gap between the top
+two eigenvalues closes like 1/L^2; a Krylov method needs about the square
+root of the iterations power iteration would.  lambda1, the Dirichlet
+Laplacian's principal eigenvalue, comes from inverse iteration with
+tridiagonal solves.  The Lipschitz estimate scans constant biomass levels
+with one batched water solve.
 """
 from __future__ import annotations
 
@@ -14,7 +23,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .discretization import DispersalOperator, LaplacianOperator
-from .kinetics import ModelParams, scalar_f
+from .kinetics import ModelParams, solve_water_uniform
 from .tridiag import thomas_solve
 
 
@@ -50,53 +59,85 @@ class LipschitzEstimate:
     certified_from_below: bool = True
 
 
-def _symmetrized_weighted(op: DispersalOperator) -> np.ndarray:
-    """Similarity transform D^(1/2) K D^(-1/2) with D the quadrature weights."""
-    if op.matrix is None:
-        raise ValueError("spectral routines need a dense dispersal matrix")
-    d = op.grid.quad_weights
-    s = np.sqrt(d)
-    return (s[:, None] * op.matrix) / s[None, :]
+RITZ_EVERY = 5     # Arnoldi steps between Ritz-pair convergence checks
 
 
-def _power_iteration(mat: np.ndarray, res_tol: float, max_iter: int):
-    """Dominant eigenpair by power iteration with residual-based stopping.
+def _symmetrized_action(op: DispersalOperator):
+    """x -> D^(1/2) K D^(-1/2) x with D the quadrature weights.
 
-    One matvec per iteration: the Rayleigh quotient and the eigenpair
-    residual are both read off the same product, and the iteration stops
-    when the residual (relative to the eigenvalue scale) meets res_tol.
+    Uses only the operator action apply(v) = K v - v, so dense and
+    matrix-free operators are served alike and no N x N array is formed.
     """
-    x = np.ones(mat.shape[0])
-    x /= np.linalg.norm(x)
-    rho = 0.0
-    resid = np.inf
-    for it in range(1, max_iter + 1):
-        y = mat @ x
-        rho = float(x @ y)
-        resid = float(np.linalg.norm(y - rho * x))
-        if resid <= res_tol * max(abs(rho), 1.0):
-            return rho, resid, it, True
-        ny = np.linalg.norm(y)
-        if ny == 0.0:
-            return 0.0, 0.0, it, True
-        x = y / ny
-    return rho, resid, it, False
+    d = np.sqrt(op.grid.quad_weights)
+
+    def action(x: np.ndarray) -> np.ndarray:
+        u = x / d
+        return d * (op.apply(u) + u)
+    return action
+
+
+def _arnoldi_rightmost(action, n: int, res_tol: float, max_dim: int):
+    """Rightmost eigenpair by Arnoldi with full reorthogonalization.
+
+    The Krylov basis starts from the constant vector and is orthogonalized
+    by classical Gram-Schmidt applied twice.  Every RITZ_EVERY steps (and
+    when the basis stops growing) the Ritz pair with the largest real part
+    is formed, and the iteration stops when its residual, from a true
+    operator action, meets res_tol relative to the eigenvalue scale.
+    Returns (rho, residual, Krylov dimension, converged).  The basis and
+    the Hessenberg matrix grow by doubling, so memory follows the dimension
+    reached rather than the cap.
+    """
+    m = min(max_dim, n)
+    basis = np.empty((min(m, 32) + 1, n))
+    hess = np.zeros((len(basis), len(basis)))
+    basis[0] = 1.0 / np.sqrt(n)
+    rho, resid = 0.0, np.inf
+    for j in range(m):
+        if j + 1 == len(basis):
+            grow = min(len(basis), m + 1 - len(basis))
+            basis = np.concatenate([basis, np.empty((grow, n))])
+            hess = np.pad(hess, (0, grow))
+        w = action(basis[j])
+        for _ in range(2):
+            coef = basis[:j + 1] @ w
+            w -= coef @ basis[:j + 1]
+            hess[:j + 1, j] += coef
+        hess[j + 1, j] = h_next = float(np.linalg.norm(w))
+        k = j + 1
+        exhausted = k == m or h_next <= 1e-14 * np.abs(hess[:k, :k]).max()
+        if k % RITZ_EVERY == 0 or exhausted:
+            values, vectors = np.linalg.eig(hess[:k, :k])
+            top = int(np.argmax(values.real))
+            rho = float(values[top].real)
+            y = vectors[:, top].real @ basis[:k]
+            y /= np.linalg.norm(y)
+            resid = float(np.linalg.norm(action(y) - rho * y))
+            if resid <= res_tol * max(abs(rho), 1.0):
+                return rho, resid, k, True
+            if exhausted:
+                return rho, resid, k, False
+        basis[k] = w / h_next
+    return rho, resid, m, False
 
 
 def principal_eigenvalue_nonlocal(op: DispersalOperator, tol: float = 1e-10,
                                   max_iter: int = 50_000,
                                   use_cache: bool = True) -> EigResult:
-    """beta1 = 1 - mu_max(K) by power iteration on the weighted symmetrization.
+    """beta1 = 1 - mu_max(K) by Arnoldi on the weighted symmetrization.
 
-    Stops when the eigenpair residual drops below tol (relative to the
-    eigenvalue scale).  On hitting the iteration cap the best estimate is
+    The similarity transform D^(1/2) K D^(-1/2) (D the quadrature weights)
+    is applied through the operator action only.  Stops when the eigenpair
+    residual drops below tol (relative to the eigenvalue scale); max_iter
+    caps the Krylov dimension.  On hitting the cap the best estimate is
     returned with converged=False rather than raising; the residual tells
-    how far it got.  Results are memoized on the operator.
+    how far it got.  iterations is the Krylov dimension reached.  Results
+    are memoized on the operator.
     """
     if use_cache and op.spectral_cache is not None:
         return op.spectral_cache
-    mat = _symmetrized_weighted(op)
-    mu, resid, iters, ok = _power_iteration(mat, tol, max_iter)
+    mu, resid, iters, ok = _arnoldi_rightmost(_symmetrized_action(op),
+                                              op.n_nodes, tol, max_iter)
     result = EigResult(value=1.0 - mu, residual=resid, iterations=iters,
                        converged=ok)
     if use_cache:
@@ -106,7 +147,10 @@ def principal_eigenvalue_nonlocal(op: DispersalOperator, tol: float = 1e-10,
 
 def principal_eigenvalue_nonlocal_dense(op: DispersalOperator) -> float:
     """Dense-eigensolve oracle for beta1 (test cross-check path)."""
-    mat = _symmetrized_weighted(op)
+    if op.matrix is None:
+        raise ValueError("the dense oracle needs a dense dispersal matrix")
+    s = np.sqrt(op.grid.quad_weights)
+    mat = (s[:, None] * op.matrix) / s[None, :]
     if np.allclose(mat, mat.T, atol=1e-12):
         mu = float(np.linalg.eigvalsh(mat)[-1])
     else:
@@ -157,18 +201,18 @@ def estimate_lipschitz_M(params: ModelParams, grid, v_range: float,
     """Max finite-difference slope of f over uniform biomass levels.
 
     Scans constant profiles v in [0, v_range] and returns the largest
-    sup-norm quotient |f(v_k+1) - f(v_k)| / (v_k+1 - v_k).
+    sup-norm quotient |f(v_k+1) - f(v_k)| / (v_k+1 - v_k).  The water
+    profiles of all levels come from one batched solve
+    (solve_water_uniform), bitwise equal to solving level by level.
     """
     if v_range <= 0:
         raise ValueError("v_range must be positive")
     levels = np.linspace(0.0, v_range, n_samples + 1)
-    ones = np.ones(grid.n_nodes)
-    prev = scalar_f(levels[0] * ones, params, grid)
-    best = 0.0
-    for lo, hi in zip(levels[:-1], levels[1:]):
-        cur = scalar_f(hi * ones, params, grid)
-        quot = float(np.max(np.abs(cur - prev))) / (hi - lo)
-        best = max(best, quot)
-        prev = cur
+    f = solve_water_uniform(levels, params, grid)    # f = v^2 W - B v
+    f *= (levels * levels)[:, None]
+    f -= (params.B * levels)[:, None]
+    jumps = f[1:] - f[:-1]
+    jumps = np.abs(jumps, out=jumps).max(axis=1)
+    best = float((jumps / np.diff(levels)).max(initial=0.0))
     return LipschitzEstimate(value=best, n_samples=n_samples + 1,
                              v_range=v_range)

@@ -108,6 +108,24 @@ def test_uppercase_config_keys_reach_the_run(tmp_path, monkeypatch):
     (["simulate", "--nodes", "2"], ["3 nodes"]),
     (["simulate", "--A", "inf"], ["A must be finite"]),
     (["sweep", "--preset", "fast", "--points", "0"], ["points", "0"]),
+    (["spectral", "--L", "nan"], ["--L", "nan"]),
+    (["simulate", "--t-final", "nan"], ["t_final", "nan"]),
+    (["spectral", "--L", "5", "--spacing", "0"], ["--spacing", "0.0"]),
+    (["spectral", "--L", "5", "--spacing", "-0.1"], ["--spacing", "-0.1"]),
+    (["steady", "--tol", "nan"], ["tol", "nan"]),
+    (["steady", "--max-steps", "-1"], ["max_steps", "-1"]),
+    (["simulate", "--dump-every", "-3"], ["trajectory_every", "-3"]),
+    (["simulate", "--L", "5", "--nodes", "21", "--ht", "nan"], ["h_t", "nan"]),
+    (["sweep", "--preset", "fast", "--max-steps", "-1"], ["max_steps", "-1"]),
+    (["spectral", "--L", "1", "--dv", "-1"], ["d_v must be finite"]),
+    (["spectral", "--L", "1", "--M", "-1"], ["--M", "-1"]),
+    (["spectral", "--L", "5", "--spacing", "1e-320"], ["inf nodes", "4096"]),
+    (["sweep", "--preset", "fast", "--L-min", "nan"], ["L_min", "nan"]),
+    (["sweep", "--preset", "fast", "--threshold", "nan"], ["threshold"]),
+    (["bifurcate", "--L", "nan"], ["L must be finite", "nan"]),
+    (["bifurcate", "--dw", "-1"], ["d_w", "-1"]),
+    (["simulate", "--L", "5", "--nodes", "21", "--init", "uniform:-1"],
+     ["uniform:-1", "non-negative"]),
 ])
 def test_bad_input_exits_2_without_traceback(argv, needles, tmp_path,
                                              monkeypatch, capsys):

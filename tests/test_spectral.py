@@ -3,9 +3,11 @@ import math
 import numpy as np
 import pytest
 
+from vegpatch import kinetics
 from vegpatch.discretization import (assemble_laplacian, assemble_nonlocal,
                                      make_grid)
-from vegpatch.kinetics import ModelParams
+from vegpatch.errors import WaterBoundViolated
+from vegpatch.kinetics import ModelParams, scalar_f
 from vegpatch.spectral import (estimate_lipschitz_M, extinction_criterion,
                                principal_eigenvalue_laplacian,
                                principal_eigenvalue_nonlocal,
@@ -79,6 +81,30 @@ class TestNonlocalEigenvalue:
                 dense = principal_eigenvalue_nonlocal_dense(op)
                 assert abs(power - dense) <= 1e-8
 
+    @pytest.mark.parametrize("family", ["laplace", "super_gaussian"])
+    @pytest.mark.parametrize("L", [1.0, 2.0, 8.0, 16.0])
+    def test_arnoldi_matches_dense_oracle_to_1e12(self, family, L, laplace,
+                                                  super_gaussian):
+        kernel = laplace if family == "laplace" else super_gaussian
+        op = assemble_nonlocal(grid_with_spacing(L, 0.05), kernel)
+        res = principal_eigenvalue_nonlocal(op)
+        assert res.converged
+        assert abs(res.value - principal_eigenvalue_nonlocal_dense(op)) \
+            <= 1e-12
+
+    @pytest.mark.parametrize("family", ["laplace", "super_gaussian"])
+    def test_matrix_free_operator_gives_the_dense_beta1(self, family, laplace,
+                                                        super_gaussian):
+        kernel = laplace if family == "laplace" else super_gaussian
+        grid = grid_with_spacing(8.0, 0.05)
+        dense = assemble_nonlocal(grid, kernel)
+        banded = assemble_nonlocal(grid, kernel, dense_limit=0)
+        assert banded.matrix is None
+        res = principal_eigenvalue_nonlocal(banded)
+        assert res.converged
+        assert abs(res.value - principal_eigenvalue_nonlocal(dense).value) \
+            <= 1e-12
+
     def test_cache_is_memoized(self, laplace):
         op = assemble_nonlocal(grid_with_spacing(2.0, 0.1), laplace)
         first = principal_eigenvalue_nonlocal(op)
@@ -140,3 +166,27 @@ class TestLipschitzEstimate:
         fine = estimate_lipschitz_M(default_params, grid, 3.0,
                                     n_samples=800).value
         assert abs(fine - coarse) / coarse < 0.01
+
+    @pytest.mark.parametrize("L, n", [(1.0, 41), (4.0, 161), (10.0, 201)])
+    def test_batched_scan_bitwise_equals_level_by_level(self, L, n,
+                                                        default_params):
+        grid = make_grid(L, n)
+        levels = np.linspace(0.0, 3.4, 401)
+        ones = np.ones(grid.n_nodes)
+        prev = scalar_f(levels[0] * ones, default_params, grid)
+        best = 0.0
+        for lo, hi in zip(levels[:-1], levels[1:]):
+            cur = scalar_f(hi * ones, default_params, grid)
+            best = max(best, float(np.max(np.abs(cur - prev))) / (hi - lo))
+            prev = cur
+        est = estimate_lipschitz_M(default_params, grid, v_range=3.4)
+        assert est.value == best
+
+    @pytest.mark.parametrize("level", [-0.01, 2.5, math.nan])
+    def test_batched_water_outside_bounds_is_a_typed_error(
+            self, level, monkeypatch, default_params):
+        monkeypatch.setattr(kinetics, "thomas_solve_columns",
+                            lambda lower, diag, upper, rhs:
+                            np.full(diag.shape, level))
+        with pytest.raises(WaterBoundViolated):
+            estimate_lipschitz_M(default_params, make_grid(5.0, 51), 3.0)
