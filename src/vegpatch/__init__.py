@@ -13,8 +13,8 @@ from .kernels import (Kernel, KernelMoments, check_assumptions, custom_kernel,
 from .kinetics import (KineticEquilibrium, ModelParams, constant_steady_states,
                        reaction_rhs, scalar_f, solve_water_stationary,
                        vegetated_equilibrium)
-from .spectral import (EigResult, SpectralReport, estimate_lipschitz_M,
-                       extinction_criterion, principal_eigenvalue_laplacian,
+from .spectral import (EigResult, estimate_lipschitz_M, extinction_criterion,
+                       principal_eigenvalue_laplacian,
                        principal_eigenvalue_nonlocal)
 from .continuation import (Branch, BranchPoint, PalcControls,
                            StationaryResidual, newton, palc_continue,

@@ -16,9 +16,9 @@ import numpy as np
 
 from .config import Resolver, finalize, make_resolver, resolve_output_dir
 from .continuation import PalcControls
-from .discretization import DENSE_LIMIT, build_operators, make_grid
+from .discretization import DENSE_LIMIT, SCHEMES, build_operators, make_grid
 from .dynamics import (State, initial_state, run_to_steady, simulate_horizon)
-from .errors import ConfigError, VegpatchError
+from .errors import ConfigError, EigenNotConverged, VegpatchError
 from .experiments import (BifurcationConfig, SweepConfig, builtin_kernel,
                           cosine_perturbed_start, detect_critical_L,
                           fast_sweep_config, full_sweep_config, log_spaced_L,
@@ -31,8 +31,8 @@ from .outputs import (write_branch_csv, write_branch_snapshots,
                       write_folds_csv, write_gallery_profiles,
                       write_lcrit_csv, write_manifest, write_plot_scripts,
                       write_profile_csv, write_sweep_csv)
-from .spectral import (SpectralReport, estimate_lipschitz_M,
-                       extinction_criterion, principal_eigenvalue_laplacian,
+from .spectral import (estimate_lipschitz_M, extinction_criterion,
+                       principal_eigenvalue_laplacian,
                        principal_eigenvalue_nonlocal)
 
 # Regression targets for --check: critical patch sizes of the standard sweep
@@ -44,6 +44,7 @@ LCRIT_REFERENCE = {("nonlocal", "laplace"): 1.46,
 LCRIT_BAND = 0.20
 FOLD_BAND = (0.85, 1.00)
 BIOMASS_FLOOR_CUT = 0.01
+KERNEL_FAMILIES = ("laplace", "super_gaussian")
 
 
 def main(argv=None) -> int:
@@ -82,6 +83,14 @@ def _non_negative(name: str, value):
     return value
 
 
+def _choice(name: str, value: str, choices) -> str:
+    """value itself if it is one of choices; otherwise a ConfigError."""
+    if value not in choices:
+        raise ConfigError(
+            f"{name} must be one of {', '.join(choices)}, got {value!r}")
+    return value
+
+
 def _run_config_payload(res: Resolver, experiment: str, outdir) -> dict:
     cfg = finalize(res, experiment, outdir)
     return {"experiment": cfg.experiment, "output_dir": str(cfg.output_dir),
@@ -104,7 +113,7 @@ def _build_parser() -> argparse.ArgumentParser:
 
     pk = sub.add_parser("kernels", help="kernel admissibility checks")
     pk.add_argument("action", choices=["check"])
-    pk.add_argument("--family", choices=["laplace", "super_gaussian"],
+    pk.add_argument("--family", choices=KERNEL_FAMILIES,
                     help="built-in kernel family")
     pk.add_argument("--table", help="two-column text table (z, J(z)) for a "
                     "custom kernel, linearly interpolated")
@@ -115,7 +124,7 @@ def _build_parser() -> argparse.ArgumentParser:
     ps.add_argument("--L", type=float, action="append", required=True,
                     help="habitat half-width (repeatable)")
     ps.add_argument("--kernel", default="laplace",
-                    choices=["laplace", "super_gaussian"])
+                    choices=KERNEL_FAMILIES)
     ps.add_argument("--spacing", type=float, default=0.05,
                     help="grid spacing used for every width")
     ps.add_argument("--dv", type=float, default=None)
@@ -171,7 +180,7 @@ def _add_model_flags(p) -> None:
     p.add_argument("--dv", type=float, default=None)
     p.add_argument("--dw", type=float, default=None)
     p.add_argument("--variant", choices=["nonlocal", "local"], default=None)
-    p.add_argument("--kernel", choices=["laplace", "super_gaussian"],
+    p.add_argument("--kernel", choices=KERNEL_FAMILIES,
                    default=None)
     p.add_argument("--L", type=float, default=None)
     p.add_argument("--nodes", type=int, default=None)
@@ -235,25 +244,31 @@ def cmd_spectral(args) -> int:
                 f"dispersal matrix), so raise --spacing or lower --L")
         nodes.append(n)
     lines = ["L,beta1,lambda1,extinction_guaranteed"]
+    widths = []
     for L, n in zip(args.L, nodes):
         grid = make_grid(L, n)
         ops = build_operators(grid, "nonlocal", kernel)
         beta = principal_eigenvalue_nonlocal(ops.dispersal)
         lam = principal_eigenvalue_laplacian(ops.laplacian)
-        report = SpectralReport(
-            beta1=beta.value, lambda1=lam.value,
-            eigvec_residual=max(beta.residual, lam.residual),
-            iterations=beta.iterations + lam.iterations,
-            converged=beta.converged and lam.converged)
+        for name, eig in (("beta1", beta), ("lambda1", lam)):
+            if not eig.converged:
+                raise EigenNotConverged(
+                    f"{name} at --L {L!r} ({n} nodes) did not converge: "
+                    f"residual {eig.residual:.3e} after {eig.iterations} "
+                    "iterations")
         if args.M is not None:
             m_const = args.M
         else:
             v3 = max(s.v_star for s in constant_steady_states(A, B))
             m_const = estimate_lipschitz_M(params, grid,
                                            v_range=max(1.0, v3)).value
-        guaranteed, _margin = extinction_criterion(report.beta1, d_v, m_const)
-        lines.append(f"{L!r},{report.beta1!r},{report.lambda1!r},"
+        guaranteed, _margin = extinction_criterion(beta.value, d_v, m_const)
+        lines.append(f"{L!r},{beta.value!r},{lam.value!r},"
                      f"{'true' if guaranteed else 'false'}")
+        widths.append({"L": L, "nodes": n, "M": m_const,
+                       "krylov_dim": beta.iterations,
+                       "beta1_residual": beta.residual,
+                       "lambda1_residual": lam.residual})
     print(f"# d_v = {d_v!r}; M from sampled lower-bound estimator unless "
           "--M given")
     print("\n".join(lines))
@@ -263,7 +278,8 @@ def cmd_spectral(args) -> int:
         (outdir / "spectral.csv").write_text("\n".join(lines) + "\n")
         write_manifest(outdir / "manifest.json", {
             **_run_config_payload(res, "spectral", outdir),
-            "L": args.L, "kernel": args.kernel, "spacing": args.spacing})
+            "L": args.L, "kernel": args.kernel, "spacing": args.spacing,
+            "widths": widths})
     return 0
 
 
@@ -273,7 +289,9 @@ def _resolve_model(args, res: Resolver):
     d_v = res.get("model", "d_v", float, 2.0, args.dv)
     d_w = res.get("model", "d_w", float, 0.1, args.dw)
     variant = res.get("model", "variant", str, "nonlocal", args.variant)
-    kernel_family = res.get("model", "kernel", str, "laplace", args.kernel)
+    kernel_family = _choice("kernel", res.get("model", "kernel", str,
+                                              "laplace", args.kernel),
+                            KERNEL_FAMILIES)
     L = res.get("grid", "L", float, 25.0, args.L)
     # floor(3 L) needs a finite L; make_grid rejects any other bad width
     n_default = max(3, int(math.floor(3 * L))) if math.isfinite(L) else 3
@@ -285,7 +303,8 @@ def _resolve_model(args, res: Resolver):
         raise ConfigError(str(exc)) from exc
     grid = make_grid(L, n)
     kernel = builtin_kernel(kernel_family) if variant == "nonlocal" else None
-    scheme = res.get("grid", "scheme", str, "exact")
+    scheme = _choice("scheme", res.get("grid", "scheme", str, "exact"),
+                     SCHEMES)
     ops = build_operators(grid, variant, kernel, scheme=scheme)
     return params, grid, ops
 
@@ -400,7 +419,8 @@ def _sweep_config_from(args, res: Resolver) -> SweepConfig:
     B = res.get("model", "B", float, cfg.B)
     d_v = res.get("model", "d_v", float, cfg.d_v)
     d_w = res.get("model", "d_w", float, cfg.d_w)
-    scheme = res.get("grid", "scheme", str, cfg.scheme)
+    scheme = _choice("scheme", res.get("grid", "scheme", str, cfg.scheme),
+                     SCHEMES)
     return SweepConfig(L_values=log_spaced_L(points, lo, hi), A=A, B=B,
                        d_v=d_v, d_w=d_w, h_t=h_t, tol=cfg.tol,
                        max_steps=max_steps, n_min=cfg.n_min,
@@ -492,7 +512,8 @@ def cmd_bifurcate(args) -> int:
     L = _positive("L", res.get("bifurcation", "L", float, 25.0, args.L))
     B = _positive("B", res.get("model", "B", float, 0.45))
     d_v = _positive("d_v", res.get("model", "d_v", float, 2.0))
-    scheme = res.get("grid", "scheme", str, "exact")
+    scheme = _choice("scheme", res.get("grid", "scheme", str, "exact"),
+                     SCHEMES)
     gallery_A = res.get("bifurcation", "gallery_A", "floats", (1.2, 1.5, 2.0))
     stride = res.get("bifurcation", "stability_stride", int, 25)
     controls = PalcControls(

@@ -2,7 +2,8 @@
 
 The non-local dispersal operator acts as (Kv)_i - v_i where K integrates the
 kernel against the biomass field over the habitat only; mass dispersing past
-the boundary is lost.  Two assembly schemes are provided:
+the boundary is lost.  K is always held as a dense N x N matrix.  Two
+assembly schemes are provided:
 
 * ``exact`` (default): K_ij integrates the kernel against the piecewise
   linear hat of node j with per-panel Gauss quadrature.  Row sums then equal
@@ -11,7 +12,9 @@ the boundary is lost.  Two assembly schemes are provided:
   positive.  The fat-tailed exponential kernel has a kink at zero offset,
   which plain trapezoid sampling overshoots by O(h^2) with a large constant
   (about 7% at h = 0.68); the exact scheme is immune because all kinks land
-  on panel boundaries.
+  on panel boundaries.  Translation invariance leaves one band of offsets
+  plus the two boundary columns to integrate, in three vectorized kernel
+  evaluations.
 * ``trapezoid``: K_ij = quad_weight_j * J(x_i - x_j).  Kept for parity with
   plain trapezoid convolution and for convergence studies; fine for smooth
   kernels, mass-inflating for kinked ones at coarse spacing.
@@ -28,6 +31,7 @@ from .errors import BadGrid, DomainTooSmall, ResolutionWarning
 from .kernels import Kernel, kernel_eval
 
 DENSE_LIMIT = 4096
+SCHEMES = ("exact", "trapezoid")
 _GAUSS_ORDER = 24
 _GAUSS_X, _GAUSS_W = np.polynomial.legendre.leggauss(_GAUSS_ORDER)
 
@@ -57,33 +61,36 @@ def make_grid(half_width: float, n_nodes: int) -> Grid1D:
                   spacing=h, nodes=nodes, quad_weights=weights)
 
 
-def _gauss_panel(f, a: float, b: float) -> float:
-    """Fixed-order Gauss-Legendre on one panel of a smooth integrand."""
+def _panel_nodes(a: float, b: float):
+    """Gauss-Legendre nodes on [a, b] and the panel half-length."""
     mid, rad = 0.5 * (b + a), 0.5 * (b - a)
-    return rad * float(np.dot(_GAUSS_W, f(mid + rad * _GAUSS_X)))
+    return mid + rad * _GAUSS_X, rad
+
+
+def _panel_sums(values: np.ndarray, rad: float) -> np.ndarray:
+    """Gauss sums rad * (W . row), one per row, each by its own np.dot.
+
+    One dot per row gives every panel the summation order of a lone panel;
+    a single values @ W product sums differently and moves the last bits.
+    """
+    dots = np.fromiter(map(_GAUSS_W.dot, values), float, len(values))
+    return rad * dots
 
 
 class DispersalOperator:
     """Discrete non-local dispersal on a grid: apply(v) = K v - v.
 
-    Dense K is materialized for n_nodes <= DENSE_LIMIT; above that the
-    translation-invariant interior band plus the two boundary columns are
-    applied matrix-free.  Instances are immutable after assembly apart from
-    the principal-eigenvalue cache, which is an idempotent memo.
+    K is always a dense N x N matrix; DENSE_LIMIT caps the node count the
+    CLI accepts.  Instances are immutable after assembly apart from the
+    principal-eigenvalue cache, which is an idempotent memo.
     """
 
     def __init__(self, grid: Grid1D, kernel: Kernel, scheme: str,
-                 matrix: np.ndarray | None,
-                 band: np.ndarray | None = None,
-                 left_col: np.ndarray | None = None,
-                 right_col: np.ndarray | None = None):
+                 matrix: np.ndarray):
         self.grid = grid
         self.kernel = kernel
         self.scheme = scheme
         self.matrix = matrix
-        self._band = band            # m_k for k in [-half_band, half_band]
-        self._left_col = left_col    # K[:, 0]
-        self._right_col = right_col  # K[:, -1]
         self.spectral_cache = None   # filled by spectral.principal_eigenvalue_nonlocal
 
     @property
@@ -92,28 +99,14 @@ class DispersalOperator:
 
     def apply(self, v: np.ndarray) -> np.ndarray:
         """Operator action Kv - v on one node vector v of shape (N,)."""
-        if self.matrix is not None:
-            return v @ self.matrix.T - v
-        return self._apply_banded(v)
-
-    def _apply_banded(self, v: np.ndarray) -> np.ndarray:
-        n = self.n_nodes
-        hb = (self._band.shape[0] - 1) // 2
-        full = np.convolve(v[1:-1], self._band)
-        out = full[hb - 1:hb - 1 + n].copy()
-        out += self._left_col * v[0] + self._right_col * v[-1]
-        return out - v
+        return v @ self.matrix.T - v
 
     def row_sums(self) -> np.ndarray:
         return self.apply(np.ones(self.n_nodes)) + 1.0
 
     def export_csv(self, path) -> None:
         """Dump the dense matrix for cross-checks in external tools."""
-        mat = self.matrix
-        if mat is None:
-            mat = _densify(self.n_nodes, self._band, self._left_col,
-                           self._right_col)
-        np.savetxt(path, mat, delimiter=",")
+        np.savetxt(path, self.matrix, delimiter=",")
 
 
 def _densify(n, band, left_col, right_col) -> np.ndarray:
@@ -135,38 +128,48 @@ def _hat_moments_exact(grid: Grid1D, kernel: Kernel):
     full hat at node j against J centered k = i - j nodes away.  Kernel kinks
     at zero offset always sit on panel boundaries, so per-panel Gauss
     quadrature is accurate to near machine precision.
+
+    The kernel is evaluated three times, once per panel family: the up and
+    down half-panels of every band offset within reach of the cutoff share
+    one (offsets x 2*24) array, and the left and the right boundary
+    half-hats take one (nodes x 24) array each.  Entries beyond the cutoff
+    stay exactly zero and are never evaluated.
     """
     h = grid.spacing
     n = grid.n_nodes
-    hb = min(n - 1, int(np.ceil(kernel.support_cutoff / h)) + 1)
+    cutoff = kernel.support_cutoff
+    hb = min(n - 1, int(np.ceil(cutoff / h)) + 1)
+    u_up, rad_up = _panel_nodes(0.0, h)
+    u_dn, rad_dn = _panel_nodes(-h, 0.0)
+    hat_up = 1.0 - u_up / h
+    hat_dn = 1.0 + u_dn / h
+
     ks = np.arange(-hb, hb + 1)
+    live = (np.abs(ks) - 1) * h <= cutoff
+    shift = (ks[live] * h)[:, None]
+    values = kernel_eval(kernel, shift - np.concatenate([u_up, u_dn]))
     band = np.zeros(ks.shape[0])
-    for idx, k in enumerate(ks):
-        if (abs(k) - 1) * h > kernel.support_cutoff:
-            continue
-        up = _gauss_panel(lambda u: (1.0 - u / h) * kernel_eval(kernel, k * h - u), 0.0, h)
-        dn = _gauss_panel(lambda u: (1.0 + u / h) * kernel_eval(kernel, k * h - u), -h, 0.0)
-        band[idx] = up + dn
+    band[live] = (_panel_sums(hat_up * values[:, :_GAUSS_ORDER], rad_up)
+                  + _panel_sums(hat_dn * values[:, _GAUSS_ORDER:], rad_dn))
 
     # Boundary half-hats: node 0 spans [x_0, x_0 + h], node N-1 mirrors it.
+    dist = np.arange(n)
+    near = (dist - 1) * h <= cutoff
     left = np.zeros(n)
     right = np.zeros(n)
-    for i in range(n):
-        if (i - 1) * h <= kernel.support_cutoff:
-            left[i] = _gauss_panel(
-                lambda u: (1.0 - u / h) * kernel_eval(kernel, i * h - u), 0.0, h)
-        d = n - 1 - i
-        if (d - 1) * h <= kernel.support_cutoff:
-            right[i] = _gauss_panel(
-                lambda u: (1.0 - u / h) * kernel_eval(kernel, u - d * h), 0.0, h)
+    shift = (dist[near] * h)[:, None]
+    left[near] = _panel_sums(hat_up * kernel_eval(kernel, shift - u_up),
+                             rad_up)
+    # right[i] sits d = n - 1 - i nodes from the right end: reverse both
+    right[near[::-1]] = _panel_sums(
+        hat_up * kernel_eval(kernel, u_up - shift[::-1]), rad_up)
     return band, left, right
 
 
 def assemble_nonlocal(grid: Grid1D, kernel: Kernel,
-                      scheme: str = "exact",
-                      dense_limit: int = DENSE_LIMIT) -> DispersalOperator:
-    """Assemble the discrete dispersal operator for one kernel on one grid."""
-    if scheme not in ("exact", "trapezoid"):
+                      scheme: str = "exact") -> DispersalOperator:
+    """Assemble the dense dispersal operator for one kernel on one grid."""
+    if scheme not in SCHEMES:
         raise ValueError(f"unknown assembly scheme {scheme!r}")
     if grid.spacing > 0.5:
         warnings.warn(
@@ -179,11 +182,8 @@ def assemble_nonlocal(grid: Grid1D, kernel: Kernel,
         return DispersalOperator(grid, kernel, scheme, mat)
 
     band, left, right = _hat_moments_exact(grid, kernel)
-    if grid.n_nodes <= dense_limit:
-        mat = _densify(grid.n_nodes, band, left, right)
-        return DispersalOperator(grid, kernel, scheme, mat)
-    return DispersalOperator(grid, kernel, scheme, None,
-                             band=band, left_col=left, right_col=right)
+    return DispersalOperator(grid, kernel, scheme,
+                             _densify(grid.n_nodes, band, left, right))
 
 
 class LaplacianOperator:

@@ -50,6 +50,10 @@ class NewtonDiverged(VegpatchError):
     """Newton corrector exceeded its iteration cap or blew up."""
 
 
+class EigenNotConverged(VegpatchError):
+    """Eigen-solve stopped at its iteration cap short of its tolerance."""
+
+
 class SingularJacobian(VegpatchError):
     """Direct solve of the Newton system failed."""
 

@@ -14,7 +14,7 @@ from typing import Callable
 
 import numpy as np
 
-from .errors import NonIntegrable
+from .errors import ConfigError, NonIntegrable
 
 SQRT2 = math.sqrt(2.0)
 
@@ -84,10 +84,20 @@ def kernel_from_table(path) -> Kernel:
 
     Rows may be whitespace- or comma-separated; values are linearly
     interpolated between tabulated offsets and zero outside their range.
+    A missing or unreadable file, a non-numeric or non-finite entry, a
+    column count other than two or a single row raises ConfigError.
     """
-    raw = np.loadtxt(path, delimiter=None if _is_whitespace_table(path) else ",")
-    if raw.ndim != 2 or raw.shape[1] != 2:
-        raise ValueError(f"kernel table {path!r} must have exactly two columns")
+    try:
+        raw = np.loadtxt(path, delimiter=None if _is_whitespace_table(path)
+                         else ",", ndmin=2)
+    except (OSError, ValueError) as exc:
+        raise ConfigError(f"kernel table {str(path)!r}: {exc}") from exc
+    if raw.shape[0] < 2 or raw.shape[1] != 2:
+        raise ConfigError(
+            f"kernel table {str(path)!r} must have two columns and at least "
+            f"two rows, got shape {raw.shape}")
+    if not np.isfinite(raw).all():
+        raise ConfigError(f"kernel table {str(path)!r} has non-finite values")
     order = np.argsort(raw[:, 0])
     z_tab, j_tab = raw[order, 0], raw[order, 1]
 

@@ -8,13 +8,12 @@ Lipschitz constant of the reduced nonlinearity, and beta1 shrinks as the
 habitat grows, which is what produces a critical patch size.
 
 beta1 comes from Arnoldi iteration on the weighted symmetrization of K,
-applied through the dispersal operator's action only, so dense and
-matrix-free operators are handled alike.  The relative gap between the top
-two eigenvalues closes like 1/L^2; a Krylov method needs about the square
-root of the iterations power iteration would.  lambda1, the Dirichlet
-Laplacian's principal eigenvalue, comes from inverse iteration with
-tridiagonal solves.  The Lipschitz estimate scans constant biomass levels
-with one batched water solve.
+applied through the dispersal operator's action only.  The relative gap
+between the top two eigenvalues closes like 1/L^2; a Krylov method needs
+about the square root of the iterations power iteration would.  lambda1,
+the Dirichlet Laplacian's principal eigenvalue, comes from inverse
+iteration with tridiagonal solves.  The Lipschitz estimate scans constant
+biomass levels with one batched water solve.
 """
 from __future__ import annotations
 
@@ -31,15 +30,6 @@ from .tridiag import thomas_solve
 class EigResult:
     value: float
     residual: float
-    iterations: int
-    converged: bool
-
-
-@dataclass(frozen=True)
-class SpectralReport:
-    beta1: float
-    lambda1: float
-    eigvec_residual: float
     iterations: int
     converged: bool
 
@@ -65,8 +55,8 @@ RITZ_EVERY = 5     # Arnoldi steps between Ritz-pair convergence checks
 def _symmetrized_action(op: DispersalOperator):
     """x -> D^(1/2) K D^(-1/2) x with D the quadrature weights.
 
-    Uses only the operator action apply(v) = K v - v, so dense and
-    matrix-free operators are served alike and no N x N array is formed.
+    Uses only the operator action apply(v) = K v - v, so no scaled copy
+    of the N x N matrix is formed.
     """
     d = np.sqrt(op.grid.quad_weights)
 
@@ -147,8 +137,6 @@ def principal_eigenvalue_nonlocal(op: DispersalOperator, tol: float = 1e-10,
 
 def principal_eigenvalue_nonlocal_dense(op: DispersalOperator) -> float:
     """Dense-eigensolve oracle for beta1 (test cross-check path)."""
-    if op.matrix is None:
-        raise ValueError("the dense oracle needs a dense dispersal matrix")
     s = np.sqrt(op.grid.quad_weights)
     mat = (s[:, None] * op.matrix) / s[None, :]
     if np.allclose(mat, mat.T, atol=1e-12):

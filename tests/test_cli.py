@@ -98,6 +98,17 @@ def test_uppercase_config_keys_reach_the_run(tmp_path, monkeypatch):
     assert len(profile) == 1 + 33
 
 
+# Input files the bad-input cases below name as {tmp}/<name>.
+BAD_INPUT_FILES = {
+    "words.csv": "0.0,0.5\n0.5,abc\n1.0,0.0\n",
+    "three.csv": "0.0,0.5,1\n0.5,0.5,1\n1.0,0.0,1\n",
+    "nan.csv": "0.0,0.5\n0.5,nan\n1.0,0.0\n",
+    "one.csv": "0.0,0.5\n",
+    "cauchy.ini": "[model]\nkernel = cauchy\n",
+    "simpson.ini": "[grid]\nscheme = simpson\n",
+}
+
+
 @pytest.mark.parametrize("argv, needles", [
     (["simulate", "--L", "5", "--nodes", "21", "--init", "uniform:abc"],
      ["uniform:abc"]),
@@ -126,9 +137,31 @@ def test_uppercase_config_keys_reach_the_run(tmp_path, monkeypatch):
     (["bifurcate", "--dw", "-1"], ["d_w", "-1"]),
     (["simulate", "--L", "5", "--nodes", "21", "--init", "uniform:-1"],
      ["uniform:-1", "non-negative"]),
+    (["kernels", "check", "--table", "/nonexistent.csv"],
+     ["/nonexistent.csv"]),
+    (["kernels", "check", "--table", "{tmp}/words.csv"], ["words.csv"]),
+    (["kernels", "check", "--table", "{tmp}/three.csv"],
+     ["three.csv", "two columns"]),
+    (["kernels", "check", "--table", "{tmp}/nan.csv"],
+     ["nan.csv", "non-finite"]),
+    (["kernels", "check", "--table", "{tmp}/one.csv"],
+     ["one.csv", "two rows"]),
+    (["simulate", "--config", "{tmp}/cauchy.ini", "--L", "5", "--nodes", "21"],
+     ["kernel", "cauchy"]),
+    (["steady", "--config", "{tmp}/cauchy.ini", "--L", "5", "--nodes", "21"],
+     ["kernel", "cauchy"]),
+] + [
+    ([command, "--config", "{tmp}/simpson.ini"] + extra, ["scheme", "simpson"])
+    for command, extra in (("simulate", ["--L", "5", "--nodes", "21"]),
+                           ("steady", ["--L", "5", "--nodes", "21"]),
+                           ("sweep", ["--preset", "fast"]),
+                           ("bifurcate", []))
 ])
 def test_bad_input_exits_2_without_traceback(argv, needles, tmp_path,
                                              monkeypatch, capsys):
+    for name, text in BAD_INPUT_FILES.items():
+        (tmp_path / name).write_text(text)
+    argv = [tok.replace("{tmp}", str(tmp_path)) for tok in argv]
     assert run_cli(argv, monkeypatch, tmp_path) == 2
     err = capsys.readouterr().err
     assert "Traceback" not in err
@@ -136,6 +169,40 @@ def test_bad_input_exits_2_without_traceback(argv, needles, tmp_path,
     assert summary["error"] == "config"
     for needle in needles:
         assert needle in summary["message"]
+
+
+@pytest.mark.parametrize("family", ["beta1", "lambda1"])
+def test_unconverged_spectrum_exits_3_naming_the_width(family, tmp_path,
+                                                       monkeypatch, capsys):
+    import vegpatch.cli as cli
+    from vegpatch.spectral import EigResult
+
+    solver = {"beta1": "principal_eigenvalue_nonlocal",
+              "lambda1": "principal_eigenvalue_laplacian"}[family]
+    monkeypatch.setattr(cli, solver,
+                        lambda op: EigResult(0.5, 1e-3, 7, converged=False))
+    code = run_cli(["spectral", "--L", "2", "--spacing", "0.1", "--out",
+                    "spec"], monkeypatch, tmp_path)
+    assert code == 3
+    summary = json.loads(capsys.readouterr().err)
+    assert summary["error"] == "numerical"
+    assert summary["type"] == "EigenNotConverged"
+    assert family in summary["message"] and "--L 2.0" in summary["message"]
+    assert not (tmp_path / "spec" / "spectral.csv").exists()
+
+
+def test_spectral_manifest_records_each_width(tmp_path, monkeypatch):
+    code = run_cli(["spectral", "--L", "1", "--L", "2", "--spacing", "0.1",
+                    "--M", "0.3", "--out", "spec"], monkeypatch, tmp_path)
+    assert code == 0
+    manifest = json.loads((tmp_path / "spec" / "manifest.json").read_text())
+    widths = manifest["widths"]
+    assert [w["L"] for w in widths] == [1.0, 2.0]
+    assert [w["nodes"] for w in widths] == [21, 41]
+    assert all(w["M"] == 0.3 for w in widths)
+    assert all(w["krylov_dim"] >= 1 for w in widths)
+    assert all(w["beta1_residual"] <= 1e-9 for w in widths)
+    assert all(w["lambda1_residual"] <= 1e-9 for w in widths)
 
 
 def test_missing_config_file_rejected():

@@ -3,11 +3,12 @@ import math
 import numpy as np
 import pytest
 
-from vegpatch.discretization import (DENSE_LIMIT, assemble_laplacian,
+from vegpatch.discretization import (DENSE_LIMIT, _densify,
+                                     _hat_moments_exact, assemble_laplacian,
                                      assemble_nonlocal, make_grid,
                                      taylor_consistency)
 from vegpatch.errors import BadGrid, DomainTooSmall, ResolutionWarning
-from vegpatch.kernels import kernel_eval
+from vegpatch.kernels import custom_kernel, kernel_eval
 
 
 def test_make_grid_bifurcation_spacing():
@@ -120,17 +121,6 @@ def test_schemes_agree_for_smooth_kernel(super_gaussian):
     assert np.max(np.abs(exact.apply(v) - trap.apply(v))) < 5e-4
 
 
-def test_matrix_free_matches_dense(laplace):
-    grid = make_grid(10.0, 301)
-    dense = assemble_nonlocal(grid, laplace)
-    banded = assemble_nonlocal(grid, laplace, dense_limit=10)
-    assert banded.matrix is None
-    rng = np.random.default_rng(3)
-    v = rng.normal(size=grid.n_nodes)
-    assert np.allclose(dense.apply(v), banded.apply(v), atol=1e-13)
-    assert DENSE_LIMIT >= 4096
-
-
 def test_export_csv_roundtrip(tmp_path, laplace):
     grid = make_grid(2.0, 41)
     op = assemble_nonlocal(grid, laplace)
@@ -138,6 +128,76 @@ def test_export_csv_roundtrip(tmp_path, laplace):
     op.export_csv(path)
     back = np.loadtxt(path, delimiter=",")
     assert np.allclose(back, op.matrix, atol=1e-15)
+    # every operator holds its dense matrix; the CLI caps N at DENSE_LIMIT
+    assert DENSE_LIMIT >= 4096
+
+
+_GAUSS_X, _GAUSS_W = np.polynomial.legendre.leggauss(24)
+
+
+def _reference_panel(f, a, b):
+    mid, rad = 0.5 * (b + a), 0.5 * (b - a)
+    return rad * float(np.dot(_GAUSS_W, f(mid + rad * _GAUSS_X)))
+
+
+def _reference_hat_moments(grid, kernel):
+    """Per-offset, per-node Gauss loop that the vectorized assembly replaced."""
+    h = grid.spacing
+    n = grid.n_nodes
+    hb = min(n - 1, int(np.ceil(kernel.support_cutoff / h)) + 1)
+    ks = np.arange(-hb, hb + 1)
+    band = np.zeros(ks.shape[0])
+    for idx, k in enumerate(ks):
+        if (abs(k) - 1) * h > kernel.support_cutoff:
+            continue
+        up = _reference_panel(
+            lambda u: (1.0 - u / h) * kernel_eval(kernel, k * h - u), 0.0, h)
+        dn = _reference_panel(
+            lambda u: (1.0 + u / h) * kernel_eval(kernel, k * h - u), -h, 0.0)
+        band[idx] = up + dn
+    left = np.zeros(n)
+    right = np.zeros(n)
+    for i in range(n):
+        if (i - 1) * h <= kernel.support_cutoff:
+            left[i] = _reference_panel(
+                lambda u: (1.0 - u / h) * kernel_eval(kernel, i * h - u),
+                0.0, h)
+        d = n - 1 - i
+        if (d - 1) * h <= kernel.support_cutoff:
+            right[i] = _reference_panel(
+                lambda u: (1.0 - u / h) * kernel_eval(kernel, u - d * h),
+                0.0, h)
+    return band, left, right
+
+
+def _skewed_density(z):
+    return np.where(z > 0, np.exp(-z), 0.5 * np.exp(2.0 * z))
+
+
+def _bits(a):
+    return np.ascontiguousarray(a).view(np.int64)
+
+
+@pytest.mark.parametrize("family", ["laplace", "super_gaussian", "skewed"])
+@pytest.mark.parametrize("L,n", [
+    (1.0, 3),      # n = 3: the band spans every offset
+    (2.0, 41),     # laplace cutoff 30 > 2L: hb = n - 1
+    (25.0, 75),    # bifurcation grid: hb < n - 1 for every kernel
+    (10.0, 301),   # hb = n - 1 for laplace only
+    (40.0, 9),     # spacing 10 exceeds the super_gaussian cutoff 4
+])
+def test_exact_assembly_bitwise_matches_reference_loop(family, L, n, laplace,
+                                                       super_gaussian):
+    kernel = {"laplace": laplace, "super_gaussian": super_gaussian,
+              "skewed": custom_kernel(_skewed_density, 6.0)}[family]
+    grid = make_grid(L, n)
+    expected = _reference_hat_moments(grid, kernel)
+    got = _hat_moments_exact(grid, kernel)
+    for want, have in zip(expected, got):
+        assert want.shape == have.shape
+        assert np.array_equal(_bits(want), _bits(have))
+    op = assemble_nonlocal(grid, kernel)
+    assert np.array_equal(_bits(op.matrix), _bits(_densify(n, *expected)))
 
 
 def test_laplacian_exact_on_quadratics():

@@ -92,19 +92,6 @@ class TestNonlocalEigenvalue:
         assert abs(res.value - principal_eigenvalue_nonlocal_dense(op)) \
             <= 1e-12
 
-    @pytest.mark.parametrize("family", ["laplace", "super_gaussian"])
-    def test_matrix_free_operator_gives_the_dense_beta1(self, family, laplace,
-                                                        super_gaussian):
-        kernel = laplace if family == "laplace" else super_gaussian
-        grid = grid_with_spacing(8.0, 0.05)
-        dense = assemble_nonlocal(grid, kernel)
-        banded = assemble_nonlocal(grid, kernel, dense_limit=0)
-        assert banded.matrix is None
-        res = principal_eigenvalue_nonlocal(banded)
-        assert res.converged
-        assert abs(res.value - principal_eigenvalue_nonlocal(dense).value) \
-            <= 1e-12
-
     def test_cache_is_memoized(self, laplace):
         op = assemble_nonlocal(grid_with_spacing(2.0, 0.1), laplace)
         first = principal_eigenvalue_nonlocal(op)
