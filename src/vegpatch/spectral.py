@@ -122,10 +122,13 @@ def principal_eigenvalue_nonlocal(op: DispersalOperator, tol: float = 1e-10,
     caps the Krylov dimension.  On hitting the cap the best estimate is
     returned with converged=False rather than raising; the residual tells
     how far it got.  iterations is the Krylov dimension reached.  Results
-    are memoized on the operator.
+    are memoized on the operator; a memo is reused only when it converged
+    to within tol, and is otherwise recomputed and replaced.
     """
-    if use_cache and op.spectral_cache is not None:
-        return op.spectral_cache
+    memo = op.spectral_cache if use_cache else None
+    if (memo is not None and memo.converged
+            and memo.residual <= tol * max(abs(1.0 - memo.value), 1.0)):
+        return memo
     mu, resid, iters, ok = _arnoldi_rightmost(_symmetrized_action(op),
                                               op.n_nodes, tol, max_iter)
     result = EigResult(value=1.0 - mu, residual=resid, iterations=iters,

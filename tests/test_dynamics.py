@@ -3,10 +3,11 @@ import pytest
 
 from vegpatch.continuation import StationaryResidual, solve_stationary
 from vegpatch.discretization import build_operators, make_grid
-from vegpatch.dynamics import (BLOWUP_LIMIT, BatchCell, _rhs, euler_step,
-                               extinction_decay_check, initial_state,
-                               perturbation_decay, run_to_steady,
-                               run_to_steady_batch, simulate_horizon)
+from vegpatch.dynamics import (BLOWUP_LIMIT, BatchCell, State, _make_rhs,
+                               euler_step, extinction_decay_check,
+                               initial_state, perturbation_decay,
+                               run_to_steady, run_to_steady_batch,
+                               simulate_horizon)
 from vegpatch.errors import Blowup, EnvelopeViolated, UnstableTimestep
 from vegpatch.experiments import (cosine_perturbed_start, fast_sweep_config,
                                   sweep_resolution)
@@ -79,7 +80,7 @@ def test_batch_blowup_returns_failing_state(small_ops, default_params):
     assert got.steps == got.state.step_count == 1
     # the non-local variant moves v explicitly: one step from the start
     start = initial_state(small_ops, v0, w0)
-    rhs_v, _ = _rhs(start.v, start.w, small_ops, default_params)
+    rhs_v, _ = _make_rhs(small_ops, default_params)(start.v, start.w)
     assert np.array_equal(got.state.v, start.v + got.step_size * rhs_v)
 
 
@@ -221,7 +222,7 @@ def test_implicit_batch_reaches_stationary_state(variant, laplace):
         return float(grid.quad_weights @ v) / (2.0 * grid.half_width)
 
     # the stopping rule holds on the returned state
-    rhs_v, rhs_w = _rhs(got.state.v, got.state.w, ops, params)
+    rhs_v, rhs_w = _make_rhs(ops, params)(got.state.v, got.state.w)
     assert h_t * np.sqrt(rhs_v @ rhs_v + rhs_w @ rhs_w) < tol
     # Newton polishing barely moves it
     sr = StationaryResidual(ops, params)
@@ -260,3 +261,96 @@ def test_perturbation_decay_negative_slope(default_params, laplace):
         amplitude=0.01, h_t=1e-3, t_final=12.0)
     assert slope < -0.01
     assert gaps[-1] < gaps[0]
+
+
+def _reference_rhs(v, w, ops, params):
+    """F(v, w) term by term through the operators' own actions."""
+    growth = v * v * w
+    if ops.variant == "local":
+        transport_v = 0.5 * params.d_v * ops.laplacian.apply(v)
+    else:
+        transport_v = params.d_v * ops.dispersal.apply(v)
+    rhs_v = transport_v + growth - params.B * v
+    rhs_w = params.d_w * ops.laplacian.apply(w) - growth - w + params.A
+    rhs_w[0] = rhs_w[-1] = 0.0
+    if ops.variant == "local":
+        rhs_v[0] = rhs_v[-1] = 0.0
+    return rhs_v, rhs_w
+
+
+@pytest.fixture(scope="module", params=["nonlocal", "local"])
+def bif_model(request, laplace):
+    variant = request.param
+    ops = build_operators(make_grid(25.0, 75), variant,
+                          laplace if variant == "nonlocal" else None)
+    return ops, ModelParams(1.8, 0.45, 2.0, 0.1, variant)
+
+
+def test_folded_rhs_matches_reference_and_residual(bif_model):
+    ops, params = bif_model
+    n = ops.grid.n_nodes
+    rhs = _make_rhs(ops, params)
+    sr = StationaryResidual(ops, params)
+    free = sr.free_mask()
+    rng = np.random.default_rng(7)
+    for _ in range(20):
+        state = initial_state(ops, rng.uniform(0.0, 3.0, n),
+                              rng.uniform(0.0, 2.0, n))
+        got = np.concatenate(rhs(state.v, state.w))
+        ref = np.concatenate(_reference_rhs(state.v, state.w, ops, params))
+        scale = np.abs(ref).max()
+        assert np.abs(got - ref).max() <= 1e-12 * scale
+        assert np.all(got[~free] == 0.0)
+        res = sr.residual(sr.join(state.v, state.w), params.A)
+        assert np.abs(got[free] - res[free]).max() <= 1e-12 * scale
+
+
+def test_simulate_horizon_matches_reference_loop(bif_model):
+    ops, params = bif_model
+    v0, w0 = cosine_perturbed_start(ops.grid, params.A, params.B)
+    h_t, n_steps = 1e-2, 2000
+    out, _ = simulate_horizon(initial_state(ops, v0, w0), ops, params, h_t,
+                              n_steps * h_t)
+    ref = initial_state(ops, v0, w0)
+    for _ in range(n_steps):
+        rhs_v, rhs_w = _reference_rhs(ref.v, ref.w, ops, params)
+        ref.v += h_t * rhs_v
+        ref.w += h_t * rhs_w
+    assert out.step_count == n_steps
+    assert np.abs(out.v - ref.v).max() <= 1e-12 * np.abs(ref.v).max()
+    assert np.abs(out.w - ref.w).max() <= 1e-12 * np.abs(ref.w).max()
+
+
+def test_blowup_guard_passes_large_norm_within_limit(small_ops,
+                                                     default_params):
+    # ||v||_2 is far above the limit while no entry is: the prefilter
+    # hands the state to the exact test, which lets it through
+    n = small_ops.grid.n_nodes
+    v = np.full(n, BLOWUP_LIMIT)
+    v[::2] = -BLOWUP_LIMIT
+    assert np.linalg.norm(v) > BLOWUP_LIMIT
+    out, _ = simulate_horizon(State(v, np.zeros(n)), small_ops,
+                              default_params, h_t=1e-3, t_final=0.0)
+    assert out.step_count == 0 and np.array_equal(out.v, v)
+
+
+# a finite entry whose square overflows ||v||_2^2 to inf on the way
+_OVERFLOWING = pytest.param(
+    1e200, marks=pytest.mark.filterwarnings("ignore:overflow"))
+
+
+@pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf,
+                                 np.nextafter(BLOWUP_LIMIT, np.inf),
+                                 -np.nextafter(BLOWUP_LIMIT, np.inf),
+                                 _OVERFLOWING])
+def test_blowup_guard_reports_first_bad_node(small_ops, default_params, bad):
+    # step and node as the exact scan gives them: the state's own step
+    # count and the first non-finite or too-large entry
+    n = small_ops.grid.n_nodes
+    v = np.full(n, 0.3)
+    v[[17, 40]] = bad
+    state = State(v, np.full(n, 1.8), step_count=5)
+    with pytest.raises(Blowup) as err:
+        euler_step(state, small_ops, default_params, h_t=1e-3)
+    assert err.value.step == 5 and err.value.node == 17
+    assert np.array_equal(err.value.value, bad, equal_nan=True)

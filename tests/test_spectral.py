@@ -97,6 +97,23 @@ class TestNonlocalEigenvalue:
         first = principal_eigenvalue_nonlocal(op)
         assert principal_eigenvalue_nonlocal(op) is first
 
+    def test_cache_honours_the_requested_tolerance(self, laplace):
+        op = assemble_nonlocal(make_grid(4.0, 161), laplace)
+        loose = principal_eigenvalue_nonlocal(op, tol=1e-2)
+        assert loose.residual > 1e-10
+        fresh = principal_eigenvalue_nonlocal(op, use_cache=False)
+        tight = principal_eigenvalue_nonlocal(op)
+        assert tight is not loose and op.spectral_cache is tight
+        assert tight == fresh and tight.residual <= 1e-10
+        # a tighter memo serves a looser request
+        assert principal_eigenvalue_nonlocal(op, tol=1e-2) is tight
+
+    def test_cache_skips_an_unconverged_memo(self, laplace):
+        op = assemble_nonlocal(make_grid(4.0, 161), laplace)
+        capped = principal_eigenvalue_nonlocal(op, tol=1e-2, max_iter=2)
+        assert not capped.converged
+        assert principal_eigenvalue_nonlocal(op, tol=1e-2).converged
+
 
 class TestExtinctionCriterion:
     def test_guaranteed_case(self):
