@@ -5,7 +5,7 @@ __version__ = "0.1.0"
 from .discretization import (DispersalOperator, Grid1D, LaplacianOperator,
                              Operators, assemble_laplacian, assemble_nonlocal,
                              build_operators, make_grid, taylor_consistency)
-from .dynamics import (State, SteadyResult, euler_step, extinction_decay_check,
+from .dynamics import (State, SteadyResult, extinction_decay_check,
                        run_to_steady, run_to_steady_batch)
 from .kernels import (Kernel, KernelMoments, check_assumptions, custom_kernel,
                       kernel_eval, kernel_from_table, kernel_moments,

@@ -16,7 +16,7 @@ import numpy as np
 
 from .config import Resolver, finalize, make_resolver, resolve_output_dir
 from .continuation import PalcControls
-from .discretization import DENSE_LIMIT, SCHEMES, build_operators, make_grid
+from .discretization import DENSE_LIMIT, build_operators, make_grid
 from .dynamics import (State, initial_state, run_to_steady, simulate_horizon)
 from .errors import ConfigError, EigenNotConverged, VegpatchError
 from .experiments import (BifurcationConfig, SweepConfig, builtin_kernel,
@@ -303,9 +303,7 @@ def _resolve_model(args, res: Resolver):
         raise ConfigError(str(exc)) from exc
     grid = make_grid(L, n)
     kernel = builtin_kernel(kernel_family) if variant == "nonlocal" else None
-    scheme = _choice("scheme", res.get("grid", "scheme", str, "exact"),
-                     SCHEMES)
-    ops = build_operators(grid, variant, kernel, scheme=scheme)
+    ops = build_operators(grid, variant, kernel)
     return params, grid, ops
 
 
@@ -415,17 +413,14 @@ def _sweep_config_from(args, res: Resolver) -> SweepConfig:
         "integration", "max_steps", int, cfg.max_steps, args.max_steps))
     threshold = _positive("threshold", res.get(
         "sweep", "threshold", float, cfg.threshold, args.threshold))
-    A = res.get("model", "A", float, cfg.A)
-    B = res.get("model", "B", float, cfg.B)
-    d_v = res.get("model", "d_v", float, cfg.d_v)
-    d_w = res.get("model", "d_w", float, cfg.d_w)
-    scheme = _choice("scheme", res.get("grid", "scheme", str, cfg.scheme),
-                     SCHEMES)
+    A = _positive("A", res.get("model", "A", float, cfg.A))
+    B = _positive("B", res.get("model", "B", float, cfg.B))
+    d_v = _positive("d_v", res.get("model", "d_v", float, cfg.d_v))
+    d_w = _positive("d_w", res.get("model", "d_w", float, cfg.d_w))
     return SweepConfig(L_values=log_spaced_L(points, lo, hi), A=A, B=B,
                        d_v=d_v, d_w=d_w, h_t=h_t, tol=cfg.tol,
                        max_steps=max_steps, n_min=cfg.n_min,
-                       nodes_per_L=cfg.nodes_per_L, threshold=threshold,
-                       scheme=scheme)
+                       nodes_per_L=cfg.nodes_per_L, threshold=threshold)
 
 
 def cmd_sweep(args) -> int:
@@ -512,18 +507,19 @@ def cmd_bifurcate(args) -> int:
     L = _positive("L", res.get("bifurcation", "L", float, 25.0, args.L))
     B = _positive("B", res.get("model", "B", float, 0.45))
     d_v = _positive("d_v", res.get("model", "d_v", float, 2.0))
-    scheme = _choice("scheme", res.get("grid", "scheme", str, "exact"),
-                     SCHEMES)
     gallery_A = res.get("bifurcation", "gallery_A", "floats", (1.2, 1.5, 2.0))
     stride = res.get("bifurcation", "stability_stride", int, 25)
     controls = PalcControls(
-        ds0=res.get("continuation", "ds0", float, 0.01),
-        ds_min=res.get("continuation", "ds_min", float, 1e-6),
-        ds_max=res.get("continuation", "ds_max", float, 0.1),
+        ds0=_positive("ds0", res.get("continuation", "ds0", float, 0.01)),
+        ds_min=_positive("ds_min", res.get("continuation", "ds_min", float,
+                                           1e-6)),
+        ds_max=_positive("ds_max", res.get("continuation", "ds_max", float,
+                                           0.1)),
         point_cap=res.get("continuation", "point_cap", int, 20_000),
-        newton_tol=res.get("continuation", "newton_tol", float, 1e-10))
+        newton_tol=_positive("newton_tol", res.get(
+            "continuation", "newton_tol", float, 1e-10)))
     cfg = BifurcationConfig(B=B, d_v=d_v, d_w_values=d_w_values, L=L,
-                            scheme=scheme, controls=controls,
+                            controls=controls,
                             stability_stride=stride, gallery_A=gallery_A)
     t0 = time.time()
     suite = run_bifurcation_suite(cfg)

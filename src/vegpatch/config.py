@@ -15,6 +15,17 @@ from .errors import ConfigError
 
 OUTPUT_ROOT_ENV = "VEGPATCH_OUT"
 
+# Every key some command reads, per section, lower-cased as configparser
+# returns them; make_resolver rejects any other section or key.
+KNOWN_KEYS = {
+    "model": {"a", "b", "d_v", "d_w", "variant", "kernel"},
+    "grid": {"l", "n"},
+    "integration": {"h_t", "t_final", "tol", "max_steps", "trajectory_every"},
+    "sweep": {"preset", "points", "l_min", "l_max", "threshold"},
+    "bifurcation": {"d_w_values", "l", "gallery_a", "stability_stride"},
+    "continuation": {"ds0", "ds_min", "ds_max", "point_cap", "newton_tol"},
+}
+
 
 def load_ini(path) -> dict[str, dict[str, str]]:
     parser = configparser.ConfigParser(inline_comment_prefixes=(";", "#"))
@@ -70,19 +81,23 @@ class Resolver:
         return value
 
     def reject_unknown(self, known: dict[str, set[str]]):
+        """ConfigError naming the first section or key not in known."""
         for section, items in self.sections.items():
             if section not in known:
                 raise ConfigError(f"unknown config section [{section}]")
-            unknown = set(items) - known[section]
-            if unknown:
-                raise ConfigError(
-                    f"unknown keys in [{section}]: {sorted(unknown)}")
+            for key, value in items.items():
+                if key.lower() not in known[section]:
+                    raise ConfigError(
+                        f"unknown key [{section}] {key} = {value!r}")
 
 
 def make_resolver(config_path: str | None) -> Resolver:
-    if config_path:
-        return Resolver(load_ini(config_path))
-    return Resolver()
+    """Resolver over the INI file, if any, after rejecting unknown keys."""
+    if not config_path:
+        return Resolver()
+    res = Resolver(load_ini(config_path))
+    res.reject_unknown(KNOWN_KEYS)
+    return res
 
 
 def finalize(resolver: Resolver, experiment: str, output_dir) -> RunConfig:

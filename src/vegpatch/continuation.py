@@ -240,7 +240,7 @@ def _corrector(sr, u0, a0, tu, ta, ds, scale, tol, cap):
 
 
 def _accepted_step(sr, u, a, tu, ta, ds, scale, tol):
-    """One continuation step: corrector, residual re-check, new tangent.
+    """One continuation step: corrector, then the tangent at its solution.
 
     Returns (u, A, corrector iterations, tu, tA), or None when the step
     must be retried with a smaller ds.
@@ -249,9 +249,6 @@ def _accepted_step(sr, u, a, tu, ta, ds, scale, tol):
     if result is None:
         return None
     u_new, a_new, iters = result
-    # Independent re-verification of the accepted solution.
-    if float(np.linalg.norm(sr.residual(u_new, a_new))) > tol:
-        return None
     try:
         tu_new, ta_new = _tangent(sr, u_new, a_new, tu, ta, scale)
     except SingularJacobian:
@@ -355,7 +352,7 @@ def palc_continue(sr: StationaryResidual, A_start: float,
                               controls.newton_tol)
         if step is None:
             ds *= 0.5
-            if ds < controls.ds_min:
+            if not ds >= controls.ds_min:   # also ends a NaN step size
                 branch.termination = "step_failure"
                 break
             continue

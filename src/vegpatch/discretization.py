@@ -2,22 +2,17 @@
 
 The non-local dispersal operator acts as (Kv)_i - v_i where K integrates the
 kernel against the biomass field over the habitat only; mass dispersing past
-the boundary is lost.  K is always held as a dense N x N matrix.  Two
-assembly schemes are provided:
-
-* ``exact`` (default): K_ij integrates the kernel against the piecewise
-  linear hat of node j with per-panel Gauss quadrature.  Row sums then equal
-  the habitat-truncated kernel mass at the node to near machine precision,
-  so they never exceed one and the operator's principal eigenvalue stays
-  positive.  The fat-tailed exponential kernel has a kink at zero offset,
-  which plain trapezoid sampling overshoots by O(h^2) with a large constant
-  (about 7% at h = 0.68); the exact scheme is immune because all kinks land
-  on panel boundaries.  Translation invariance leaves one band of offsets
-  plus the two boundary columns to integrate, in three vectorized kernel
-  evaluations.
-* ``trapezoid``: K_ij = quad_weight_j * J(x_i - x_j).  Kept for parity with
-  plain trapezoid convolution and for convergence studies; fine for smooth
-  kernels, mass-inflating for kinked ones at coarse spacing.
+the boundary is lost.  K is always held as a dense N x N matrix whose entry
+K_ij integrates the kernel against the piecewise linear hat of node j with
+per-panel Gauss quadrature.  Row sums then equal the habitat-truncated
+kernel mass at the node to near machine precision, so they never exceed one
+and the operator's principal eigenvalue stays positive.  The fat-tailed
+exponential kernel has a kink at zero offset, which plain trapezoid
+sampling J(x_i - x_j) overshoots by O(h^2) with a large constant (about 7%
+of the mass at h = 0.68); hat integration is immune because all kinks land
+on panel boundaries.  Translation invariance leaves one band of offsets
+plus the two boundary columns to integrate, in three vectorized kernel
+evaluations.
 """
 from __future__ import annotations
 
@@ -31,7 +26,6 @@ from .errors import BadGrid, DomainTooSmall, ResolutionWarning
 from .kernels import Kernel, kernel_eval
 
 DENSE_LIMIT = 4096
-SCHEMES = ("exact", "trapezoid")
 _GAUSS_ORDER = 24
 _GAUSS_X, _GAUSS_W = np.polynomial.legendre.leggauss(_GAUSS_ORDER)
 
@@ -81,17 +75,13 @@ class DispersalOperator:
     """Discrete non-local dispersal on a grid: apply(v) = K v - v.
 
     K is always a dense N x N matrix; DENSE_LIMIT caps the node count the
-    CLI accepts.  Instances are immutable after assembly apart from the
-    principal-eigenvalue cache, which is an idempotent memo.
+    CLI accepts.  Instances are immutable after assembly.
     """
 
-    def __init__(self, grid: Grid1D, kernel: Kernel, scheme: str,
-                 matrix: np.ndarray):
+    def __init__(self, grid: Grid1D, kernel: Kernel, matrix: np.ndarray):
         self.grid = grid
         self.kernel = kernel
-        self.scheme = scheme
         self.matrix = matrix
-        self.spectral_cache = None   # filled by spectral.principal_eigenvalue_nonlocal
 
     @property
     def n_nodes(self) -> int:
@@ -166,23 +156,14 @@ def _hat_moments_exact(grid: Grid1D, kernel: Kernel):
     return band, left, right
 
 
-def assemble_nonlocal(grid: Grid1D, kernel: Kernel,
-                      scheme: str = "exact") -> DispersalOperator:
+def assemble_nonlocal(grid: Grid1D, kernel: Kernel) -> DispersalOperator:
     """Assemble the dense dispersal operator for one kernel on one grid."""
-    if scheme not in SCHEMES:
-        raise ValueError(f"unknown assembly scheme {scheme!r}")
     if grid.spacing > 0.5:
         warnings.warn(
             f"grid spacing {grid.spacing:.3f} exceeds 0.5; unit-width kernels "
             "are under-resolved", ResolutionWarning, stacklevel=2)
-
-    if scheme == "trapezoid":
-        offsets = grid.nodes[:, None] - grid.nodes[None, :]
-        mat = grid.quad_weights[None, :] * kernel_eval(kernel, offsets)
-        return DispersalOperator(grid, kernel, scheme, mat)
-
     band, left, right = _hat_moments_exact(grid, kernel)
-    return DispersalOperator(grid, kernel, scheme,
+    return DispersalOperator(grid, kernel,
                              _densify(grid.n_nodes, band, left, right))
 
 
@@ -238,8 +219,8 @@ class Operators:
     kernel: Kernel | None = None
 
 
-def build_operators(grid: Grid1D, variant: str, kernel: Kernel | None = None,
-                    scheme: str = "exact") -> Operators:
+def build_operators(grid: Grid1D, variant: str,
+                    kernel: Kernel | None = None) -> Operators:
     lap = assemble_laplacian(grid)
     if variant == "local":
         return Operators(grid, "local", None, lap, None)
@@ -247,7 +228,7 @@ def build_operators(grid: Grid1D, variant: str, kernel: Kernel | None = None,
         raise ValueError(f"unknown variant {variant!r}")
     if kernel is None:
         raise ValueError("nonlocal variant needs a kernel")
-    disp = assemble_nonlocal(grid, kernel, scheme=scheme)
+    disp = assemble_nonlocal(grid, kernel)
     return Operators(grid, "nonlocal", disp, lap, kernel)
 
 

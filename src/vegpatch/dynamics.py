@@ -142,8 +142,8 @@ def _march(state: State, ops: Operators, params: ModelParams, n_steps: int,
 
     state.v and state.w are the live fields; after each yield but the last,
     advance(v, w, rhs_v, rhs_w) updates them in place.  A non-finite biomass
-    or one above BLOWUP_LIMIT raises Blowup at step state.step_count + n.
-    The right-hand side is built once, before the first step.
+    or one above BLOWUP_LIMIT raises Blowup at step n.  The right-hand side
+    is built once, before the first step.
     """
     v, w = state.v, state.w
     rhs = _make_rhs(ops, params)
@@ -154,7 +154,7 @@ def _march(state: State, ops: Operators, params: ModelParams, n_steps: int,
                 and not np.abs(v).max() <= BLOWUP_LIMIT):
             bad = ~np.isfinite(v) | (np.abs(v) > BLOWUP_LIMIT)
             node = int(np.argmax(bad))
-            raise Blowup(state.step_count + n, node, float(v[node]))
+            raise Blowup(n, node, float(v[node]))
         rhs_v, rhs_w = rhs(v, w)
         yield n, rhs_v, rhs_w
         if n < n_steps:
@@ -247,17 +247,6 @@ def _steady(state: State, ops: Operators, params: ModelParams, h_t: float,
     traj = np.asarray(track) if trajectory_every > 0 else None
     return SteadyResult(state, converged, n, delta, min_v, max_v, max_w,
                         bound, violations, blowup, step, traj)
-
-
-def euler_step(state: State, ops: Operators, params: ModelParams,
-               h_t: float) -> State:
-    """One explicit step; raises Blowup on non-finite or huge values."""
-    out = State(state.v.copy(), state.w.copy(), state.t, state.step_count)
-    for _ in _march(out, ops, params, 1, _euler(h_t)):
-        pass
-    out.t += h_t
-    out.step_count += 1
-    return out
 
 
 def initial_state(ops: Operators, v: np.ndarray, w: np.ndarray) -> State:

@@ -65,7 +65,6 @@ class SweepConfig:
     nodes_per_L: float = 8.0
     perturbation: float = 0.01
     threshold: float = 0.1
-    scheme: str = "exact"
     variants: tuple = VARIANTS
 
 
@@ -150,7 +149,7 @@ def run_patch_sweep(cfg: SweepConfig) -> list[SweepRow]:
     def cells():
         for variant, kernel_family, L, grid in keys:
             kernel = builtin_kernel(kernel_family) if kernel_family else None
-            ops = build_operators(grid, variant, kernel, scheme=cfg.scheme)
+            ops = build_operators(grid, variant, kernel)
             params = ModelParams(cfg.A, cfg.B, cfg.d_v, cfg.d_w, variant,
                                  kernel_family or "")
             v0, w0 = cosine_perturbed_start(grid, cfg.A, cfg.B,
@@ -201,7 +200,6 @@ class BifurcationConfig:
     L: float = 25.0
     nodes_per_L: float = 3.0
     perturbation: float = 0.01
-    scheme: str = "exact"
     variants: tuple = VARIANTS
     controls: PalcControls = PalcControls()
     stability_stride: int = 25
@@ -251,7 +249,7 @@ def _trace_cell(cfg: BifurcationConfig, variant: str, kernel_family: str,
     n = int(math.floor(cfg.nodes_per_L * cfg.L))
     grid = make_grid(cfg.L, n)
     kernel = builtin_kernel(kernel_family) if kernel_family else None
-    ops = build_operators(grid, variant, kernel, scheme=cfg.scheme)
+    ops = build_operators(grid, variant, kernel)
     params = ModelParams(cfg.A_start, cfg.B, cfg.d_v, d_w, variant,
                          kernel_family or "")
     sr = StationaryResidual(ops, params)

@@ -11,9 +11,10 @@ beta1 comes from Arnoldi iteration on the weighted symmetrization of K,
 applied through the dispersal operator's action only.  The relative gap
 between the top two eigenvalues closes like 1/L^2; a Krylov method needs
 about the square root of the iterations power iteration would.  lambda1,
-the Dirichlet Laplacian's principal eigenvalue, comes from inverse
-iteration with tridiagonal solves.  The Lipschitz estimate scans constant
-biomass levels with one batched water solve.
+the Dirichlet Laplacian's principal eigenvalue, is the Rayleigh quotient of
+its known eigenvector sin(pi k / (m + 1)), checked by one residual against
+the operator norm 4 / h^2.  The Lipschitz estimate scans constant biomass
+levels with one batched water solve.
 """
 from __future__ import annotations
 
@@ -23,7 +24,6 @@ import numpy as np
 
 from .discretization import DispersalOperator, LaplacianOperator
 from .kinetics import ModelParams, solve_water_uniform
-from .tridiag import thomas_solve
 
 
 @dataclass(frozen=True)
@@ -112,8 +112,7 @@ def _arnoldi_rightmost(action, n: int, res_tol: float, max_dim: int):
 
 
 def principal_eigenvalue_nonlocal(op: DispersalOperator, tol: float = 1e-10,
-                                  max_iter: int = 50_000,
-                                  use_cache: bool = True) -> EigResult:
+                                  max_iter: int = 50_000) -> EigResult:
     """beta1 = 1 - mu_max(K) by Arnoldi on the weighted symmetrization.
 
     The similarity transform D^(1/2) K D^(-1/2) (D the quadrature weights)
@@ -121,21 +120,13 @@ def principal_eigenvalue_nonlocal(op: DispersalOperator, tol: float = 1e-10,
     residual drops below tol (relative to the eigenvalue scale); max_iter
     caps the Krylov dimension.  On hitting the cap the best estimate is
     returned with converged=False rather than raising; the residual tells
-    how far it got.  iterations is the Krylov dimension reached.  Results
-    are memoized on the operator; a memo is reused only when it converged
-    to within tol, and is otherwise recomputed and replaced.
+    how far it got.  iterations is the Krylov dimension reached.  Every
+    call runs its own iteration; nothing is stored on the operator.
     """
-    memo = op.spectral_cache if use_cache else None
-    if (memo is not None and memo.converged
-            and memo.residual <= tol * max(abs(1.0 - memo.value), 1.0)):
-        return memo
     mu, resid, iters, ok = _arnoldi_rightmost(_symmetrized_action(op),
                                               op.n_nodes, tol, max_iter)
-    result = EigResult(value=1.0 - mu, residual=resid, iterations=iters,
-                       converged=ok)
-    if use_cache:
-        op.spectral_cache = result
-    return result
+    return EigResult(value=1.0 - mu, residual=resid, iterations=iters,
+                     converged=ok)
 
 
 def principal_eigenvalue_nonlocal_dense(op: DispersalOperator) -> float:
@@ -149,25 +140,26 @@ def principal_eigenvalue_nonlocal_dense(op: DispersalOperator) -> float:
     return 1.0 - mu
 
 
-def principal_eigenvalue_laplacian(op: LaplacianOperator, tol: float = 1e-12,
-                                   max_iter: int = 10_000) -> EigResult:
-    """Smallest eigenvalue of the Dirichlet -Laplacian by inverse iteration."""
+def principal_eigenvalue_laplacian(op: LaplacianOperator,
+                                   tol: float = 1e-12) -> EigResult:
+    """Smallest eigenvalue of the Dirichlet -Laplacian.
+
+    The discrete eigenvector sin(pi k / (m + 1)) on the m interior nodes is
+    known in closed form, so lambda1 is its Rayleigh quotient.  The pair is
+    accepted when its residual is at most tol times the operator norm
+    4 / h^2: rounding alone leaves a residual near 1e-16 * 4 / h^2, which
+    an absolute test would reject on fine grids.
+    """
     m = op.n_nodes - 2
     lower, diag, upper = op.interior_bands()
     lower, diag, upper = -lower, -diag, -upper   # bands of -Laplacian
     x = np.sin(np.pi * np.arange(1, m + 1) / (m + 1))
     x /= np.linalg.norm(x)
-    lam = 0.0
-    resid = np.inf
-    for it in range(1, max_iter + 1):
-        ax = _tridiag_apply(lower, diag, upper, x)
-        lam = float(x @ ax)
-        resid = float(np.linalg.norm(ax - lam * x))
-        if resid <= tol * max(abs(lam), 1.0):
-            return EigResult(lam, resid, it, True)
-        y = thomas_solve(lower, diag, upper, x)
-        x = y / np.linalg.norm(y)
-    return EigResult(lam, resid, it, False)
+    ax = _tridiag_apply(lower, diag, upper, x)
+    lam = float(x @ ax)
+    resid = float(np.linalg.norm(ax - lam * x))
+    norm = 4.0 / op.grid.spacing ** 2
+    return EigResult(lam, resid, 1, resid <= tol * norm)
 
 
 def _tridiag_apply(lower, diag, upper, x):

@@ -1,18 +1,30 @@
+import contextlib
+import io
 import json
 import math
+import tempfile
 from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from vegpatch.cli import main
-from vegpatch.config import load_ini, make_resolver, resolve_output_dir
+from vegpatch.config import (KNOWN_KEYS, load_ini, make_resolver,
+                             resolve_output_dir)
 from vegpatch.errors import ConfigError
 
 
 def run_cli(args, monkeypatch, tmp_path):
     monkeypatch.setenv("VEGPATCH_OUT", str(tmp_path))
     return main(args)
+
+
+def assert_keys_known(resolved):
+    # every key a command reads must pass make_resolver's unknown-key check
+    for section, keys in resolved.items():
+        assert {key.lower() for key in keys} <= KNOWN_KEYS[section]
 
 
 def test_kernels_check_passes(capsys):
@@ -52,6 +64,7 @@ def test_steady_writes_profile_and_manifest(tmp_path, monkeypatch, capsys):
     assert manifest["converged"] is True
     assert manifest["resolved"]["model"]["A"] == 1.8
     assert manifest["resolved"]["integration"]["h_t"] == 1e-3
+    assert_keys_known(manifest["resolved"])
 
 
 def test_simulate_dumps_trajectory(tmp_path, monkeypatch):
@@ -93,7 +106,8 @@ def test_uppercase_config_keys_reach_the_run(tmp_path, monkeypatch):
     outdir = tmp_path / "upper"
     resolved = json.loads((outdir / "manifest.json").read_text())["resolved"]
     assert resolved["model"]["A"] == 2.5
-    assert resolved["grid"] == {"L": 10.0, "N": 33, "scheme": "exact"}
+    assert resolved["grid"] == {"L": 10.0, "N": 33}
+    assert_keys_known(resolved)
     profile = (outdir / "final_profile.csv").read_text().splitlines()
     assert len(profile) == 1 + 33
 
@@ -106,6 +120,12 @@ BAD_INPUT_FILES = {
     "one.csv": "0.0,0.5\n",
     "cauchy.ini": "[model]\nkernel = cauchy\n",
     "simpson.ini": "[grid]\nscheme = simpson\n",
+    "ds0.ini": "[continuation]\nds0 = nan\n",
+    "newton_tol.ini": "[continuation]\nnewton_tol = -1\n",
+    "rain.ini": "[model]\nA = nan\n",
+    "water.ini": "[model]\nd_w = -1\n",
+    "modle.ini": "[modle]\nA = 2\n",
+    "aa.ini": "[model]\nAA = 2\n",
 }
 
 
@@ -156,6 +176,17 @@ BAD_INPUT_FILES = {
                            ("steady", ["--L", "5", "--nodes", "21"]),
                            ("sweep", ["--preset", "fast"]),
                            ("bifurcate", []))
+] + [
+    (["bifurcate", "--dw", "0.1", "--config", "{tmp}/ds0.ini"],
+     ["ds0", "nan"]),
+    (["bifurcate", "--dw", "0.1", "--config", "{tmp}/newton_tol.ini"],
+     ["newton_tol", "-1"]),
+    (["sweep", "--preset", "fast", "--config", "{tmp}/rain.ini"],
+     ["A must be finite", "nan"]),
+    (["sweep", "--preset", "fast", "--config", "{tmp}/water.ini"],
+     ["d_w must be finite", "-1"]),
+    (["steady", "--config", "{tmp}/modle.ini"], ["section", "[modle]"]),
+    (["steady", "--config", "{tmp}/aa.ini"], ["[model]", "aa", "'2'"]),
 ])
 def test_bad_input_exits_2_without_traceback(argv, needles, tmp_path,
                                              monkeypatch, capsys):
@@ -203,6 +234,7 @@ def test_spectral_manifest_records_each_width(tmp_path, monkeypatch):
     assert all(w["krylov_dim"] >= 1 for w in widths)
     assert all(w["beta1_residual"] <= 1e-9 for w in widths)
     assert all(w["lambda1_residual"] <= 1e-9 for w in widths)
+    assert_keys_known(manifest["resolved"])
 
 
 def test_missing_config_file_rejected():
@@ -267,6 +299,7 @@ def test_sweep_defaults_and_outputs(tmp_path, monkeypatch):
     assert manifest["config"]["d_v"] == 2.0
     assert manifest["config"]["d_w"] == 0.1
     assert "grid_policy" in manifest and "wall_time_s" in manifest
+    assert_keys_known(manifest["resolved"])
     assert (outdir / "lcrit.csv").exists()
     assert (outdir / "plots" / "fig_patch_sweep.gp").exists()
 
@@ -287,6 +320,7 @@ def test_bifurcate_defaults_and_outputs(tmp_path, monkeypatch):
     outdir = tmp_path / "bf"
     manifest = json.loads((outdir / "manifest.json").read_text())
     assert manifest["grid"] == {"L": 25.0, "N": 75}
+    assert_keys_known(manifest["resolved"])
     branch_lines = (outdir / "branch.csv").read_text().splitlines()
     assert branch_lines[0] == ("model,kernel,branch_id,point_index,arclength,"
                                "A,max_v,avg_v,avg_v_nodes,stable")
@@ -294,3 +328,33 @@ def test_bifurcate_defaults_and_outputs(tmp_path, monkeypatch):
     assert (outdir / "folds.csv").exists()
     profiles = list((outdir / "profiles").glob("gallery-*.csv"))
     assert profiles
+
+
+_INI_KEYS = sorted(set().union(*KNOWN_KEYS.values())) + ["scheme", "aa",
+                                                          "kernal"]
+_INI_VALUES = ["nan", "inf", "-1", "0", "3", "1e-3", "abc"]
+
+
+@settings(max_examples=25, deadline=None, derandomize=True)
+@given(st.dictionaries(
+    st.sampled_from(sorted(KNOWN_KEYS) + ["modle"]),
+    st.dictionaries(st.sampled_from(_INI_KEYS), st.sampled_from(_INI_VALUES),
+                    max_size=4),
+    max_size=4))
+def test_random_ini_files_never_end_in_a_traceback(sections):
+    # any mix of known and unknown sections, keys and values ends in a run,
+    # a configuration error or a numerical failure
+    text = "".join(f"[{name}]\n" + "".join(f"{key} = {value}\n"
+                                           for key, value in items.items())
+                   for name, items in sections.items())
+    with tempfile.TemporaryDirectory() as tmp:
+        ini = Path(tmp) / "random.ini"
+        ini.write_text(text)
+        err = io.StringIO()
+        with contextlib.redirect_stdout(io.StringIO()), \
+                contextlib.redirect_stderr(err):
+            code = main(["steady", "--config", str(ini), "--L", "2",
+                         "--nodes", "9", "--max-steps", "0",
+                         "--out", str(Path(tmp) / "out")])
+    assert code in (0, 2, 3)
+    assert "Traceback" not in err.getvalue()

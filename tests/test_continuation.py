@@ -101,6 +101,13 @@ class TestToyContinuation:
         assert branch.termination == "step_failure"
         assert len(branch.points) == 1   # only the seed point
 
+    def test_nan_step_size_ends_in_step_failure(self):
+        # halving NaN stays NaN, which a plain ds < ds_min never catches
+        branch = palc_continue(ToyFold(), 0.0, (-0.5, 1.5), np.array([1.0]),
+                               PalcControls(ds0=math.nan, direction=1.0))
+        assert branch.termination == "step_failure"
+        assert len(branch.points) == 1
+
 
 @pytest.fixture(scope="module")
 def habitat_sr(bif_ops_laplace):

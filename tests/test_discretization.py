@@ -96,13 +96,6 @@ def test_linearity_on_random_vectors(ops_pair):
         assert np.allclose(lhs, rhs, atol=1e-12)
 
 
-def test_trapezoid_scheme_weighted_symmetry(super_gaussian):
-    grid = make_grid(8.0, 161)
-    op = assemble_nonlocal(grid, super_gaussian, scheme="trapezoid")
-    dk = grid.quad_weights[:, None] * op.matrix
-    assert np.max(np.abs(dk - dk.T)) <= 1e-12
-
-
 def test_exact_scheme_interior_weighted_symmetry(laplace):
     grid = make_grid(8.0, 161)
     op = assemble_nonlocal(grid, laplace)
@@ -113,12 +106,13 @@ def test_exact_scheme_interior_weighted_symmetry(laplace):
 
 def test_schemes_agree_for_smooth_kernel(super_gaussian):
     # For a smooth kernel plain trapezoid sampling is already accurate, so
-    # both assemblies should produce nearly the same operator action.
+    # hat integration should produce nearly the same operator action.
     grid = make_grid(12.0, 481)
     exact = assemble_nonlocal(grid, super_gaussian)
-    trap = assemble_nonlocal(grid, super_gaussian, scheme="trapezoid")
+    offsets = grid.nodes[:, None] - grid.nodes[None, :]
+    trap = grid.quad_weights[None, :] * kernel_eval(super_gaussian, offsets)
     v = np.exp(-grid.nodes**2 / 10.0)
-    assert np.max(np.abs(exact.apply(v) - trap.apply(v))) < 5e-4
+    assert np.max(np.abs(exact.apply(v) - (trap @ v - v))) < 5e-4
 
 
 def test_export_csv_roundtrip(tmp_path, laplace):

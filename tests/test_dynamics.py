@@ -4,7 +4,7 @@ import pytest
 from vegpatch.continuation import StationaryResidual, solve_stationary
 from vegpatch.discretization import build_operators, make_grid
 from vegpatch.dynamics import (BLOWUP_LIMIT, BatchCell, State, _make_rhs,
-                               euler_step, extinction_decay_check,
+                               extinction_decay_check,
                                initial_state, perturbation_decay,
                                run_to_steady, run_to_steady_batch,
                                simulate_horizon)
@@ -24,7 +24,7 @@ def test_bare_soil_single_step(small_ops, default_params):
     n = small_ops.grid.n_nodes
     state = initial_state(small_ops, np.zeros(n), np.zeros(n))
     h_t = 1e-3
-    out = euler_step(state, small_ops, default_params, h_t)
+    out, _ = simulate_horizon(state, small_ops, default_params, h_t, h_t)
     assert np.array_equal(out.v, np.zeros(n))
     assert np.allclose(out.w[1:-1], h_t * default_params.A, atol=1e-16)
     assert out.w[0] == 0.0 and out.w[-1] == 0.0
@@ -38,7 +38,7 @@ def test_uniform_equilibrium_barely_moves_in_deep_interior(default_params,
     n = ops.grid.n_nodes
     state = initial_state(ops, np.full(n, eq.v_star), np.full(n, eq.w_star))
     h_t = 1e-4
-    out = euler_step(state, ops, default_params, h_t)
+    out, _ = simulate_horizon(state, ops, default_params, h_t, h_t)
     center = n // 2
     # interior change is h_t * d_v * (boundary leakage) which is far below
     # the kernel tail mass at 30 length units
@@ -56,7 +56,7 @@ def test_blowup_reports_step_and_node(small_ops, default_params):
     n = small_ops.grid.n_nodes
     state = initial_state(small_ops, np.full(n, 9e5), np.full(n, 1.8))
     with pytest.raises(Blowup) as err:
-        state = euler_step(state, small_ops, default_params, h_t=1e-2)
+        simulate_horizon(state, small_ops, default_params, 1e-2, 1e-2)
     assert err.value.step == 1
     assert 0 <= err.value.node < n
 
@@ -344,13 +344,13 @@ _OVERFLOWING = pytest.param(
                                  -np.nextafter(BLOWUP_LIMIT, np.inf),
                                  _OVERFLOWING])
 def test_blowup_guard_reports_first_bad_node(small_ops, default_params, bad):
-    # step and node as the exact scan gives them: the state's own step
-    # count and the first non-finite or too-large entry
+    # step and node as the exact scan gives them: the initial state, step
+    # 0, and the first non-finite or too-large entry
     n = small_ops.grid.n_nodes
     v = np.full(n, 0.3)
     v[[17, 40]] = bad
-    state = State(v, np.full(n, 1.8), step_count=5)
+    state = State(v, np.full(n, 1.8))
     with pytest.raises(Blowup) as err:
-        euler_step(state, small_ops, default_params, h_t=1e-3)
-    assert err.value.step == 5 and err.value.node == 17
+        simulate_horizon(state, small_ops, default_params, 1e-3, 1e-3)
+    assert err.value.step == 0 and err.value.node == 17
     assert np.array_equal(err.value.value, bad, equal_nan=True)
