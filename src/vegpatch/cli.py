@@ -43,6 +43,7 @@ LCRIT_REFERENCE = {("nonlocal", "laplace"): 1.46,
                    ("local", ""): 2.33}
 LCRIT_BAND = 0.20
 FOLD_BAND = (0.85, 1.00)
+CHECK_D_W = (0.1, 80.0)    # slow water (fold band), fast water (patterns)
 BIOMASS_FLOOR_CUT = 0.01
 KERNEL_FAMILIES = ("laplace", "super_gaussian")
 
@@ -504,25 +505,34 @@ def cmd_bifurcate(args) -> int:
     d_w_values = tuple(args.dw) if args.dw else \
         res.get("bifurcation", "d_w_values", "floats", (0.1, 80.0))
     d_w_values = tuple(_positive("d_w", d_w) for d_w in d_w_values)
+    if args.check and not set(CHECK_D_W) <= set(d_w_values):
+        raise ConfigError(
+            f"--check tests the fold band at d_w = {CHECK_D_W[0]:g} and the "
+            f"sub-threshold patterns at d_w = {CHECK_D_W[1]:g}, so d_w_values "
+            f"must hold both, got {', '.join(map(repr, d_w_values)) or 'none'}")
     L = _positive("L", res.get("bifurcation", "L", float, 25.0, args.L))
     B = _positive("B", res.get("model", "B", float, 0.45))
     d_v = _positive("d_v", res.get("model", "d_v", float, 2.0))
     gallery_A = res.get("bifurcation", "gallery_A", "floats", (1.2, 1.5, 2.0))
-    stride = res.get("bifurcation", "stability_stride", int, 25)
+    stride = _non_negative("stability_stride", res.get(
+        "bifurcation", "stability_stride", int, 25))
+    snapshot_stride = _non_negative("--snapshot-stride",
+                                    args.snapshot_stride or 0)
     controls = PalcControls(
         ds0=_positive("ds0", res.get("continuation", "ds0", float, 0.01)),
         ds_min=_positive("ds_min", res.get("continuation", "ds_min", float,
                                            1e-6)),
         ds_max=_positive("ds_max", res.get("continuation", "ds_max", float,
                                            0.1)),
-        point_cap=res.get("continuation", "point_cap", int, 20_000),
+        point_cap=_positive("point_cap", res.get("continuation", "point_cap",
+                                                 int, 20_000)),
         newton_tol=_positive("newton_tol", res.get(
             "continuation", "newton_tol", float, 1e-10)))
     cfg = BifurcationConfig(B=B, d_v=d_v, d_w_values=d_w_values, L=L,
                             controls=controls,
                             stability_stride=stride, gallery_A=gallery_A)
     t0 = time.time()
-    suite = run_bifurcation_suite(cfg)
+    suite = run_bifurcation_suite(cfg, progress=_report_branch)
     outdir = resolve_output_dir(args.out, "bifurcate-out")
     outdir.mkdir(parents=True, exist_ok=True)
     grids = {}
@@ -535,7 +545,7 @@ def cmd_bifurcate(args) -> int:
     profiles_dir = outdir / "profiles"
     written = write_gallery_profiles(profiles_dir, suite, grids)
     written += write_branch_snapshots(profiles_dir, suite, grids,
-                                      stride=args.snapshot_stride or 0)
+                                      stride=snapshot_stride)
     if not args.no_plots:
         write_plot_scripts(outdir / "plots", suite=suite, B=cfg.B)
     write_manifest(outdir / "manifest.json", {
@@ -546,6 +556,13 @@ def cmd_bifurcate(args) -> int:
         "profiles": written, "suite_errors": suite.errors,
         "folds": {f"{r.variant}-{r.kernel}-dw{r.d_w:g}-{r.seed}":
                   [f.A for f in r.branch.folds] for r in suite.runs},
+        "branches": {r.branch.label: {
+            "points": len(r.branch.points),
+            "termination": r.branch.termination,
+            "bordered_solves": r.branch.bordered_solves,
+            "corrector_iterations": r.branch.corrector_iterations,
+            "halvings": r.branch.halvings,
+            "wall_s": r.branch.wall_s} for r in suite.runs},
         "wall_time_s": time.time() - t0})
     for run in suite.runs:
         folds = ", ".join(f"{f.A:.4f}" for f in run.branch.folds) or "none"
@@ -563,6 +580,12 @@ def cmd_bifurcate(args) -> int:
     return 0
 
 
+def _report_branch(branch) -> None:
+    print(f"branch {branch.label}: {len(branch.points)} points, "
+          f"{branch.halvings} halvings, {branch.wall_s:.2f} s",
+          file=sys.stderr, flush=True)
+
+
 def _check_bifurcation(suite, cfg) -> list[str]:
     failures = []
     for run in suite.runs:
@@ -573,7 +596,8 @@ def _check_bifurcation(suite, cfg) -> list[str]:
                     f"d_w={run.d_w:g} at A={pt.A:.4f}: max_v={pt.max_v:.4f} "
                     f"< B/A={cfg.B / pt.A:.4f}")
                 break
-    slow = [r for r in suite.runs if r.d_w == 0.1 and r.seed == "vegetated"]
+    slow = [r for r in suite.runs
+            if r.d_w == CHECK_D_W[0] and r.seed == "vegetated"]
     for run in slow:
         if not run.branch.folds:
             failures.append(f"no fold on {run.variant}-{run.kernel} d_w=0.1")
@@ -583,7 +607,8 @@ def _check_bifurcation(suite, cfg) -> list[str]:
             failures.append(
                 f"fold of {run.variant}-{run.kernel} d_w=0.1 at "
                 f"{a_fold:.4f} outside {FOLD_BAND}")
-    fast = [r for r in suite.runs if r.d_w == 80.0 and r.variant == "nonlocal"]
+    fast = [r for r in suite.runs
+            if r.d_w == CHECK_D_W[1] and r.variant == "nonlocal"]
     if fast and not any(pt.A < 2 * cfg.B and pt.max_v > 0.1
                         for r in fast for pt in r.branch.points):
         failures.append("no non-local point with A < 2B and max_v > 0.1 "

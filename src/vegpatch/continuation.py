@@ -6,10 +6,20 @@ through folds.  Arclength mixes the state and the parameter with the state
 scaled by 1/sqrt(2N), making both contribute comparably to step lengths.
 Folds are detected from sign changes of dA/ds between accepted points and
 refined with a local quadratic model of A(s).
+
+Every linear solve, the Newton steps of ``solve_stationary`` included, goes
+through ``StationaryResidual.bordered_solve``.  It eliminates the free water
+unknowns: their block T is symmetric tridiagonal and the couplings between
+v and w are diagonal, so only the (N+1)-order Schur complement in v and the
+border is factorized densely.  T's inverse comes from a closed form (see
+``water_block_inverse``).  The full Jacobian is built only for the stability
+eigensolve.
 """
 from __future__ import annotations
 
+import functools
 import math
+import time
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -25,12 +35,13 @@ STEP_GROWTH = 1.3      # arclength step growth after an easy step
 GROW_BELOW = 4         # an easy step took at most this many iterations
 
 
-def newton(fun, jac, x0: np.ndarray, tol: float = 1e-10,
+def newton(fun, solve, x0: np.ndarray, tol: float = 1e-10,
            max_iter: int = 50):
     """Plain Newton iteration on a callable residual; returns (x, iterations).
 
-    Raises NewtonDiverged on the iteration cap or on a runaway iterate and
-    SingularJacobian when the direct solve fails.
+    ``solve(x, r)`` returns J(x)^-1 r, the Jacobian at x applied inversely
+    to the residual r.  Raises NewtonDiverged on the iteration cap or on a
+    runaway iterate and SingularJacobian when the linear solve fails.
     """
     x = np.atleast_1d(np.asarray(x0, dtype=float)).copy()
     for it in range(max_iter + 1):
@@ -42,14 +53,56 @@ def newton(fun, jac, x0: np.ndarray, tol: float = 1e-10,
             return x, it
         if it == max_iter:
             break
-        j = np.atleast_2d(jac(x))
         try:
-            dx = np.linalg.solve(j, -r)
+            x -= solve(x, r)
         except np.linalg.LinAlgError as exc:
             raise SingularJacobian(str(exc)) from exc
-        x += dx
     raise NewtonDiverged(
         f"no convergence in {max_iter} iterations (residual {nr:.3e})")
+
+
+@functools.lru_cache(maxsize=8)
+def _max_index(k: int) -> np.ndarray:
+    """max(i, j) for i, j < k; the block size is fixed for one grid."""
+    idx = np.arange(k)
+    return np.maximum.outer(idx, idx)
+
+
+def water_block_inverse(off: float, diag: np.ndarray) -> np.ndarray:
+    """Inverse of the symmetric tridiagonal matrix with diagonal ``diag``
+    and constant off-diagonal ``off`` > 0, for diag[k] < -2 * off.
+
+    With the pivots d_0 = diag[0], d_k = diag[k] - off^2 / d_(k-1) (all
+    below -off), the ratios m_k = off / |d_(k-1)| in (0, 1), their log sums
+    C_k = log m_1 + ... + log m_k (C_0 = 0) and the diagonal of the inverse
+    rho_(K-1) = 1 / d_(K-1), rho_k = 1 / d_k + m_(k+1)^2 rho_(k+1), the
+    inverse is
+
+        (T^-1)_ij = exp(-|C_i - C_j|) * rho_max(i, j)
+
+    (Meurant, SIAM J. Matrix Anal. Appl. 13, 1992).  The exponent is never
+    positive, so no entry overflows.  The recurrences run on Python floats.
+    """
+    delta = diag.tolist()
+    k = len(delta)
+    off2 = off * off
+    pivots = [0.0] * k
+    piv = delta[0]
+    pivots[0] = piv
+    for i in range(1, k):
+        piv = delta[i] - off2 / piv
+        pivots[i] = piv
+    rho = [0.0] * k
+    r = 1.0 / piv
+    rho[-1] = r
+    for i in range(k - 2, -1, -1):
+        piv = pivots[i]
+        r = 1.0 / piv + (off2 / (piv * piv)) * r
+        rho[i] = r
+    c = np.zeros(k)
+    np.cumsum(math.log(off) - np.log(np.negative(pivots[:-1])), out=c[1:])
+    return (np.exp(-np.abs(c[:, None] - c[None, :]))
+            * np.array(rho)[_max_index(k)])
 
 
 class StationaryResidual:
@@ -59,6 +112,16 @@ class StationaryResidual:
     values are enforced as explicit constraint rows (and vegetation boundary
     values too in the local variant); the rainfall rate enters only the
     interior water rows.
+
+    ``bordered_solve`` solves the Jacobian bordered by one column and one
+    row without forming it.  In J the couplings J_vw = diag(v^2) and
+    J_wv = diag(-2 v w) are diagonal, and the free water block T, on the
+    interior nodes, is symmetric tridiagonal with off-diagonal a = d_w/h^2
+    and diagonal -(2a + 1 + v^2).  The pinned water values follow from the
+    right-hand side, and the free ones are eliminated through T^-1, so the
+    one dense factorization is of the Schur complement
+    S = J_vv - diag(v^2) T^-1 diag(-2 v w), bordered: order N + 1 instead
+    of 2N + 1.
     """
 
     def __init__(self, ops: Operators, params: ModelParams):
@@ -89,6 +152,10 @@ class StationaryResidual:
         pinned = np.flatnonzero(~self.free_mask())
         t[pinned, pinned] = 1.0
         self._jac_template = t
+        # Free water block T on the interior nodes: constant off-diagonal,
+        # and the transport part of its diagonal.
+        self._t_off = float(self._mw[1, 0])
+        self._t_diag = self._mw.diagonal()[1:-1].copy()
 
     def split(self, u: np.ndarray):
         n = self.n_nodes
@@ -117,6 +184,67 @@ class StationaryResidual:
         j[n + fw, n + fw] -= v[fw] * v[fw] + 1.0
         return j
 
+    def bordered_solve(self, u: np.ndarray, A: float, col: np.ndarray,
+                       row: np.ndarray, corner: float,
+                       rhs: np.ndarray) -> np.ndarray:
+        """Solve [[J(u), col], [row, corner]] x = rhs by the Schur complement.
+
+        A zero border with corner 1 gives the plain Newton solve.  Raises
+        SingularJacobian when the bordered Schur complement is singular.
+        """
+        n = self.n_nodes
+        v, w = self.split(u)
+        f = slice(1, n - 1)          # free water nodes; pinned are 0, n - 1
+        vf = v[f]
+        tinv = water_block_inverse(self._t_off,
+                                   self._t_diag - (vf * vf + 1.0))
+        s = v * v                    # J_vw, on the free vegetation rows
+        s[self._v_pinned] = 0.0
+        g = -2.0 * vf * w[f]         # J_wv, on the free water rows
+        col_v, col_w = col[:n], col[n:]
+        row_v, row_w = row[:n], row[n:]
+        rhs_v, rhs_w = rhs[:n], rhs[n:2 * n]
+        # A pinned water row reads w_p + col_p x_A = rhs_p; its value enters
+        # the neighbouring free row through the off-diagonal a.
+        ends = [0, n - 1]
+        known = np.zeros((n - 2, 3))
+        known[:, 0] = rhs_w[f]
+        known[:, 1] = col_w[f]
+        known[:, 2] = row_w[f]
+        known[0, :2] -= self._t_off * np.array([rhs_w[0], col_w[0]])
+        known[-1, :2] -= self._t_off * np.array([rhs_w[n - 1],
+                                                  col_w[n - 1]])
+        z = tinv @ known             # T^-1 applied to rhs, col and row parts
+        m = np.empty((n + 1, n + 1))
+        sv = m[:n, :n]
+        sv[...] = self._jac_template[:n, :n]
+        fv = self._free_v
+        sv[fv, fv] += 2.0 * v[fv] * w[fv] - self.params.B
+        sv[f, f] -= (s[f, None] * tinv) * g
+        b = np.empty(n + 1)
+        m[:n, n] = col_v
+        m[f, n] -= s[f] * z[:, 1]
+        m[ends, n] -= s[ends] * col_w[ends]
+        b[:n] = rhs_v
+        b[f] -= s[f] * z[:, 0]
+        b[ends] -= s[ends] * rhs_w[ends]
+        m[n, :n] = row_v
+        m[n, f] -= g * z[:, 2]
+        m[n, n] = (corner - row_w[f] @ z[:, 1]
+                   - row_w[ends] @ col_w[ends])
+        b[n] = (rhs[2 * n] - row_w[f] @ z[:, 0]
+                - row_w[ends] @ rhs_w[ends])
+        try:
+            y = np.linalg.solve(m, b)
+        except np.linalg.LinAlgError as exc:
+            raise SingularJacobian(f"bordered system singular: {exc}") \
+                from exc
+        x_v, x_a = y[:n], y[n]
+        x_w = np.empty(n)
+        x_w[ends] = rhs_w[ends] - col_w[ends] * x_a
+        x_w[f] = z[:, 0] - z[:, 1] * x_a - tinv @ (g * x_v[f])
+        return np.concatenate([x_v, x_w, [x_a]])
+
     def d_dA(self, u: np.ndarray, A: float) -> np.ndarray:
         out = np.zeros(self.n_unknowns)
         out[self.n_nodes:] = 1.0
@@ -138,8 +266,13 @@ class StationaryResidual:
 def solve_stationary(sr: StationaryResidual, A: float, guess: np.ndarray,
                      tol: float = 1e-10, max_iter: int = 50):
     """Newton-solve the stationary system at fixed rainfall."""
-    return newton(lambda u: sr.residual(u, A),
-                  lambda u: sr.jacobian(u, A), guess, tol, max_iter)
+    zero = np.zeros(sr.n_unknowns)
+
+    def solve(u, r):
+        return sr.bordered_solve(u, A, zero, zero, 1.0,
+                                 np.append(r, 0.0))[:-1]
+
+    return newton(lambda u: sr.residual(u, A), solve, guess, tol, max_iter)
 
 
 @dataclass(frozen=True)
@@ -180,41 +313,31 @@ class Branch:
     folds: list[Fold] = field(default_factory=list)
     termination: str = ""
     label: str = ""
+    bordered_solves: int = 0        # tangents, corrector and fold steps
+    corrector_iterations: int = 0   # summed over the accepted steps
+    halvings: int = 0               # steps retried with half the ds
+    wall_s: float = 0.0
 
 
 def _scaled_dot(du1, da1, du2, da2, scale):
     return float(du1 @ du2) * scale + da1 * da2
 
 
-def _bordered_solve(sr: StationaryResidual, u, A, tu, ta, scale, rhs):
-    """Solve the system bordered by the weighted tangent row at (u, A).
+def _tangent(solve, u, A, prev_u, prev_a, scale):
+    """Unit tangent of the branch through (u, A), oriented like the previous.
 
-    The matrix is [[J, dF/dA], [scale * tu, ta]]; a singular one raises
-    SingularJacobian.
+    ``solve(u, A, tu, ta, rhs)`` solves the Jacobian at (u, A) bordered by
+    dF/dA and the weighted row (scale * tu, ta).
     """
-    n = sr.n_unknowns
-    m = np.empty((n + 1, n + 1))
-    m[:n, :n] = sr.jacobian(u, A)
-    m[:n, n] = sr.d_dA(u, A)
-    m[n, :n] = tu * scale
-    m[n, n] = ta
-    try:
-        return np.linalg.solve(m, rhs)
-    except np.linalg.LinAlgError as exc:
-        raise SingularJacobian(f"bordered system singular: {exc}") from exc
-
-
-def _tangent(sr: StationaryResidual, u, A, prev_u, prev_a, scale):
-    """Unit tangent of the branch through (u, A), oriented like the previous."""
-    n = sr.n_unknowns
+    n = prev_u.size
     rhs = np.zeros(n + 1)
     rhs[n] = 1.0
-    t = _bordered_solve(sr, u, A, prev_u, prev_a, scale, rhs)
+    t = solve(u, A, prev_u, prev_a, rhs)
     norm = math.sqrt(_scaled_dot(t[:n], t[n], t[:n], t[n], scale))
     return t[:n] / norm, t[n] / norm
 
 
-def _corrector(sr, u0, a0, tu, ta, ds, scale, tol, cap):
+def _corrector(sr, solve, u0, a0, tu, ta, ds, scale, tol, cap):
     """Newton on the bordered system; returns (u, A, iterations) or None."""
     n = sr.n_unknowns
     u = u0 + ds * tu
@@ -230,8 +353,7 @@ def _corrector(sr, u0, a0, tu, ta, ds, scale, tol, cap):
         if it == cap:
             return None
         try:
-            step = _bordered_solve(sr, u, a, tu, ta, scale,
-                                   -np.concatenate([r, [g]]))
+            step = solve(u, a, tu, ta, -np.concatenate([r, [g]]))
         except SingularJacobian:
             return None
         u = u + step[:n]
@@ -239,18 +361,19 @@ def _corrector(sr, u0, a0, tu, ta, ds, scale, tol, cap):
     return None
 
 
-def _accepted_step(sr, u, a, tu, ta, ds, scale, tol):
+def _accepted_step(sr, solve, u, a, tu, ta, ds, scale, tol):
     """One continuation step: corrector, then the tangent at its solution.
 
     Returns (u, A, corrector iterations, tu, tA), or None when the step
     must be retried with a smaller ds.
     """
-    result = _corrector(sr, u, a, tu, ta, ds, scale, tol, CORRECTOR_CAP)
+    result = _corrector(sr, solve, u, a, tu, ta, ds, scale, tol,
+                        CORRECTOR_CAP)
     if result is None:
         return None
     u_new, a_new, iters = result
     try:
-        tu_new, ta_new = _tangent(sr, u_new, a_new, tu, ta, scale)
+        tu_new, ta_new = _tangent(solve, u_new, a_new, tu, ta, scale)
     except SingularJacobian:
         return None
     return u_new, a_new, iters, tu_new, ta_new
@@ -266,7 +389,7 @@ def _fold_quadratic(a0, ta0, a1, ta1, s0, s1):
     return a0 + ta0 * delta + 0.5 * kappa * delta * delta
 
 
-def _locate_fold(sr, u0, a0, tu, ta, ds_full, ta_end, scale, tol):
+def _locate_fold(sr, solve, u0, a0, tu, ta, ds_full, ta_end, scale, tol):
     """Refine a fold bracketed between arclength offsets 0 and ds_full.
 
     Secant iteration on dA/ds as a function of the arclength offset from the
@@ -282,12 +405,13 @@ def _locate_fold(sr, u0, a0, tu, ta, ds_full, ta_end, scale, tol):
         d_mid = (d_hi - f_hi * (d_hi - d_lo) / denom) if denom != 0.0 else None
         if d_mid is None or not (d_lo < d_mid < d_hi):
             d_mid = 0.5 * (d_lo + d_hi)
-        res = _corrector(sr, u0, a0, tu, ta, d_mid, scale, tol, cap=12)
+        res = _corrector(sr, solve, u0, a0, tu, ta, d_mid, scale, tol,
+                         cap=12)
         if res is None:
             break
         u_m, a_m, _ = res
         try:
-            _, ta_m = _tangent(sr, u_m, a_m, tu, ta, scale)
+            _, ta_m = _tangent(solve, u_m, a_m, tu, ta, scale)
         except SingularJacobian:
             return float(a_m)
         best = float(a_m)
@@ -311,8 +435,11 @@ def palc_continue(sr: StationaryResidual, A_start: float,
     The initial vector must already solve the stationary system at A_start
     to the Newton tolerance.  The trace stops when the rainfall leaves
     A_range, the point cap or fold cap is reached, or the step size
-    underflows after repeated corrector failures.
+    underflows after repeated corrector failures.  Every linear solve is
+    one ``sr.bordered_solve``; the branch counts them, with its corrector
+    iterations, step halvings and wall time.
     """
+    t0 = time.perf_counter()
     scale = 1.0 / sr.n_unknowns   # state inner-product weight 1/(2N)
     a_lo, a_hi = min(A_range), max(A_range)
     u = np.asarray(initial, dtype=float).copy()
@@ -323,6 +450,10 @@ def palc_continue(sr: StationaryResidual, A_start: float,
             f"{controls.newton_tol:.1e}; solve it first")
 
     branch = Branch(label=label)
+
+    def solve(u, a, tu, ta, rhs):
+        branch.bordered_solves += 1
+        return sr.bordered_solve(u, a, sr.d_dA(u, a), tu * scale, ta, rhs)
 
     def record(u, a, s, ta) -> BranchPoint:
         if hasattr(sr, "summarize"):
@@ -337,7 +468,7 @@ def palc_continue(sr: StationaryResidual, A_start: float,
         branch.points.append(point)
         return point
 
-    tu, ta = _tangent(sr, u, A_start, np.zeros(sr.n_unknowns),
+    tu, ta = _tangent(solve, u, A_start, np.zeros(sr.n_unknowns),
                       controls.direction, scale)
     a = A_start
     s = 0.0
@@ -348,19 +479,21 @@ def palc_continue(sr: StationaryResidual, A_start: float,
         if len(branch.points) >= controls.point_cap:
             branch.termination = "point_cap"
             break
-        step = _accepted_step(sr, u, a, tu, ta, ds, scale,
+        step = _accepted_step(sr, solve, u, a, tu, ta, ds, scale,
                               controls.newton_tol)
         if step is None:
+            branch.halvings += 1
             ds *= 0.5
             if not ds >= controls.ds_min:   # also ends a NaN step size
                 branch.termination = "step_failure"
                 break
             continue
         u_new, a_new, iters, tu_new, ta_new = step
+        branch.corrector_iterations += iters
         s_new = s + ds
         if ta * ta_new < 0.0:
-            fold_a = _locate_fold(sr, u, a, tu, ta, ds, ta_new, scale,
-                                  controls.newton_tol)
+            fold_a = _locate_fold(sr, solve, u, a, tu, ta, ds, ta_new,
+                                  scale, controls.newton_tol)
             branch.folds.append(Fold(s=s + 0.5 * ds, A=float(fold_a),
                                      after_index=len(branch.points) - 1))
         u, a, s, tu, ta = u_new, a_new, s_new, tu_new, ta_new
@@ -374,6 +507,7 @@ def palc_continue(sr: StationaryResidual, A_start: float,
             break
         if iters <= GROW_BELOW:
             ds = min(ds * STEP_GROWTH, controls.ds_max)
+    branch.wall_s = time.perf_counter() - t0
     return branch
 
 

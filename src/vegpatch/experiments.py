@@ -245,7 +245,7 @@ def _flag_selected(sr: StationaryResidual, branch: Branch, stride: int):
 
 
 def _trace_cell(cfg: BifurcationConfig, variant: str, kernel_family: str,
-                d_w: float, suite: BifurcationSuite) -> None:
+                d_w: float, suite: BifurcationSuite, progress) -> None:
     n = int(math.floor(cfg.nodes_per_L * cfg.L))
     grid = make_grid(cfg.L, n)
     kernel = builtin_kernel(kernel_family) if kernel_family else None
@@ -270,6 +270,7 @@ def _trace_cell(cfg: BifurcationConfig, variant: str, kernel_family: str,
         _flag_selected(sr, branch, cfg.stability_stride)
         suite.runs.append(BranchRun(variant, kernel_family, d_w,
                                     "vegetated", branch))
+        progress(branch)
         if d_w == cfg.gallery_d_w:
             _collect_gallery(cfg, sr, branch, variant, kernel_family, d_w,
                              suite)
@@ -287,26 +288,37 @@ def _trace_cell(cfg: BifurcationConfig, variant: str, kernel_family: str,
         _flag_selected(sr, branch, cfg.stability_stride)
         suite.runs.append(BranchRun(variant, kernel_family, d_w,
                                     "desert", branch))
+        progress(branch)
     except (NewtonDiverged, SingularJacobian) as exc:
         suite.errors.append(f"{tag} desert: {exc}")
 
 
 def _collect_gallery(cfg, sr, branch, variant, kernel_family, d_w, suite):
-    """Polished upper-branch profiles at the requested rainfall values."""
+    """Polished upper-branch profiles at the requested rainfall values.
+
+    Each crossing of A = a_req between consecutive branch points offers its
+    nearer point as a Newton seed, one continuation step from the solution;
+    the seed with the most biomass is polished.
+    """
+    tag = f"{variant}-{kernel_family or 'none'}-dw{d_w:g}"
+    points = branch.points
     for a_req in cfg.gallery_A:
-        window = max(2.0 * cfg.controls.ds_max, 0.1)
-        candidates = [pt for pt in branch.points
-                      if abs(pt.A - a_req) <= window and pt.max_v > 0.1]
+        crossings = [min(p, q, key=lambda pt: abs(pt.A - a_req))
+                     for p, q in zip(points, points[1:])
+                     if (p.A - a_req) * (q.A - a_req) <= 0.0]
+        candidates = [pt for pt in crossings if pt.max_v > 0.1]
         if not candidates:
             suite.errors.append(
-                f"{variant}-{kernel_family or 'none'}-dw{d_w:g}: no branch "
-                f"point near A={a_req:g} for the gallery")
+                f"{tag}: no branch point near A={a_req:g} for the gallery")
             continue
         seed = max(candidates, key=lambda pt: pt.max_v)
         try:
             u, _ = solve_stationary(sr, a_req, seed.snapshot,
                                     tol=cfg.controls.newton_tol)
-        except (NewtonDiverged, SingularJacobian):
+        except (NewtonDiverged, SingularJacobian) as exc:
+            suite.errors.append(
+                f"{tag}: gallery profile at A={a_req:g} from "
+                f"{seed.snapshot_id} did not converge: {exc}")
             continue
         v, w = sr.split(u)
         suite.galleries.append(GalleryProfile(
@@ -314,12 +326,17 @@ def _collect_gallery(cfg, sr, branch, variant, kernel_family, d_w, suite):
             source_id=seed.snapshot_id))
 
 
-def run_bifurcation_suite(cfg: BifurcationConfig) -> BifurcationSuite:
-    """Trace all branches for every (variant, kernel, d_w) cell."""
+def run_bifurcation_suite(cfg: BifurcationConfig,
+                          progress=None) -> BifurcationSuite:
+    """Trace all branches for every (variant, kernel, d_w) cell.
+
+    ``progress(branch)``, when given, is called as each branch is finished.
+    """
     suite = BifurcationSuite()
     for d_w in cfg.d_w_values:
         for variant, kernel_family in cfg.variants:
-            _trace_cell(cfg, variant, kernel_family, d_w, suite)
+            _trace_cell(cfg, variant, kernel_family, d_w, suite,
+                        progress or (lambda branch: None))
     return suite
 
 

@@ -126,6 +126,9 @@ BAD_INPUT_FILES = {
     "water.ini": "[model]\nd_w = -1\n",
     "modle.ini": "[modle]\nA = 2\n",
     "aa.ini": "[model]\nAA = 2\n",
+    "no_dw.ini": "[bifurcation]\nd_w_values =\n",
+    "point_cap.ini": "[continuation]\npoint_cap = 0\n",
+    "stride.ini": "[bifurcation]\nstability_stride = -1\n",
 }
 
 
@@ -187,6 +190,17 @@ BAD_INPUT_FILES = {
      ["d_w must be finite", "-1"]),
     (["steady", "--config", "{tmp}/modle.ini"], ["section", "[modle]"]),
     (["steady", "--config", "{tmp}/aa.ini"], ["[model]", "aa", "'2'"]),
+    # --check needs both diffusion rates it tests; nothing is traced
+    (["bifurcate", "--check", "--config", "{tmp}/no_dw.ini"],
+     ["--check", "d_w_values", "got none"]),
+    (["bifurcate", "--check", "--dw", "80"], ["--check", "got 80.0"]),
+    (["bifurcate", "--check", "--dw", "0.1"], ["--check", "got 0.1"]),
+    (["bifurcate", "--dw", "0.1", "--config", "{tmp}/point_cap.ini"],
+     ["point_cap", "0"]),
+    (["bifurcate", "--dw", "0.1", "--config", "{tmp}/stride.ini"],
+     ["stability_stride", "-1"]),
+    (["bifurcate", "--dw", "0.1", "--snapshot-stride", "-2"],
+     ["--snapshot-stride", "-2"]),
 ])
 def test_bad_input_exits_2_without_traceback(argv, needles, tmp_path,
                                              monkeypatch, capsys):
@@ -313,7 +327,7 @@ def test_sweep_defaults_and_outputs(tmp_path, monkeypatch):
 
 
 @pytest.mark.slow
-def test_bifurcate_defaults_and_outputs(tmp_path, monkeypatch):
+def test_bifurcate_defaults_and_outputs(tmp_path, monkeypatch, capsys):
     code = run_cli(["bifurcate", "--dw", "80", "--out", "bf"],
                    monkeypatch, tmp_path)
     assert code == 0
@@ -321,6 +335,21 @@ def test_bifurcate_defaults_and_outputs(tmp_path, monkeypatch):
     manifest = json.loads((outdir / "manifest.json").read_text())
     assert manifest["grid"] == {"L": 25.0, "N": 75}
     assert_keys_known(manifest["resolved"])
+    # per-branch counters in the manifest, one progress line per branch
+    branches = manifest["branches"]
+    assert len(branches) == 6
+    progress = [ln for ln in capsys.readouterr().err.splitlines()
+                if ln.startswith("branch ")]
+    assert len(progress) == 6
+    for label, row in branches.items():
+        assert row["termination"] == "parameter_exit"
+        # a tangent per point, plus each accepted corrector iteration
+        assert row["bordered_solves"] >= (row["points"]
+                                          + row["corrector_iterations"])
+        assert row["halvings"] >= 0 and row["wall_s"] > 0
+        assert any(ln.startswith(f"branch {label}: {row['points']} points, "
+                                 f"{row['halvings']} halvings, ")
+                   for ln in progress)
     branch_lines = (outdir / "branch.csv").read_text().splitlines()
     assert branch_lines[0] == ("model,kernel,branch_id,point_index,arclength,"
                                "A,max_v,avg_v,avg_v_nodes,stable")

@@ -5,7 +5,8 @@ import pytest
 
 from vegpatch.continuation import (PalcControls, StationaryResidual, newton,
                                    palc_continue, rightmost_eigenvalue_dense,
-                                   solve_stationary, stability_flag)
+                                   solve_stationary, stability_flag,
+                                   water_block_inverse)
 from vegpatch.discretization import build_operators, make_grid
 from vegpatch.dynamics import initial_state, simulate_horizon
 from vegpatch.errors import NewtonDiverged, SingularJacobian
@@ -27,11 +28,16 @@ class ToyFold:
     def d_dA(self, u, A):
         return np.array([1.0])
 
+    def bordered_solve(self, u, A, col, row, corner, rhs):
+        m = np.block([[self.jacobian(u, A), col[:, None]],
+                      [row[None, :], np.array([[corner]])]])
+        return np.linalg.solve(m, rhs)
+
 
 class TestNewton:
     def test_scalar_quadratic(self):
         x, iters = newton(lambda x: x**2 - 4.0,
-                          lambda x: np.array([[2.0 * x[0]]]),
+                          lambda x, r: r / (2.0 * x),
                           np.array([3.0]), tol=1e-10)
         assert abs(x[0] - 2.0) < 1e-10
         assert iters <= 7
@@ -39,13 +45,13 @@ class TestNewton:
     def test_divergence_detected(self):
         with pytest.raises(NewtonDiverged):
             newton(lambda x: x**2 + 1.0,
-                   lambda x: np.array([[2.0 * x[0]]]),
+                   lambda x, r: r / (2.0 * x),
                    np.array([0.5]), max_iter=40)
 
     def test_singular_jacobian_detected(self):
         with pytest.raises(SingularJacobian):
             newton(lambda x: np.array([1.0 + 0 * x[0]]),
-                   lambda x: np.array([[0.0]]),
+                   lambda x, r: np.linalg.solve(np.array([[0.0]]), r),
                    np.array([1.0]))
 
 
@@ -94,6 +100,11 @@ class TestToyContinuation:
 
             def d_dA(self, u, A):
                 return np.array([0.5])
+
+            def bordered_solve(self, u, A, col, row, corner, rhs):
+                m = np.block([[self.jacobian(u, A), col[:, None]],
+                              [row[None, :], np.array([[corner]])]])
+                return np.linalg.solve(m, rhs)
 
         branch = palc_continue(Wall(), 0.0, (-1.0, 1.0), np.array([1.0]),
                                PalcControls(ds0=0.01, direction=1.0,
@@ -194,6 +205,70 @@ class TestJacobian:
             got = sr.jacobian(sr.join(v, w), 1.8)
             # int64 views compare bit patterns, so signed zeros count too
             assert np.array_equal(got.view(np.int64), ref.view(np.int64))
+
+
+def _random_sr(variant, d_w, n, laplace):
+    grid = make_grid(25.0, n)
+    kernel = laplace if variant == "nonlocal" else None
+    ops = build_operators(grid, variant, kernel)
+    return StationaryResidual(ops, ModelParams(
+        1.8, 0.45, 2.0, d_w, variant, "laplace" if kernel else ""))
+
+
+class TestBorderedSolve:
+    """The Schur-complement solve against a dense solve of the assembled
+    bordered Jacobian."""
+
+    @pytest.mark.parametrize("n", [3, 4, 9, 75, 150])
+    @pytest.mark.parametrize("d_w", [0.1, 80.0])
+    @pytest.mark.parametrize("variant", ["nonlocal", "local"])
+    def test_matches_dense_bordered_solve(self, variant, d_w, n, laplace):
+        sr = _random_sr(variant, d_w, n, laplace)
+        rng = np.random.default_rng(n)
+        size = sr.n_unknowns
+        u = np.concatenate([rng.uniform(0.0, 4.0, n),
+                            rng.uniform(0.0, 1.8, n)])
+        # dF/dA, then a column with vegetation entries as dF/dL has; every
+        # column, row and right-hand side has nonzero pinned-row entries
+        # except dF/dA, which is zero there
+        cols = [sr.d_dA(u, 1.8), rng.normal(size=size)]
+        for col in cols:
+            row = rng.normal(size=size)
+            corner = float(rng.normal())
+            rhs = rng.normal(size=size + 1)
+            dense = np.block([[sr.jacobian(u, 1.8), col[:, None]],
+                              [row[None, :], np.array([[corner]])]])
+            ref = np.linalg.solve(dense, rhs)
+            got = sr.bordered_solve(u, 1.8, col, row, corner, rhs)
+            assert got.shape == ref.shape
+            assert (np.linalg.norm(got - ref)
+                    <= 1e-10 * np.linalg.norm(ref))
+
+    def test_zero_border_is_the_newton_step(self, laplace):
+        sr = _random_sr("nonlocal", 0.1, 75, laplace)
+        rng = np.random.default_rng(3)
+        u = np.concatenate([rng.uniform(0.0, 4.0, 75),
+                            rng.uniform(0.0, 1.8, 75)])
+        r = rng.normal(size=sr.n_unknowns)
+        zero = np.zeros(sr.n_unknowns)
+        got = sr.bordered_solve(u, 1.8, zero, zero, 1.0, np.append(r, 0.0))
+        ref = np.linalg.solve(sr.jacobian(u, 1.8), r)
+        assert got[-1] == 0.0
+        assert np.linalg.norm(got[:-1] - ref) <= 1e-10 * np.linalg.norm(ref)
+
+    @pytest.mark.parametrize("n", [3, 4, 9, 75, 150])
+    @pytest.mark.parametrize("d_w", [0.1, 80.0])
+    def test_closed_form_water_inverse(self, d_w, n, laplace):
+        sr = _random_sr("nonlocal", d_w, n, laplace)
+        rng = np.random.default_rng(n)
+        u = np.concatenate([rng.uniform(0.0, 4.0, n),
+                            rng.uniform(0.0, 1.8, n)])
+        block = slice(n + 1, 2 * n - 1)   # free water rows and columns
+        t = sr.jacobian(u, 1.8)[block, block]
+        off = t[0, 1] if n > 3 else d_w / sr.ops.grid.spacing ** 2
+        got = water_block_inverse(off, np.diag(t).copy())
+        ref = np.linalg.inv(t)
+        assert np.linalg.norm(got - ref) <= 1e-13 * np.linalg.norm(ref)
 
 
 @pytest.fixture(scope="module")

@@ -108,6 +108,16 @@ def test_bifurcation_suite_small_range(laplace):
     assert min(pt.A for pt in veg.branch.points) < 2.0
 
 
+def test_gallery_has_every_requested_profile(bif_suite):
+    # each profile is polished from the branch point next to a crossing of
+    # the requested rainfall, one continuation step away, so none is lost
+    # to a Newton run that wanders from a distant seed
+    cfg = BifurcationConfig()
+    assert not bif_suite.errors
+    got = {(g.variant, g.kernel, g.A) for g in bif_suite.galleries}
+    assert got == {(v, k, a) for v, k in cfg.variants for a in cfg.gallery_A}
+
+
 @pytest.mark.slow
 class TestSweepShapeProperties:
     def test_threshold_robustness(self, fast_sweep_rows):
