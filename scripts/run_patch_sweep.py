@@ -1,9 +1,9 @@
 #!/usr/bin/env python3
 """Full critical-patch-size sweep: 50 log-spaced half-widths on [1, 100].
 
-Takes about five seconds on a 2-vCPU machine; pass --preset fast for the
-reduced 20-point ordering check (about two seconds).  Extra flags are
-forwarded to the `vegpatch sweep` command.
+Takes about two seconds on a 2-vCPU machine; pass --preset fast for the
+reduced 20-point ordering check (about one and a half seconds).  Extra
+flags are forwarded to the `vegpatch sweep` command.
 """
 import sys
 

@@ -84,6 +84,14 @@ def _non_negative(name: str, value):
     return value
 
 
+def _require_vegetated(what: str, A: float, B: float) -> None:
+    """ConfigError unless the vegetated equilibrium exists (A >= 2B)."""
+    if not A >= 2.0 * B:
+        raise ConfigError(
+            f"{what} perturbs the vegetated equilibrium, which needs "
+            f"A >= 2B; got A = {A!r}, B = {B!r}")
+
+
 def _choice(name: str, value: str, choices) -> str:
     """value itself if it is one of choices; otherwise a ConfigError."""
     if value not in choices:
@@ -310,6 +318,7 @@ def _resolve_model(args, res: Resolver):
 
 def _initial_from_flag(spec: str, params, grid, ops) -> State:
     if spec == "cosine":
+        _require_vegetated("--init cosine", params.A, params.B)
         v0, w0 = cosine_perturbed_start(grid, params.A, params.B)
         return initial_state(ops, v0, w0)
     w_desert = solve_water_stationary(np.zeros(grid.n_nodes), params, grid)
@@ -418,6 +427,7 @@ def _sweep_config_from(args, res: Resolver) -> SweepConfig:
     B = _positive("B", res.get("model", "B", float, cfg.B))
     d_v = _positive("d_v", res.get("model", "d_v", float, cfg.d_v))
     d_w = _positive("d_w", res.get("model", "d_w", float, cfg.d_w))
+    _require_vegetated("the sweep's start", A, B)
     return SweepConfig(L_values=log_spaced_L(points, lo, hi), A=A, B=B,
                        d_v=d_v, d_w=d_w, h_t=h_t, tol=cfg.tol,
                        max_steps=max_steps, n_min=cfg.n_min,
@@ -440,9 +450,10 @@ def cmd_sweep(args) -> int:
         **_run_config_payload(res, "sweep", outdir),
         "config": {f: getattr(cfg, f) for f in cfg.__dataclass_fields__},
         "steady_state": {
-            "scheme": "linearly implicit Euler: water d_w Lap - (v^2 + 1) "
-                      "and local vegetation diffusion implicit, dispersal "
-                      "and reaction explicit",
+            "scheme": "linearly implicit Euler: vegetation transport "
+                      "(non-local dispersal or local diffusion) and "
+                      "mortality implicit, growth v^2 w explicit, then "
+                      "water d_w Lap - (v^2 + 1) implicit",
             "step": sorted({r.step_size for r in rows}),
             "stopping_rule": f"h_t * ||F(v, w)||_2 < tol with h_t = "
                              f"{cfg.h_t!r}, tol = {cfg.tol!r}",

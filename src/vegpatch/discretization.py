@@ -100,12 +100,15 @@ class DispersalOperator:
 
 
 def _densify(n, band, left_col, right_col) -> np.ndarray:
+    """Dense K: mat[i, j] = band[hb + i - j] on interior columns, which is
+    row i's contiguous slice of the reversed band."""
     hb = (band.shape[0] - 1) // 2
+    rev = band[::-1]
     mat = np.zeros((n, n))
     for i in range(n):
         lo = max(1, i - hb)
         hi = min(n - 1, i + hb + 1)
-        mat[i, lo:hi] = band[hb + i - np.arange(lo, hi)]
+        mat[i, lo:hi] = rev[hb - i + lo:hb - i + hi]
     mat[:, 0] = left_col
     mat[:, -1] = right_col
     return mat

@@ -129,6 +129,7 @@ BAD_INPUT_FILES = {
     "no_dw.ini": "[bifurcation]\nd_w_values =\n",
     "point_cap.ini": "[continuation]\npoint_cap = 0\n",
     "stride.ini": "[bifurcation]\nstability_stride = -1\n",
+    "dry.ini": "[model]\nB = 1\n",
 }
 
 
@@ -201,6 +202,11 @@ BAD_INPUT_FILES = {
      ["stability_stride", "-1"]),
     (["bifurcate", "--dw", "0.1", "--snapshot-stride", "-2"],
      ["--snapshot-stride", "-2"]),
+    # A < 2B: no vegetated equilibrium for the cosine start to perturb
+    (["steady", "--L", "2", "--nodes", "9", "--B", "1"],
+     ["--init cosine", "A >= 2B"]),
+    (["sweep", "--preset", "fast", "--config", "{tmp}/dry.ini"],
+     ["sweep", "A >= 2B", "B = 1.0"]),
 ])
 def test_bad_input_exits_2_without_traceback(argv, needles, tmp_path,
                                              monkeypatch, capsys):
@@ -387,3 +393,38 @@ def test_random_ini_files_never_end_in_a_traceback(sections):
                          "--out", str(Path(tmp) / "out")])
     assert code in (0, 2, 3)
     assert "Traceback" not in err.getvalue()
+
+
+_NUMBERS = st.one_of(
+    st.floats(min_value=1e-3, max_value=100.0),           # finite
+    st.sampled_from([0.0, -0.0, -1e-3, -2.0, -1e300,     # zero, negative
+                     math.nan, math.inf, -math.inf,       # nan, inf
+                     1e10, 1e200, 1e300, 1.7e308]))       # huge
+
+
+@settings(max_examples=25, deadline=None, derandomize=True)
+@given(command=st.sampled_from(["steady", "simulate"]),
+       variant=st.sampled_from(["nonlocal", "local"]),
+       L=st.floats(min_value=0.1, max_value=5.0),
+       nodes=st.integers(min_value=-1, max_value=41),
+       t_final=st.floats(min_value=0.0, max_value=0.05),
+       max_steps=st.integers(min_value=0, max_value=200),
+       model=st.fixed_dictionaries(
+           {}, optional={flag: _NUMBERS for flag in
+                         ("--ht", "--dv", "--dw", "--A", "--B")}))
+def test_random_flags_never_end_in_a_traceback(command, variant, L, nodes,
+                                               t_final, max_steps, model):
+    # any mix of finite, zero, negative, non-finite and huge model flags
+    # ends in a run, a configuration error or a numerical failure
+    argv = [command, "--variant", variant, f"--L={L!r}",
+            f"--nodes={nodes}"]
+    argv += ([f"--t-final={t_final!r}"] if command == "simulate"
+             else [f"--max-steps={max_steps}"])
+    argv += [f"{flag}={value!r}" for flag, value in model.items()]
+    with tempfile.TemporaryDirectory() as tmp:
+        err = io.StringIO()
+        with contextlib.redirect_stdout(io.StringIO()), \
+                contextlib.redirect_stderr(err):
+            code = main(argv + ["--out", str(Path(tmp) / "out")])
+    assert code in (0, 2, 3, 4), argv
+    assert "Traceback" not in err.getvalue(), argv

@@ -164,6 +164,19 @@ def _reference_hat_moments(grid, kernel):
     return band, left, right
 
 
+def _reference_densify(n, band, left_col, right_col):
+    """Row-by-row fancy-indexed fill that the slice copy replaced."""
+    hb = (band.shape[0] - 1) // 2
+    mat = np.zeros((n, n))
+    for i in range(n):
+        lo = max(1, i - hb)
+        hi = min(n - 1, i + hb + 1)
+        mat[i, lo:hi] = band[hb + i - np.arange(lo, hi)]
+    mat[:, 0] = left_col
+    mat[:, -1] = right_col
+    return mat
+
+
 def _skewed_density(z):
     return np.where(z > 0, np.exp(-z), 0.5 * np.exp(2.0 * z))
 
@@ -191,7 +204,19 @@ def test_exact_assembly_bitwise_matches_reference_loop(family, L, n, laplace,
         assert want.shape == have.shape
         assert np.array_equal(_bits(want), _bits(have))
     op = assemble_nonlocal(grid, kernel)
-    assert np.array_equal(_bits(op.matrix), _bits(_densify(n, *expected)))
+    assert np.array_equal(_bits(op.matrix),
+                          _bits(_reference_densify(n, *expected)))
+
+
+@pytest.mark.parametrize("family", ["laplace", "super_gaussian"])
+@pytest.mark.parametrize("L,n", [(25.0, 75), (3.0, 128), (20.0, 801),
+                                 (32.0, 1281)])
+def test_densify_bitwise_matches_reference_loop(family, L, n, laplace,
+                                                super_gaussian):
+    kernel = {"laplace": laplace, "super_gaussian": super_gaussian}[family]
+    moments = _hat_moments_exact(make_grid(L, n), kernel)
+    assert np.array_equal(_bits(_densify(n, *moments)),
+                          _bits(_reference_densify(n, *moments)))
 
 
 def test_laplacian_exact_on_quadratics():

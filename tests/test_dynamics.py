@@ -3,8 +3,8 @@ import pytest
 
 from vegpatch.continuation import StationaryResidual, solve_stationary
 from vegpatch.discretization import build_operators, make_grid
-from vegpatch.dynamics import (BLOWUP_LIMIT, BatchCell, State, _make_rhs,
-                               extinction_decay_check,
+from vegpatch.dynamics import (BLOWUP_LIMIT, IMEX_STEP, BatchCell, State,
+                               _imex, _make_rhs, extinction_decay_check,
                                initial_state, perturbation_decay,
                                run_to_steady, run_to_steady_batch,
                                simulate_horizon)
@@ -78,10 +78,14 @@ def test_batch_blowup_returns_failing_state(small_ops, default_params):
         [BatchCell(small_ops, default_params, v0, w0)], 1e-2)
     assert got.blowup and not got.converged
     assert got.steps == got.state.step_count == 1
-    # the non-local variant moves v explicitly: one step from the start
+    # one implicit step from the start: P v1 = v0 + h v0^2 w0 with
+    # P = (1 + h B) I - h d_v (K - I)
     start = initial_state(small_ops, v0, w0)
-    rhs_v, _ = _make_rhs(small_ops, default_params)(start.v, start.w)
-    assert np.array_equal(got.state.v, start.v + got.step_size * rhs_v)
+    h, p = got.step_size, default_params
+    mat = (1.0 + h * (p.B + p.d_v)) * np.eye(n) \
+        - h * p.d_v * small_ops.dispersal.matrix
+    want = np.linalg.solve(mat, start.v + h * start.v ** 2 * start.w)
+    assert np.allclose(got.state.v, want, rtol=1e-10, atol=0.0)
 
 
 def test_steady_convergence_to_uniform_state(default_params, laplace):
@@ -216,7 +220,7 @@ def test_implicit_batch_reaches_stationary_state(variant, laplace):
     (got,) = run_to_steady_batch([BatchCell(ops, params, v0, w0)], h_t, tol,
                                  max_steps=10_000)
     assert got.converged and not got.blowup
-    assert got.step_size == pytest.approx(0.1)
+    assert got.step_size == pytest.approx(IMEX_STEP)
 
     def mean(v):
         return float(grid.quad_weights @ v) / (2.0 * grid.half_width)
@@ -236,17 +240,42 @@ def test_implicit_batch_reaches_stationary_state(variant, laplace):
     assert abs(mean(explicit.state.v) - mean(got.state.v)) < 2e-3
 
 
-def test_implicit_step_lowered_for_fast_dispersal(laplace):
-    # d_v = 4 would put the explicit dispersal factor at 0.8 for h = 0.1
+def test_implicit_step_stable_for_fast_dispersal(laplace):
+    # d_v = 4 puts an explicit dispersal factor d_v h (1 + max row sum) far
+    # above any explicit limit at h = IMEX_STEP; the implicit step needs
+    # no cap
     grid = make_grid(3.0, 65)
     ops = build_operators(grid, "nonlocal", laplace)
     params = ModelParams(1.8, 0.45, 4.0, 0.1)
     v0, w0 = cosine_perturbed_start(grid, 1.8, 0.45)
+    h_t, tol = 1e-3, 1e-5
+    (got,) = run_to_steady_batch([BatchCell(ops, params, v0, w0)], h_t, tol,
+                                 max_steps=10_000)
+    assert got.converged and not got.blowup
+    assert got.step_size == IMEX_STEP
+    rhs_v, rhs_w = _make_rhs(ops, params)(got.state.v, got.state.w)
+    assert h_t * np.sqrt(rhs_v @ rhs_v + rhs_w @ rhs_w) < tol
+
+
+@pytest.mark.parametrize("variant", ["nonlocal", "local"])
+def test_implicit_step_fixes_stationary_state(variant, laplace):
+    # a Newton-polished stationary state is a fixed point of the step
+    grid = make_grid(3.0, sweep_resolution(fast_sweep_config(), 3.0, variant))
+    params = ModelParams(1.8, 0.45, 2.0, 0.1, variant)
+    ops = build_operators(grid, variant,
+                          laplace if variant == "nonlocal" else None)
+    v0, w0 = cosine_perturbed_start(grid, 1.8, 0.45)
     (got,) = run_to_steady_batch([BatchCell(ops, params, v0, w0)], 1e-3,
-                                 1e-5, max_steps=0)
-    norm_k = float(ops.dispersal.row_sums().max())
-    assert got.step_size < 0.1
-    assert params.d_v * got.step_size * (1.0 + norm_k) == pytest.approx(0.4)
+                                 1e-5, max_steps=10_000)
+    sr = StationaryResidual(ops, params)
+    u, _ = solve_stationary(sr, 1.8, sr.join(got.state.v, got.state.w))
+    v_star, w_star = sr.split(u)
+    assert float(grid.quad_weights @ v_star) > 1.0   # vegetated
+    v, w = v_star.copy(), w_star.copy()
+    _, advance = _imex(ops, params)
+    advance(v, w, *_make_rhs(ops, params)(v, w))
+    assert np.max(np.abs(v - v_star)) <= 1e-10
+    assert np.max(np.abs(w - w_star)) <= 1e-10
 
 
 def test_perturbation_decay_negative_slope(default_params, laplace):
