@@ -16,7 +16,7 @@ from .kinetics import (KineticEquilibrium, ModelParams, constant_steady_states,
 from .spectral import (EigResult, estimate_lipschitz_M, extinction_criterion,
                        principal_eigenvalue_laplacian,
                        principal_eigenvalue_nonlocal)
-from .continuation import (Branch, BranchPoint, PalcControls,
+from .continuation import (Branch, BranchPoint, PalcControls, Stability,
                            StationaryResidual, newton, palc_continue,
                            solve_stationary, stability_flag)
 

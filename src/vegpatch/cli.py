@@ -27,8 +27,9 @@ from .experiments import (BifurcationConfig, SweepConfig, builtin_kernel,
 from .kernels import check_assumptions, kernel_from_table
 from .kinetics import (ModelParams, constant_steady_states,
                        solve_water_stationary)
-from .outputs import (write_branch_csv, write_branch_snapshots,
-                      write_folds_csv, write_gallery_profiles,
+from .outputs import (write_branch_csv, write_branch_diagnostics_csv,
+                      write_branch_snapshots, write_folds_csv,
+                      write_gallery_profiles,
                       write_lcrit_csv, write_manifest, write_plot_scripts,
                       write_profile_csv, write_sweep_csv)
 from .spectral import (estimate_lipschitz_M, extinction_criterion,
@@ -46,6 +47,7 @@ FOLD_BAND = (0.85, 1.00)
 CHECK_D_W = (0.1, 80.0)    # slow water (fold band), fast water (patterns)
 BIOMASS_FLOOR_CUT = 0.01
 KERNEL_FAMILIES = ("laplace", "super_gaussian")
+SIMULATE_STEP_CAP = 10_000_000   # t_final / h_t; about 2 min at 75 nodes
 
 
 def main(argv=None) -> int:
@@ -343,6 +345,10 @@ def cmd_simulate(args) -> int:
                                            10.0, args.t_final))
     every = _non_negative("trajectory_every", res.get(
         "integration", "trajectory_every", int, 100, args.dump_every))
+    if not t_final / h_t <= SIMULATE_STEP_CAP:
+        raise ConfigError(
+            f"t_final / h_t = {t_final / h_t:.3g} steps exceeds the cap of "
+            f"{SIMULATE_STEP_CAP:,}; raise h_t or lower t_final")
     state0 = _initial_from_flag(args.init, params, grid, ops)
     t0 = time.time()
     state, track = simulate_horizon(state0, ops, params, h_t, t_final,
@@ -552,6 +558,7 @@ def cmd_bifurcate(args) -> int:
         for variant, kernel in cfg.variants:
             grids[(variant, kernel, d_w)] = make_grid(cfg.L, n)
     write_branch_csv(outdir / "branch.csv", suite)
+    write_branch_diagnostics_csv(outdir / "branch_diagnostics.csv", suite)
     write_folds_csv(outdir / "folds.csv", suite)
     profiles_dir = outdir / "profiles"
     written = write_gallery_profiles(profiles_dir, suite, grids)
@@ -573,6 +580,8 @@ def cmd_bifurcate(args) -> int:
             "bordered_solves": r.branch.bordered_solves,
             "corrector_iterations": r.branch.corrector_iterations,
             "halvings": r.branch.halvings,
+            "eigen_solves": r.branch.eigen_solves,
+            "krylov_dim_total": r.branch.krylov_dim,
             "wall_s": r.branch.wall_s} for r in suite.runs},
         "wall_time_s": time.time() - t0})
     for run in suite.runs:

@@ -7,13 +7,18 @@ scaled by 1/sqrt(2N), making both contribute comparably to step lengths.
 Folds are detected from sign changes of dA/ds between accepted points and
 refined with a local quadratic model of A(s).
 
-Every linear solve, the Newton steps of ``solve_stationary`` included, goes
-through ``StationaryResidual.bordered_solve``.  It eliminates the free water
-unknowns: their block T is symmetric tridiagonal and the couplings between
-v and w are diagonal, so only the (N+1)-order Schur complement in v and the
-border is factorized densely.  T's inverse comes from a closed form (see
-``water_block_inverse``).  The full Jacobian is built only for the stability
-eigensolve.
+Every Newton and continuation solve, those of ``solve_stationary``
+included, goes through ``StationaryResidual.bordered_solve``.  It eliminates
+the free water unknowns: their block T is symmetric tridiagonal and the
+couplings between v and w are diagonal, so only the (N+1)-order Schur
+complement in v and the border is factorized densely.  T's inverse comes from a closed form (see
+``water_block_inverse``).
+
+The stability flag uses the same Schur complement (``_schur``): inverted
+once on the free vegetation nodes, it applies the free Jacobian's inverse,
+and shift-invert Arnoldi at sigma = 0 (``spectral.arnoldi_rightmost``) finds
+the rightmost eigenvalue.  The full Jacobian is built only for the dense
+eigensolve that serves as the test oracle.
 """
 from __future__ import annotations
 
@@ -27,12 +32,15 @@ import numpy as np
 from .discretization import Operators
 from .errors import NewtonDiverged, SingularJacobian
 from .kinetics import ModelParams
+from .spectral import arnoldi_rightmost
 
 NEWTON_BLOWUP = 1e8
 STABLE_BELOW = -1e-8   # rightmost eigenvalue below this flags a stable state
 CORRECTOR_CAP = 8      # corrector iterations per continuation step
 STEP_GROWTH = 1.3      # arclength step growth after an easy step
 GROW_BELOW = 4         # an easy step took at most this many iterations
+FLAG_RES_TOL = 1e-8    # Ritz residual, relative to the largest |mu|
+FLAG_MIN_DIM = 30      # Arnoldi basis size before the first Ritz check
 
 
 def newton(fun, solve, x0: np.ndarray, tol: float = 1e-10,
@@ -184,6 +192,61 @@ class StationaryResidual:
         j[n + fw, n + fw] -= v[fw] * v[fw] + 1.0
         return j
 
+    def _schur(self, v: np.ndarray, w: np.ndarray, out: np.ndarray):
+        """Write the Schur complement S = J_vv - diag(v^2) T^-1 diag(-2 v w)
+        into ``out`` (n x n; identity rows at pinned vegetation nodes).
+
+        Returns (T^-1, s, g): the free water block's inverse, the diagonal
+        of J_vw (zero on pinned vegetation rows) and the diagonal of J_wv on
+        the free water rows.
+        """
+        f = slice(1, self.n_nodes - 1)
+        vf = v[f]
+        tinv = water_block_inverse(self._t_off,
+                                   self._t_diag - (vf * vf + 1.0))
+        s = v * v
+        s[self._v_pinned] = 0.0
+        g = -2.0 * vf * w[f]
+        out[...] = self._jac_template[:self.n_nodes, :self.n_nodes]
+        fv = self._free_v
+        out[fv, fv] += 2.0 * v[fv] * w[fv] - self.params.B
+        out[f, f] -= (s[f, None] * tinv) * g
+        return tinv, s, g
+
+    def free_inverse(self, u: np.ndarray, A: float):
+        """The action x -> J_free^-1 x, with J_free the Jacobian on the free
+        unknowns (free vegetation nodes, then interior water nodes), as in
+        ``rightmost_eigenvalue_dense``.
+
+        The Schur complement is restricted to the free vegetation nodes and
+        inverted once, so each action costs three matrix-vector products:
+        y_v = S^-1 (x_v - D_s T^-1 x_w) and y_w = T^-1 (x_w - D_g y_v).
+        Returns (action, order).  Raises SingularJacobian when S is
+        singular.
+        """
+        n = self.n_nodes
+        v, w = self.split(u)
+        schur = np.empty((n, n))
+        tinv, s, g = self._schur(v, w, schur)
+        fv = self._free_v
+        try:
+            sinv = np.linalg.inv(schur[np.ix_(fv, fv)])
+        except np.linalg.LinAlgError as exc:
+            raise SingularJacobian(f"Schur complement singular: {exc}") \
+                from exc
+        nv = len(fv)
+        lo = 0 if self._v_pinned[0] else 1
+        inner = slice(lo, lo + n - 2)   # interior nodes among the free v
+        s_inner = s[1:n - 1]            # J_vw on the interior nodes
+
+        def action(x: np.ndarray) -> np.ndarray:
+            x_v = x[:nv].copy()
+            x_v[inner] -= s_inner * (tinv @ x[nv:])
+            y_v = sinv @ x_v
+            y_w = tinv @ (x[nv:] - g * y_v[inner])
+            return np.concatenate([y_v, y_w])
+        return action, nv + n - 2
+
     def bordered_solve(self, u: np.ndarray, A: float, col: np.ndarray,
                        row: np.ndarray, corner: float,
                        rhs: np.ndarray) -> np.ndarray:
@@ -195,12 +258,8 @@ class StationaryResidual:
         n = self.n_nodes
         v, w = self.split(u)
         f = slice(1, n - 1)          # free water nodes; pinned are 0, n - 1
-        vf = v[f]
-        tinv = water_block_inverse(self._t_off,
-                                   self._t_diag - (vf * vf + 1.0))
-        s = v * v                    # J_vw, on the free vegetation rows
-        s[self._v_pinned] = 0.0
-        g = -2.0 * vf * w[f]         # J_wv, on the free water rows
+        m = np.empty((n + 1, n + 1))
+        tinv, s, g = self._schur(v, w, m[:n, :n])
         col_v, col_w = col[:n], col[n:]
         row_v, row_w = row[:n], row[n:]
         rhs_v, rhs_w = rhs[:n], rhs[n:2 * n]
@@ -215,12 +274,6 @@ class StationaryResidual:
         known[-1, :2] -= self._t_off * np.array([rhs_w[n - 1],
                                                   col_w[n - 1]])
         z = tinv @ known             # T^-1 applied to rhs, col and row parts
-        m = np.empty((n + 1, n + 1))
-        sv = m[:n, :n]
-        sv[...] = self._jac_template[:n, :n]
-        fv = self._free_v
-        sv[fv, fv] += 2.0 * v[fv] * w[fv] - self.params.B
-        sv[f, f] -= (s[f, None] * tinv) * g
         b = np.empty(n + 1)
         m[:n, n] = col_v
         m[f, n] -= s[f] * z[:, 1]
@@ -286,6 +339,13 @@ class PalcControls:
     fold_cap: int | None = None
 
 
+@dataclass(frozen=True)
+class Stability:
+    stable: bool
+    rightmost: float      # real part of the rightmost eigenvalue
+    krylov_dim: int       # Arnoldi basis size that certified it
+
+
 @dataclass
 class BranchPoint:
     index: int
@@ -297,7 +357,7 @@ class BranchPoint:
     tangent_A: float
     snapshot: np.ndarray
     snapshot_id: str
-    stable: bool | None = None
+    stability: Stability | None = None
 
 
 @dataclass(frozen=True)
@@ -316,6 +376,8 @@ class Branch:
     bordered_solves: int = 0        # tangents, corrector and fold steps
     corrector_iterations: int = 0   # summed over the accepted steps
     halvings: int = 0               # steps retried with half the ds
+    eigen_solves: int = 0           # stability flags computed
+    krylov_dim: int = 0             # summed over the eigen-solves
     wall_s: float = 0.0
 
 
@@ -456,10 +518,7 @@ def palc_continue(sr: StationaryResidual, A_start: float,
         return sr.bordered_solve(u, a, sr.d_dA(u, a), tu * scale, ta, rhs)
 
     def record(u, a, s, ta) -> BranchPoint:
-        if hasattr(sr, "summarize"):
-            mx, avg, avg_nodes = sr.summarize(u)
-        else:
-            mx, avg, avg_nodes = float(u.max()), float(u.mean()), float(u.mean())
+        mx, avg, avg_nodes = sr.summarize(u)
         point = BranchPoint(
             index=len(branch.points), A=float(a), s=float(s),
             max_v=mx, avg_v=avg, avg_v_nodes=avg_nodes,
@@ -523,13 +582,50 @@ def rightmost_eigenvalue_dense(sr: StationaryResidual, A: float,
     return float(np.linalg.eigvals(j).real.max())
 
 
-def stability_flag(sr: StationaryResidual, A: float, u: np.ndarray) -> bool:
+def _rightmost_inverse(order: int):
+    """Ritz selector for the eigenvalues mu of J^-1: the rightmost
+    lambda = 1 / mu among the pairs whose Arnoldi residual estimate passes
+    FLAG_RES_TOL relative to the largest |mu|.  At the full order the
+    Krylov space is the whole space and every pair counts."""
+    def select(values, estimates):
+        ok = values != 0.0
+        if len(values) < order:
+            scale = max(float(np.abs(values).max()), 1.0)
+            ok &= estimates <= FLAG_RES_TOL * scale
+        if not ok.any():
+            return None
+        idx = np.flatnonzero(ok)
+        return int(idx[np.argmax((1.0 / values[idx]).real)])
+    return select
+
+
+def stability_flag(sr: StationaryResidual, A: float,
+                   u: np.ndarray) -> Stability:
     """Linear stability of the stationary state (u, A).
 
-    True when the rightmost eigenvalue of the free-unknown Jacobian, from
-    one dense eigensolve, lies below STABLE_BELOW.  The coupled Jacobian is
-    strongly nonsymmetric and its rightmost eigenvalues are often clustered
-    or complex, so iterative routes settle poorly; at the problem sizes used
-    here (a few hundred unknowns) the dense solve is also the cheaper one.
+    Stable when the rightmost eigenvalue of the free-unknown Jacobian lies
+    below STABLE_BELOW.  The eigenvalue comes from shift-invert Arnoldi at
+    sigma = 0: x -> J_free^-1 x through ``sr.free_inverse`` (one inverse of
+    the order-N Schur complement), eigenvalues lambda = 1 / mu.  The rightmost
+    lambda among the Ritz pairs whose residual passes is taken once its true
+    residual does too.  Checks start at FLAG_MIN_DIM basis vectors: fewer
+    certify the eigenvalue nearest zero before a rightmost one further out
+    has converged.  The dimension grows up to the free order, where Arnoldi
+    is exact, so every call decides.  The start vector sin(k) has even and
+    odd parts under reflection; a constant start cannot see the odd modes of
+    the reflection-symmetric branch states.  ``rightmost_eigenvalue_dense``
+    is the dense oracle for this route.  A singular Jacobian has the
+    eigenvalue 0, so it is flagged unstable with the rightmost left as nan.
+    Returns the flag with the rightmost real part and the Krylov dimension.
     """
-    return rightmost_eigenvalue_dense(sr, A, u) < STABLE_BELOW
+    try:
+        action, order = sr.free_inverse(u, A)
+    except SingularJacobian:
+        return Stability(False, math.nan, 0)
+    start = np.sin(np.arange(1.0, order + 1.0))
+    mu, _, dim, _ = arnoldi_rightmost(action, order, FLAG_RES_TOL, order,
+                                      start=start,
+                                      select=_rightmost_inverse(order),
+                                      min_dim=FLAG_MIN_DIM)
+    lam = float((1.0 / mu).real)
+    return Stability(lam < STABLE_BELOW, lam, dim)

@@ -241,7 +241,9 @@ def _flag_selected(sr: StationaryResidual, branch: Branch, stride: int):
     chosen.add(len(branch.points) - 1)
     for i in chosen:
         pt = branch.points[i]
-        pt.stable = stability_flag(sr, pt.A, pt.snapshot)
+        pt.stability = stability_flag(sr, pt.A, pt.snapshot)
+        branch.eigen_solves += 1
+        branch.krylov_dim += pt.stability.krylov_dim
 
 
 def _trace_cell(cfg: BifurcationConfig, variant: str, kernel_family: str,

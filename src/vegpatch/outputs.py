@@ -59,11 +59,24 @@ def write_branch_csv(path, suite: BifurcationSuite) -> None:
         for pt in run.branch.points:
             rows.append((run.variant, run.kernel, branch_id, pt.index,
                          pt.s, pt.A, pt.max_v, pt.avg_v, pt.avg_v_nodes,
-                         pt.stable))
+                         pt.stability.stable if pt.stability else None))
     rows.sort(key=lambda r: (r[0], r[1], r[2], r[3]))
     _write_csv(Path(path),
                ["model", "kernel", "branch_id", "point_index", "arclength",
                 "A", "max_v", "avg_v", "avg_v_nodes", "stable"], rows)
+
+
+def write_branch_diagnostics_csv(path, suite: BifurcationSuite) -> None:
+    """One row per flagged branch point: the real part of the rightmost
+    eigenvalue and the Krylov dimension that certified it."""
+    rows = [(run.branch.label, pt.index, pt.A, pt.stability.rightmost,
+             pt.stability.krylov_dim)
+            for run in suite.runs for pt in run.branch.points
+            if pt.stability is not None]
+    rows.sort(key=lambda r: (r[0], r[1]))
+    _write_csv(Path(path),
+               ["branch", "point_index", "A", "rightmost_real", "krylov_dim"],
+               rows)
 
 
 def write_folds_csv(path, suite: BifurcationSuite) -> None:

@@ -10,7 +10,9 @@ habitat grows, which is what produces a critical patch size.
 beta1 comes from Arnoldi iteration on the weighted symmetrization of K,
 applied through the dispersal operator's action only.  The relative gap
 between the top two eigenvalues closes like 1/L^2; a Krylov method needs
-about the square root of the iterations power iteration would.  lambda1,
+about the square root of the iterations power iteration would.  The same
+Arnoldi, with another start vector and Ritz selector, gives continuation's
+stability flag.  lambda1,
 the Dirichlet Laplacian's principal eigenvalue, is the Rayleigh quotient of
 its known eigenvector sin(pi k / (m + 1)), checked by one residual against
 the operator norm 4 / h^2.  The Lipschitz estimate scans constant biomass
@@ -66,22 +68,35 @@ def _symmetrized_action(op: DispersalOperator):
     return action
 
 
-def _arnoldi_rightmost(action, n: int, res_tol: float, max_dim: int):
-    """Rightmost eigenpair by Arnoldi with full reorthogonalization.
+def _largest_real(values, estimates):
+    return int(np.argmax(values.real))
 
-    The Krylov basis starts from the constant vector and is orthogonalized
-    by classical Gram-Schmidt applied twice.  Every RITZ_EVERY steps (and
-    when the basis stops growing) the Ritz pair with the largest real part
-    is formed, and the iteration stops when its residual, from a true
-    operator action, meets res_tol relative to the eigenvalue scale.
-    Returns (rho, residual, Krylov dimension, converged).  The basis and
-    the Hessenberg matrix grow by doubling, so memory follows the dimension
-    reached rather than the cap.
+
+def arnoldi_rightmost(action, n: int, res_tol: float, max_dim: int,
+                      start: np.ndarray | None = None,
+                      select=_largest_real, min_dim: int = 1):
+    """Selected eigenpair by Arnoldi with full reorthogonalization.
+
+    The Krylov basis starts from ``start`` (the constant vector by default)
+    and is orthogonalized by classical Gram-Schmidt applied twice.  Every
+    RITZ_EVERY steps from ``min_dim`` on (and when the basis stops growing)
+    the Ritz pairs are formed and ``select(values, estimates)`` picks one by
+    index, or returns None to keep growing; ``estimates`` are the Arnoldi
+    residual norms |h_(k+1,k) s_k| of the unit Ritz vectors.  The default
+    picks the largest real part.  The iteration stops when the picked
+    pair's residual, from a true operator action, meets res_tol relative to
+    the largest Ritz value magnitude (at least 1), the scale of the
+    operator's rounding.  Returns (rho, residual, Krylov dimension, converged); rho is complex
+    only for a complex pair.  The basis and the Hessenberg matrix grow by
+    doubling, so memory follows the dimension reached rather than the cap.
     """
     m = min(max_dim, n)
     basis = np.empty((min(m, 32) + 1, n))
     hess = np.zeros((len(basis), len(basis)))
-    basis[0] = 1.0 / np.sqrt(n)
+    if start is None:
+        basis[0] = 1.0 / np.sqrt(n)
+    else:
+        basis[0] = start / np.linalg.norm(start)
     rho, resid = 0.0, np.inf
     for j in range(m):
         if j + 1 == len(basis):
@@ -96,15 +111,20 @@ def _arnoldi_rightmost(action, n: int, res_tol: float, max_dim: int):
         hess[j + 1, j] = h_next = float(np.linalg.norm(w))
         k = j + 1
         exhausted = k == m or h_next <= 1e-14 * np.abs(hess[:k, :k]).max()
-        if k % RITZ_EVERY == 0 or exhausted:
+        if (k >= min_dim and k % RITZ_EVERY == 0) or exhausted:
             values, vectors = np.linalg.eig(hess[:k, :k])
-            top = int(np.argmax(values.real))
-            rho = float(values[top].real)
-            y = vectors[:, top].real @ basis[:k]
-            y /= np.linalg.norm(y)
-            resid = float(np.linalg.norm(action(y) - rho * y))
-            if resid <= res_tol * max(abs(rho), 1.0):
-                return rho, resid, k, True
+            top = select(values, h_next * np.abs(vectors[-1]))
+            if top is not None:
+                s = vectors[:, top]
+                if values[top].imag == 0.0:
+                    rho, s = float(values[top].real), s.real
+                else:
+                    rho = complex(values[top])
+                y = s @ basis[:k]
+                y /= np.linalg.norm(y)
+                resid = float(np.linalg.norm(action(y) - rho * y))
+                if resid <= res_tol * max(float(np.abs(values).max()), 1.0):
+                    return rho, resid, k, True
             if exhausted:
                 return rho, resid, k, False
         basis[k] = w / h_next
@@ -123,8 +143,8 @@ def principal_eigenvalue_nonlocal(op: DispersalOperator, tol: float = 1e-10,
     how far it got.  iterations is the Krylov dimension reached.  Every
     call runs its own iteration; nothing is stored on the operator.
     """
-    mu, resid, iters, ok = _arnoldi_rightmost(_symmetrized_action(op),
-                                              op.n_nodes, tol, max_iter)
+    mu, resid, iters, ok = arnoldi_rightmost(_symmetrized_action(op),
+                                             op.n_nodes, tol, max_iter)
     return EigResult(value=1.0 - mu, residual=resid, iterations=iters,
                      converged=ok)
 

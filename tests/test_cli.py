@@ -207,6 +207,11 @@ BAD_INPUT_FILES = {
      ["--init cosine", "A >= 2B"]),
     (["sweep", "--preset", "fast", "--config", "{tmp}/dry.ini"],
      ["sweep", "A >= 2B", "B = 1.0"]),
+    # step counts that would never finish
+    (["simulate", "--L", "2", "--nodes", "9", "--t-final", "1e300"],
+     ["t_final / h_t", "1e+304", "10,000,000"]),
+    (["simulate", "--L", "2", "--nodes", "9", "--t-final", "0.05",
+      "--ht", "1e-300"], ["t_final / h_t", "5e+298", "10,000,000"]),
 ])
 def test_bad_input_exits_2_without_traceback(argv, needles, tmp_path,
                                              monkeypatch, capsys):
@@ -353,6 +358,9 @@ def test_bifurcate_defaults_and_outputs(tmp_path, monkeypatch, capsys):
         assert row["bordered_solves"] >= (row["points"]
                                           + row["corrector_iterations"])
         assert row["halvings"] >= 0 and row["wall_s"] > 0
+        # stride-25 flags plus the last point, one eigen-solve each
+        assert row["eigen_solves"] == len(range(0, row["points"] - 1, 25)) + 1
+        assert row["krylov_dim_total"] >= row["eigen_solves"]
         assert any(ln.startswith(f"branch {label}: {row['points']} points, "
                                  f"{row['halvings']} halvings, ")
                    for ln in progress)
@@ -361,6 +369,15 @@ def test_bifurcate_defaults_and_outputs(tmp_path, monkeypatch, capsys):
                                "A,max_v,avg_v,avg_v_nodes,stable")
     assert any("dw80-vegetated" in ln for ln in branch_lines[1:])
     assert (outdir / "folds.csv").exists()
+    # one diagnostics row per flagged point, its flag in branch.csv
+    diag = (outdir / "branch_diagnostics.csv").read_text().splitlines()
+    assert diag[0] == "branch,point_index,A,rightmost_real,krylov_dim"
+    assert len(diag) - 1 == sum(r["eigen_solves"] for r in branches.values())
+    flagged = sum(ln.endswith((",true", ",false")) for ln in branch_lines)
+    assert flagged == len(diag) - 1
+    for label, row in branches.items():
+        rows = [ln.split(",") for ln in diag[1:] if ln.startswith(label + ",")]
+        assert sum(int(r[4]) for r in rows) == row["krylov_dim_total"]
     profiles = list((outdir / "profiles").glob("gallery-*.csv"))
     assert profiles
 

@@ -3,8 +3,10 @@ import math
 import numpy as np
 import pytest
 
-from vegpatch.continuation import (PalcControls, StationaryResidual, newton,
-                                   palc_continue, rightmost_eigenvalue_dense,
+from vegpatch.continuation import (FLAG_RES_TOL, STABLE_BELOW, PalcControls,
+                                   StationaryResidual, _rightmost_inverse,
+                                   newton, palc_continue,
+                                   rightmost_eigenvalue_dense,
                                    solve_stationary, stability_flag,
                                    water_block_inverse)
 from vegpatch.discretization import build_operators, make_grid
@@ -12,6 +14,7 @@ from vegpatch.dynamics import initial_state, simulate_horizon
 from vegpatch.errors import NewtonDiverged, SingularJacobian
 from vegpatch.kinetics import (ModelParams, constant_steady_states,
                                solve_water_stationary, vegetated_equilibrium)
+from vegpatch.spectral import arnoldi_rightmost
 
 
 class ToyFold:
@@ -32,6 +35,9 @@ class ToyFold:
         m = np.block([[self.jacobian(u, A), col[:, None]],
                       [row[None, :], np.array([[corner]])]])
         return np.linalg.solve(m, rhs)
+
+    def summarize(self, u):
+        return float(u.max()), float(u.mean()), float(u.mean())
 
 
 class TestNewton:
@@ -87,8 +93,7 @@ class TestToyContinuation:
     def test_step_failure_when_no_step_can_be_corrected(self):
         # residual is exact at the seed but non-finite everywhere else, so
         # every corrector attempt fails and the step size underflows
-        class Wall:
-            n_unknowns = 1
+        class Wall(ToyFold):
 
             def residual(self, u, A):
                 if A == 0.0 and u[0] == 1.0:
@@ -100,11 +105,6 @@ class TestToyContinuation:
 
             def d_dA(self, u, A):
                 return np.array([0.5])
-
-            def bordered_solve(self, u, A, col, row, corner, rhs):
-                m = np.block([[self.jacobian(u, A), col[:, None]],
-                              [row[None, :], np.array([[corner]])]])
-                return np.linalg.solve(m, rhs)
 
         branch = palc_continue(Wall(), 0.0, (-1.0, 1.0), np.array([1.0]),
                                PalcControls(ds0=0.01, direction=1.0,
@@ -256,6 +256,23 @@ class TestBorderedSolve:
         assert got[-1] == 0.0
         assert np.linalg.norm(got[:-1] - ref) <= 1e-10 * np.linalg.norm(ref)
 
+    @pytest.mark.parametrize("n", [3, 4, 9, 75])
+    @pytest.mark.parametrize("d_w", [0.1, 80.0])
+    @pytest.mark.parametrize("variant", ["nonlocal", "local"])
+    def test_free_inverse_matches_dense_solve(self, variant, d_w, n,
+                                              laplace):
+        sr = _random_sr(variant, d_w, n, laplace)
+        rng = np.random.default_rng(n)
+        u = np.concatenate([rng.uniform(0.0, 4.0, n),
+                            rng.uniform(0.0, 1.8, n)])
+        free = sr.free_mask()
+        j_free = sr.jacobian(u, 1.8)[np.ix_(free, free)]
+        action, order = sr.free_inverse(u, 1.8)
+        assert order == len(j_free)
+        x = rng.normal(size=order)
+        ref = np.linalg.solve(j_free, x)
+        assert np.linalg.norm(action(x) - ref) <= 1e-10 * np.linalg.norm(ref)
+
     @pytest.mark.parametrize("n", [3, 4, 9, 75, 150])
     @pytest.mark.parametrize("d_w", [0.1, 80.0])
     def test_closed_form_water_inverse(self, d_w, n, laplace):
@@ -335,7 +352,7 @@ class TestStabilityFlag:
         grid = sr.ops.grid
         w0 = solve_water_stationary(np.zeros(grid.n_nodes), params, grid)
         u, _ = solve_stationary(sr, 0.5, sr.join(np.zeros(grid.n_nodes), w0))
-        assert stability_flag(sr, 0.5, u) is True
+        assert stability_flag(sr, 0.5, u).stable is True
 
     @pytest.fixture()
     def branch_points_at_1_8(self, habitat_sr, vegetated_branch):
@@ -358,12 +375,12 @@ class TestStabilityFlag:
 
     def test_upper_branch_stable(self, branch_points_at_1_8):
         sr, pts = branch_points_at_1_8
-        assert stability_flag(sr, 1.8, pts["upper"]) is True
+        assert stability_flag(sr, 1.8, pts["upper"]).stable is True
         assert rightmost_eigenvalue_dense(sr, 1.8, pts["upper"]) < 0
 
     def test_middle_branch_unstable(self, branch_points_at_1_8):
         sr, pts = branch_points_at_1_8
-        assert stability_flag(sr, 1.8, pts["middle"]) is False
+        assert stability_flag(sr, 1.8, pts["middle"]).stable is False
         assert rightmost_eigenvalue_dense(sr, 1.8, pts["middle"]) > 0
 
     def test_middle_branch_instability_confirmed_by_dynamics(
@@ -378,3 +395,73 @@ class TestStabilityFlag:
                                   h_t=1e-3, t_final=20.0)
         gap0 = 0.01 * float(np.abs(v).max())
         assert np.max(np.abs(out.v - v)) > 10.0 * gap0
+
+
+class TestArnoldiFlag:
+    """The shift-invert Arnoldi flag against the dense eigensolve."""
+
+    @pytest.mark.slow
+    @pytest.mark.parametrize("d_w", [0.1, 80.0])
+    @pytest.mark.parametrize("variant", ["nonlocal", "local"])
+    def test_matches_dense_oracle_at_stride_25(self, variant, d_w,
+                                               bif_suite, bif_grid, laplace):
+        kernel = laplace if variant == "nonlocal" else None
+        sr = StationaryResidual(
+            build_operators(bif_grid, variant, kernel),
+            ModelParams(3.0, 0.45, 2.0, d_w, variant,
+                        "laplace" if kernel else ""))
+        runs = [r for r in bif_suite.runs if r.variant == variant
+                and r.kernel in ("laplace", "") and r.d_w == d_w]
+        assert len(runs) == 2                  # vegetated and desert
+        unstable = 0
+        for run in runs:
+            points = run.branch.points
+            for pt in points[::25] + points[-1:]:
+                got = stability_flag(sr, pt.A, pt.snapshot)
+                ref = rightmost_eigenvalue_dense(sr, pt.A, pt.snapshot)
+                assert got.stable == (ref < STABLE_BELOW), (run.branch.label,
+                                                              pt.index)
+                assert abs(got.rightmost - ref) <= 1e-6, (run.branch.label,
+                                                          pt.index)
+                unstable += not got.stable
+        assert unstable > 0
+
+    def test_finds_odd_rightmost_mode_of_symmetric_matrix(self):
+        # Reflection-symmetric J built on the cosine modes
+        # cos(pi k (i + 1/2) / n), even in i for even k and odd for odd k.
+        # The constant mode k = 0 holds the eigenvalue nearest zero and the
+        # odd mode k = 1 the rightmost one.
+        n = 40
+        k = np.arange(n)
+        modes = np.cos(np.pi * np.outer(k + 0.5, k) / n)
+        modes /= np.linalg.norm(modes, axis=0)
+        lam = -0.5 - 0.1 * k
+        lam[0] = -0.01
+        lam[1] = 0.3
+        j = modes @ np.diag(lam) @ modes.T
+        assert np.allclose(j[::-1, ::-1], j, atol=1e-14)
+        assert np.allclose(modes[::-1, 1], -modes[:, 1])
+        inv = np.linalg.inv(j)
+
+        class Symmetric:
+            def free_inverse(self, u, A):
+                return (lambda x: inv @ x), n
+
+        got = stability_flag(Symmetric(), 0.0, None)
+        assert got.stable is False
+        assert abs(got.rightmost - 0.3) <= 1e-10
+        # a constant start is an eigenvector here: the basis stops at one
+        # vector and the flag would read stable
+        mu, _, dim, _ = arnoldi_rightmost(lambda x: inv @ x, n, FLAG_RES_TOL,
+                                          n, select=_rightmost_inverse(n))
+        assert dim == 1
+        assert abs(1.0 / mu - (-0.01)) <= 1e-10
+
+    def test_singular_jacobian_is_flagged_unstable(self):
+        class Singular:
+            def free_inverse(self, u, A):
+                raise SingularJacobian("Schur complement singular")
+
+        got = stability_flag(Singular(), 0.0, None)
+        assert got.stable is False
+        assert math.isnan(got.rightmost) and got.krylov_dim == 0
