@@ -17,7 +17,8 @@ import numpy as np
 from .config import Resolver, finalize, make_resolver, resolve_output_dir
 from .continuation import PalcControls
 from .discretization import DENSE_LIMIT, build_operators, make_grid
-from .dynamics import (State, initial_state, run_to_steady, simulate_horizon)
+from .dynamics import (State, initial_state, run_to_steady, simulate_horizon,
+                       steady_state_rule)
 from .errors import ConfigError, EigenNotConverged, VegpatchError
 from .experiments import (BifurcationConfig, SweepConfig, builtin_kernel,
                           cosine_perturbed_start, detect_critical_L,
@@ -388,6 +389,8 @@ def cmd_steady(args) -> int:
     t0 = time.time()
     result = run_to_steady(state0, ops, params, h_t, tol, max_steps,
                            trajectory_every=every)
+    if result.blowup is not None:
+        raise result.blowup
     outdir = resolve_output_dir(args.out, "steady-out")
     outdir.mkdir(parents=True, exist_ok=True)
     write_profile_csv(outdir / "final_profile.csv", grid.nodes,
@@ -396,8 +399,10 @@ def cmd_steady(args) -> int:
         _write_trajectory(outdir / "trajectory.csv", result.trajectory)
     write_manifest(outdir / "manifest.json", {
         **_run_config_payload(res, "steady", outdir), "init": args.init,
-        "wall_time_s": time.time() - t0, "converged": result.converged,
-        "steps": result.steps, "last_step_delta": result.last_step_delta,
+        "wall_time_s": time.time() - t0,
+        "steady_state": steady_state_rule(h_t, tol),
+        "converged": result.converged, "steps": result.steps,
+        "last_step_delta": result.last_step_delta,
         "region_violations": result.region_violations})
     print(f"steady: converged={result.converged} steps={result.steps} "
           f"delta={result.last_step_delta:.3e}; outputs in {outdir}")
@@ -456,19 +461,12 @@ def cmd_sweep(args) -> int:
         **_run_config_payload(res, "sweep", outdir),
         "config": {f: getattr(cfg, f) for f in cfg.__dataclass_fields__},
         "steady_state": {
-            "scheme": "linearly implicit Euler: vegetation transport "
-                      "(non-local dispersal or local diffusion) and "
-                      "mortality implicit, growth v^2 w explicit, then "
-                      "water d_w Lap - (v^2 + 1) implicit",
-            "step": sorted({r.step_size for r in rows}),
-            "stopping_rule": f"h_t * ||F(v, w)||_2 < tol with h_t = "
-                             f"{cfg.h_t!r}, tol = {cfg.tol!r}",
+            **steady_state_rule(cfg.h_t, cfg.tol),
             "total_steps": sum(r.steps for r in rows),
             "unconverged": sum(not r.converged for r in rows)},
         "grid_policy": {
-            "rule": "N = max(n_min, ceil(nodes_per_L * L)), capped by the "
-                    "explicit stability bound",
-            "per_cell": {f"{v}-{k}-L{L:g}": sweep_resolution(cfg, L, v)
+            "rule": "N = max(n_min, ceil(nodes_per_L * L))",
+            "per_cell": {f"{v}-{k}-L{L:g}": sweep_resolution(cfg, L)
                          for L in cfg.L_values for v, k in cfg.variants}},
         "biomass_mean": "integral (trapezoid) mean used for detection",
         "rng": "deterministic (no random seeds used)",
@@ -491,25 +489,22 @@ def cmd_sweep(args) -> int:
 
 def _check_sweep(crit) -> list[str]:
     failures = []
-    by_key = {(c.variant, c.kernel): c for c in crit}
+    by_key = {(c.variant, c.kernel): c.L_crit for c in crit}
     try:
-        lap = by_key[("nonlocal", "laplace")].L_crit
-        sup = by_key[("nonlocal", "super_gaussian")].L_crit
-        loc = by_key[("local", "")].L_crit
+        values = [by_key[key] for key in LCRIT_REFERENCE]
     except KeyError as exc:
         return [f"missing variant in sweep: {exc}"]
-    if any(math.isnan(x) for x in (lap, sup, loc)):
+    if any(math.isnan(x) for x in values):
         failures.append("a variant never collapsed inside the swept range")
         return failures
+    lap, sup, loc = values
     if not lap < sup < loc:
         failures.append(
             f"ordering violated: laplace {lap:.3f}, super_gaussian "
             f"{sup:.3f}, local {loc:.3f}")
-    for key, value in (("nonlocal-laplace", lap),
-                       ("nonlocal-super_gaussian", sup), ("local", loc)):
-        ref = LCRIT_REFERENCE[{"nonlocal-laplace": ("nonlocal", "laplace"),
-                               "nonlocal-super_gaussian": ("nonlocal", "super_gaussian"),
-                               "local": ("local", "")}[key]]
+    for ((variant, kernel), ref), value in zip(LCRIT_REFERENCE.items(),
+                                               values):
+        key = f"{variant}-{kernel}" if kernel else variant
         lo, hi = ref * (1 - LCRIT_BAND), ref * (1 + LCRIT_BAND)
         if not lo <= value <= hi:
             failures.append(
@@ -552,24 +547,19 @@ def cmd_bifurcate(args) -> int:
     suite = run_bifurcation_suite(cfg, progress=_report_branch)
     outdir = resolve_output_dir(args.out, "bifurcate-out")
     outdir.mkdir(parents=True, exist_ok=True)
-    grids = {}
-    n = int(math.floor(cfg.nodes_per_L * cfg.L))
-    for d_w in d_w_values:
-        for variant, kernel in cfg.variants:
-            grids[(variant, kernel, d_w)] = make_grid(cfg.L, n)
     write_branch_csv(outdir / "branch.csv", suite)
     write_branch_diagnostics_csv(outdir / "branch_diagnostics.csv", suite)
     write_folds_csv(outdir / "folds.csv", suite)
     profiles_dir = outdir / "profiles"
-    written = write_gallery_profiles(profiles_dir, suite, grids)
-    written += write_branch_snapshots(profiles_dir, suite, grids,
+    written = write_gallery_profiles(profiles_dir, suite)
+    written += write_branch_snapshots(profiles_dir, suite,
                                       stride=snapshot_stride)
     if not args.no_plots:
         write_plot_scripts(outdir / "plots", suite=suite, B=cfg.B)
     write_manifest(outdir / "manifest.json", {
         **_run_config_payload(res, "bifurcate", outdir),
         "config": asdict(cfg),
-        "grid": {"L": cfg.L, "N": n},
+        "grid": {"L": suite.grid.half_width, "N": suite.grid.n_nodes},
         "rng": "deterministic (no random seeds used)",
         "profiles": written, "suite_errors": suite.errors,
         "folds": {f"{r.variant}-{r.kernel}-dw{r.d_w:g}-{r.seed}":

@@ -6,16 +6,16 @@ caller and then applies one of two in-place updates.  The linear terms of
 the right-hand side are folded once per run into one action per field: a
 dense matrix for non-local dispersal with mortality, and three-point
 stencils applied by np.correlate for local diffusion and for water.
-Explicit Euler, under explicit stability guards, serves the transients
-(fixed horizons, decay checks) and run_to_steady.  run_to_steady_batch
-takes linearly implicit (IMEX) Euler steps: vegetation transport and
-mortality implicit through one inverse formed per run, growth explicit,
-then water implicit with the new biomass frozen (Ascher, Ruuth & Wetton,
-SIAM J. Numer. Anal. 32, 1995).  Their fixed points are exactly the
-discrete stationary states, and their step of 0.5 is 500 to 5000 times the
-explicit ones.  Both steady-state runs stop when h_t times the l2 norm of
-the right-hand side (vegetation and water concatenated) drops below the
-tolerance, which for explicit Euler is the l2 size of the would-be update.
+Explicit Euler, under explicit stability guards, serves the time-accurate
+transients: fixed horizons and the decay checks.  Steady states, from
+run_to_steady and run_to_steady_batch alike, come from one driver taking
+linearly implicit (IMEX) Euler steps: vegetation transport and mortality
+implicit through one inverse formed per run, growth explicit, then water
+implicit with the new biomass frozen (Ascher, Ruuth & Wetton, SIAM J.
+Numer. Anal. 32, 1995).  Its fixed points are exactly the discrete
+stationary states.  The driver stops when h_t times the l2 norm of the
+right-hand side (vegetation and water concatenated) drops below the
+tolerance; h_t only scales that rule, and the step is always IMEX_STEP.
 A state that is already stationary converges after zero steps.
 """
 from __future__ import annotations
@@ -34,7 +34,6 @@ from .tridiag import thomas_solve
 BLOWUP_LIMIT = 1e6
 _GUARD_SQUARE = (BLOWUP_LIMIT / 2) ** 2   # prefilter on ||v||_2^2
 IMEX_STEP = 0.5
-MONITOR_EVERY = 25   # steady runs sample their running extremes this often
 
 
 @dataclass
@@ -56,8 +55,7 @@ class SteadyResult:
     max_w: float
     region_bound: float | None = None
     region_violations: int = 0
-    blowup: bool = False
-    step_size: float | None = None         # time step taken
+    blowup: Blowup | None = None           # the error that ended the run
     trajectory: np.ndarray | None = None   # rows (t, min v, max v, avg v, max w)
 
 
@@ -173,14 +171,14 @@ def _euler(h_t: float):
 
 
 def _imex(ops: Operators, params: ModelParams):
-    """Linearly implicit Euler: returns (step, in-place update).
+    """Linearly implicit Euler at IMEX_STEP: returns the in-place update.
 
     Vegetation transport and mortality are implicit and the growth v^2 w
     explicit: with T_v = d_v (K - I) on all nodes (non-local) or
     (d_v / 2) Lap on the interior nodes (local), one step is
     v <- P^-1 (v + h v^2 w) with P = (1 + h B) I - h T_v, whose inverse is
     formed once.  Water then takes d_w Lap - (v^2 + 1) implicitly with the
-    new v frozen (one Thomas solve).  The step is IMEX_STEP.
+    new v frozen (one Thomas solve).
     """
     h = IMEX_STEP
     if ops.variant == "local":
@@ -199,7 +197,7 @@ def _imex(ops: Operators, params: ModelParams):
         v[free] = step_v @ (v_free + h * v_free * v_free * w[free])
         lower, diag, upper = water_bands(v, params, ops.grid, 1.0 / h)
         w[1:-1] = thomas_solve(lower, diag, upper, -params.A - w[1:-1] / h)
-    return h, advance
+    return advance
 
 
 def _trajectory_row(t: float, v: np.ndarray, w: np.ndarray) -> tuple:
@@ -208,49 +206,59 @@ def _trajectory_row(t: float, v: np.ndarray, w: np.ndarray) -> tuple:
 
 
 def _steady(state: State, ops: Operators, params: ModelParams, h_t: float,
-            tol: float, max_steps: int, step: float, advance,
-            trajectory_every: int = 0,
-            raise_blowup: bool = True) -> SteadyResult:
-    """Step until h_t * ||F(v, w)||_2 < tol or max_steps runs out.
+            tol: float, max_steps: int,
+            trajectory_every: int = 0) -> SteadyResult:
+    """IMEX steps until h_t * ||F(v, w)||_2 < tol or max_steps runs out.
 
-    The running extremes of both fields are sampled every MONITOR_EVERY
-    steps, and excursions of the biomass above B / max(sup w0, A) counted
-    when the initial biomass starts inside that invariant interval.  With
-    raise_blowup False a blowup ends the run with blowup=True and the state
-    at the failing step instead of raising.
+    The running extremes of both fields are taken at every step, and
+    excursions of the biomass above B / max(sup w0, A) counted when the
+    initial biomass starts inside that invariant interval.  A blowup ends
+    the run with the Blowup in the result and the state at the failing
+    step.  The trajectory, when sampled, ends with the returned state.
     """
+    if not (h_t > 0 and tol > 0):
+        raise ValueError("h_t and tol must be positive")
     v, w = state.v, state.w
     r1 = max(float(w.max()), params.A)
     bound = params.B / r1 if float(v.max()) <= params.B / r1 + 1e-12 else None
     min_v, max_v, max_w = float(v.min()), float(v.max()), float(w.max())
     violations, n, delta = 0, 0, math.inf
-    converged = blowup = False
+    converged, blowup = False, None
     track: list[tuple] = []
     try:
-        for n, rhs_v, rhs_w in _march(state, ops, params, max_steps, advance):
+        for n, rhs_v, rhs_w in _march(state, ops, params, max_steps,
+                                      _imex(ops, params)):
             delta = h_t * math.sqrt(float(rhs_v.dot(rhs_v)
                                           + rhs_w.dot(rhs_w)))
-            # the states after steps 1, 1 + MONITOR_EVERY, ...
-            if (n - 1) % MONITOR_EVERY == 0:
-                cur_max = float(v.max())
-                min_v = min(min_v, float(v.min()))
-                max_v = max(max_v, cur_max)
-                max_w = max(max_w, float(w.max()))
-                if bound is not None and cur_max > bound + 1e-8:
-                    violations += 1
-            if trajectory_every > 0 and n % trajectory_every == 0:
-                track.append(_trajectory_row(n * step, v, w))
-            if delta < tol:
-                converged = True
+            converged = delta < tol
+            cur_max = float(v.max())
+            min_v = min(min_v, float(v.min()))
+            max_v = max(max_v, cur_max)
+            max_w = max(max_w, float(w.max()))
+            if bound is not None and cur_max > bound + 1e-8:
+                violations += 1
+            if trajectory_every > 0 and (n % trajectory_every == 0
+                                         or converged or n == max_steps):
+                track.append(_trajectory_row(n * IMEX_STEP, v, w))
+            if converged:
                 break
     except Blowup as err:
-        if raise_blowup:
-            raise
-        n, delta, blowup = err.step, math.inf, True
-    state.t, state.step_count = n * step, n
+        n, delta, blowup = err.step, math.inf, err
+    state.t, state.step_count = n * IMEX_STEP, n
     traj = np.asarray(track) if trajectory_every > 0 else None
     return SteadyResult(state, converged, n, delta, min_v, max_v, max_w,
-                        bound, violations, blowup, step, traj)
+                        bound, violations, blowup, traj)
+
+
+def steady_state_rule(h_t: float, tol: float) -> dict:
+    """How steady states are computed, as the manifests record it."""
+    return {"scheme": "linearly implicit Euler: vegetation transport "
+                      "(non-local dispersal or local diffusion) and "
+                      "mortality implicit, growth v^2 w explicit, then "
+                      "water d_w Lap - (v^2 + 1) implicit",
+            "step": IMEX_STEP,
+            "stopping_rule": f"h_t * ||F(v, w)||_2 < tol with h_t = "
+                             f"{h_t!r}, tol = {tol!r}"}
 
 
 def initial_state(ops: Operators, v: np.ndarray, w: np.ndarray) -> State:
@@ -266,19 +274,19 @@ def initial_state(ops: Operators, v: np.ndarray, w: np.ndarray) -> State:
 def run_to_steady(initial: State, ops: Operators, params: ModelParams,
                   h_t: float, tol: float = 1e-5, max_steps: int = 2_000_000,
                   trajectory_every: int = 0) -> SteadyResult:
-    """Iterate explicit steps until the step-difference criterion is met.
+    """Take IMEX steps until h_t * ||F(v, w)||_2 < tol.
 
-    Returns the best state with converged=False when max_steps runs out.
-    The running extremes of both fields are tracked, and excursions of the
-    biomass above B / max(sup w0, A) are counted when the initial biomass
-    starts inside that invariant interval.  With trajectory_every > 0 the
-    result carries (t, min v, max v, avg v, max w) samples at that cadence.
+    h_t only scales the stopping rule; the step is IMEX_STEP.  Returns the
+    last state with converged=False when max_steps runs out, and with the
+    Blowup in blowup when the biomass blows up.  The running extremes of
+    both fields are tracked, and excursions of the biomass above
+    B / max(sup w0, A) are counted when the initial biomass starts inside
+    that invariant interval.  With trajectory_every > 0 the result carries
+    (t, min v, max v, avg v, max w) samples at that cadence and at the
+    returned state.
     """
-    check_timestep(ops, params, h_t)
-    if tol <= 0:
-        raise ValueError("tol must be positive")
     return _steady(initial_state(ops, initial.v, initial.w), ops, params,
-                   h_t, tol, max_steps, h_t, _euler(h_t), trajectory_every)
+                   h_t, tol, max_steps, trajectory_every)
 
 
 def simulate_horizon(initial: State, ops: Operators, params: ModelParams,
@@ -310,24 +318,15 @@ class BatchCell:
 def run_to_steady_batch(cells: Iterable[BatchCell], h_t: float,
                         tol: float = 1e-5,
                         max_steps: int = 2_000_000) -> list[SteadyResult]:
-    """Steady states of independent cells by linearly implicit Euler.
+    """Steady states of independent cells, each as run_to_steady finds it.
 
-    Each cell takes steps of IMEX_STEP with vegetation transport, mortality
-    and water implicit and growth explicit (see _imex); a fixed point of
-    the step is exactly a discrete stationary state.  The stopping rule is
-    run_to_steady's, h_t * ||F(v, w)||_2 < tol with F the right-hand side,
-    so h_t only scales the criterion; max_steps caps the implicit steps of
-    each cell.  Cells that blow up come back unconverged with blowup=True.
     Cells run one at a time in iteration order, so a generator of cells
-    keeps only the running cell's operators alive.
+    keeps only the running cell's operators alive.  Each cell calls the
+    shared driver itself rather than run_to_steady, so a run of cells counts
+    as one steady-state call.
     """
-    if h_t <= 0:
-        raise UnstableTimestep("time step must be positive")
-    if tol <= 0:
-        raise ValueError("tol must be positive")
     return [_steady(initial_state(c.ops, c.v0, c.w0), c.ops, c.params, h_t,
-                    tol, max_steps, *_imex(c.ops, c.params),
-                    raise_blowup=False)
+                    tol, max_steps)
             for c in cells]
 
 

@@ -74,40 +74,28 @@ def log_spaced_L(n_points: int, lo: float = 1.0, hi: float = 100.0):
 
 
 def full_sweep_config() -> SweepConfig:
-    """Full 50-point sweep over L in [1, 100] at the reference step size."""
+    """Full 50-point sweep over L in [1, 100]; reference stopping rule."""
     return SweepConfig(L_values=log_spaced_L(50))
 
 
 def fast_sweep_config() -> SweepConfig:
-    """Reduced 20-point sweep over L in [1, 10]; coarser time step.
+    """Reduced 20-point sweep over L in [1, 10]; looser stopping rule.
 
     Intended for the quick ordering-and-bracketing check.  The steady states
     come from the implicit stepper, whose step does not depend on h_t; the
-    larger h_t loosens the stopping rule h_t * ||F||_2 < tol tenfold and
-    coarsens the local variant's stability-capped grids at small widths.
+    larger h_t loosens the stopping rule h_t * ||F||_2 < tol tenfold.
     """
     return SweepConfig(L_values=log_spaced_L(20, 1.0, 10.0), h_t=1e-3,
                        max_steps=300_000)
 
 
-def sweep_resolution(cfg: SweepConfig, L: float,
-                     variant: str = "nonlocal") -> int:
-    """Node count for one sweep cell: resolution rule capped by stability.
+def sweep_resolution(cfg: SweepConfig, L: float) -> int:
+    """Node count for one sweep cell, the same for every variant.
 
-    The base rule keeps at least n_min nodes and nodes_per_L per unit
-    half-width.  Node counts are then capped so the explicit diffusion
-    numbers (vegetation d_v/2 for the local variant, water d_w for all)
-    stay at or below 0.4 for the configured time step.  The implicit
-    stepper needs no cap; it is kept so the sweep's grids stay fixed.
+    At least n_min nodes and nodes_per_L per unit half-width; the implicit
+    stepper puts no stability bound on the spacing.
     """
-    n = max(cfg.n_min, int(math.ceil(cfg.nodes_per_L * L)))
-    caps = [cfg.d_w]
-    if variant == "local":
-        caps.append(0.5 * cfg.d_v)
-    for d in caps:
-        h_min = math.sqrt(d * cfg.h_t / 0.4)
-        n = min(n, max(3, int(math.floor(2.0 * L / h_min)) + 1))
-    return n
+    return max(cfg.n_min, int(math.ceil(cfg.nodes_per_L * L)))
 
 
 @dataclass(frozen=True)
@@ -121,7 +109,6 @@ class SweepRow:
     max_biomass: float
     steps: int
     converged: bool
-    step_size: float = math.nan   # implicit step used; not written to the CSV
 
 
 @dataclass(frozen=True)
@@ -143,7 +130,7 @@ def run_patch_sweep(cfg: SweepConfig) -> list[SweepRow]:
     by (variant, kernel, L) so repeated runs produce identical files.
     """
     keys = [(variant, kernel_family, L,
-             make_grid(L, sweep_resolution(cfg, L, variant)))
+             make_grid(L, sweep_resolution(cfg, L)))
             for L in cfg.L_values for variant, kernel_family in cfg.variants]
 
     def cells():
@@ -165,8 +152,7 @@ def run_patch_sweep(cfg: SweepConfig) -> list[SweepRow]:
             avg_biomass=float(grid.quad_weights @ v) / (2.0 * grid.half_width),
             avg_biomass_nodes=float(v.mean()),
             max_biomass=float(v.max()),
-            steps=res.steps, converged=res.converged,
-            step_size=res.step_size))
+            steps=res.steps, converged=res.converged))
     rows.sort(key=lambda r: (r.variant, r.kernel, r.L))
     return rows
 
@@ -229,6 +215,7 @@ class GalleryProfile:
 
 @dataclass
 class BifurcationSuite:
+    grid: Grid1D | None = None   # shared by every branch of the suite
     runs: list[BranchRun] = field(default_factory=list)
     galleries: list[GalleryProfile] = field(default_factory=list)
     errors: list[str] = field(default_factory=list)
@@ -248,8 +235,8 @@ def _flag_selected(sr: StationaryResidual, branch: Branch, stride: int):
 
 def _trace_cell(cfg: BifurcationConfig, variant: str, kernel_family: str,
                 d_w: float, suite: BifurcationSuite, progress) -> None:
-    n = int(math.floor(cfg.nodes_per_L * cfg.L))
-    grid = make_grid(cfg.L, n)
+    grid = suite.grid
+    n = grid.n_nodes
     kernel = builtin_kernel(kernel_family) if kernel_family else None
     ops = build_operators(grid, variant, kernel)
     params = ModelParams(cfg.A_start, cfg.B, cfg.d_v, d_w, variant,
@@ -332,9 +319,12 @@ def run_bifurcation_suite(cfg: BifurcationConfig,
                           progress=None) -> BifurcationSuite:
     """Trace all branches for every (variant, kernel, d_w) cell.
 
-    ``progress(branch)``, when given, is called as each branch is finished.
+    Every branch lives on one grid of floor(nodes_per_L * L) nodes, which
+    the suite carries.  ``progress(branch)``, when given, is called as each
+    branch is finished.
     """
-    suite = BifurcationSuite()
+    suite = BifurcationSuite(
+        make_grid(cfg.L, int(math.floor(cfg.nodes_per_L * cfg.L))))
     for d_w in cfg.d_w_values:
         for variant, kernel_family in cfg.variants:
             _trace_cell(cfg, variant, kernel_family, d_w, suite,

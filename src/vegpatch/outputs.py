@@ -98,8 +98,7 @@ def write_profile_csv(path, x: np.ndarray, v: np.ndarray,
         _write_csv(Path(path), ["x", "v", "w"], zip(x, v, w))
 
 
-def write_gallery_profiles(directory, suite: BifurcationSuite,
-                           grids: dict) -> list[str]:
+def write_gallery_profiles(directory, suite: BifurcationSuite) -> list[str]:
     """One profile CSV per gallery entry; returns the written names."""
     directory = Path(directory)
     written = []
@@ -107,20 +106,19 @@ def write_gallery_profiles(directory, suite: BifurcationSuite,
                     key=lambda g: (g.variant, g.kernel, g.d_w, g.A)):
         name = (f"gallery-{g.variant}-{g.kernel or 'none'}-dw{g.d_w:g}"
                 f"-A{g.A:g}.csv")
-        grid = grids[(g.variant, g.kernel, g.d_w)]
-        write_profile_csv(directory / name, grid.nodes, g.v, g.w)
+        write_profile_csv(directory / name, suite.grid.nodes, g.v, g.w)
         written.append(name)
     return written
 
 
-def write_branch_snapshots(directory, suite: BifurcationSuite, grids: dict,
+def write_branch_snapshots(directory, suite: BifurcationSuite,
                            stride: int = 0) -> list[str]:
     """Profile CSVs for selected branch points (folds and every stride-th)."""
     directory = Path(directory)
+    grid = suite.grid
+    n = grid.n_nodes
     written = []
     for run in suite.runs:
-        grid = grids[(run.variant, run.kernel, run.d_w)]
-        n = grid.n_nodes
         chosen = {0, len(run.branch.points) - 1}
         if stride > 0:
             chosen.update(range(0, len(run.branch.points), stride))

@@ -13,6 +13,7 @@ from hypothesis import strategies as st
 from vegpatch.cli import main
 from vegpatch.config import (KNOWN_KEYS, load_ini, make_resolver,
                              resolve_output_dir)
+from vegpatch.dynamics import IMEX_STEP
 from vegpatch.errors import ConfigError
 
 
@@ -65,6 +66,32 @@ def test_steady_writes_profile_and_manifest(tmp_path, monkeypatch, capsys):
     assert manifest["resolved"]["model"]["A"] == 1.8
     assert manifest["resolved"]["integration"]["h_t"] == 1e-3
     assert_keys_known(manifest["resolved"])
+
+
+def test_steady_trajectory_ends_with_the_returned_state(tmp_path,
+                                                        monkeypatch):
+    # a steady run takes far fewer steps than the cadence, yet its last row
+    # is the state it returns
+    code = run_cli(["steady", "--L", "10", "--nodes", "65", "--dump-every",
+                    "100", "--out", "traj"], monkeypatch, tmp_path)
+    assert code == 0
+    manifest = json.loads((tmp_path / "traj" / "manifest.json").read_text())
+    assert 0 < manifest["steps"] < 100
+    assert manifest["steady_state"]["step"] == IMEX_STEP
+    track = (tmp_path / "traj" / "trajectory.csv").read_text().splitlines()
+    assert [float(row.split(",")[0]) for row in track[1:]] == [
+        0.0, manifest["steps"] * IMEX_STEP]
+
+
+def test_steady_blowup_exits_3_naming_step_and_node(tmp_path, monkeypatch,
+                                                    capsys):
+    code = run_cli(["steady", "--L", "10", "--nodes", "65", "--init",
+                    "uniform:9e5", "--out", "blow"], monkeypatch, tmp_path)
+    assert code == 3
+    summary = json.loads(capsys.readouterr().err)
+    assert summary["type"] == "Blowup"
+    assert "step 1, node " in summary["message"]
+    assert not (tmp_path / "blow" / "final_profile.csv").exists()
 
 
 def test_simulate_dumps_trajectory(tmp_path, monkeypatch):

@@ -31,14 +31,12 @@ def test_cosine_start_vanishing_perturbation_at_edges():
     assert np.all(w0 == eq.w_star)
 
 
-def test_sweep_resolution_policy():
+def test_sweep_resolution_policy(fast_sweep_rows):
     cfg = fast_sweep_config()
-    assert sweep_resolution(cfg, 1.0, "nonlocal") <= 128
-    assert sweep_resolution(cfg, 100.0, "nonlocal") == 800
-    # the local variant is capped by the vegetation diffusion number
-    n_local = sweep_resolution(cfg, 1.0, "local")
-    h = 2.0 / (n_local - 1)
-    assert 0.5 * cfg.d_v * cfg.h_t / h**2 <= 0.5
+    assert sweep_resolution(cfg, 100.0) == 800
+    # no variant's grid is capped: the L = 1 cells all take n_min nodes
+    assert {(r.variant, r.N) for r in fast_sweep_rows if r.L == 1.0} == {
+        ("local", 128), ("nonlocal", 128)}
 
 
 def _row(variant, kernel, L, avg, converged=True):
