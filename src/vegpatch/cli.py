@@ -14,7 +14,7 @@ from dataclasses import asdict
 
 import numpy as np
 
-from .config import Resolver, finalize, make_resolver, resolve_output_dir
+from .config import Resolver, make_resolver, resolve_output_dir
 from .continuation import PalcControls
 from .discretization import DENSE_LIMIT, build_operators, make_grid
 from .dynamics import (State, initial_state, run_to_steady, simulate_horizon,
@@ -104,9 +104,8 @@ def _choice(name: str, value: str, choices) -> str:
 
 
 def _run_config_payload(res: Resolver, experiment: str, outdir) -> dict:
-    cfg = finalize(res, experiment, outdir)
-    return {"experiment": cfg.experiment, "output_dir": str(cfg.output_dir),
-            "resolved": cfg.sections}
+    return {"experiment": experiment, "output_dir": str(outdir),
+            "resolved": res.resolved}
 
 
 def _build_parser() -> argparse.ArgumentParser:
@@ -154,7 +153,12 @@ def _build_parser() -> argparse.ArgumentParser:
         p.add_argument("--dump-every", type=int, default=None,
                        help="trajectory sample cadence in steps")
         if name == "simulate":
+            p.add_argument("--ht", type=float, default=None,
+                           help="explicit Euler time step")
             p.add_argument("--t-final", type=float, default=None)
+        else:
+            p.add_argument("--tol", type=float, default=None,
+                           help="stop when ||F(v, w)||_2 < tol")
         p.set_defaults(handler=cmd_simulate if name == "simulate" else cmd_steady)
 
     pw = sub.add_parser("sweep", help="critical patch size sweep")
@@ -164,8 +168,6 @@ def _build_parser() -> argparse.ArgumentParser:
     pw.add_argument("--points", type=int, default=None)
     pw.add_argument("--L-min", type=float, default=None)
     pw.add_argument("--L-max", type=float, default=None)
-    pw.add_argument("--ht", type=float, default=None)
-    pw.add_argument("--max-steps", type=int, default=None)
     pw.add_argument("--threshold", type=float, default=None)
     pw.add_argument("--no-plots", action="store_true")
     pw.add_argument("--check", action="store_true",
@@ -196,9 +198,6 @@ def _add_model_flags(p) -> None:
                    default=None)
     p.add_argument("--L", type=float, default=None)
     p.add_argument("--nodes", type=int, default=None)
-    p.add_argument("--ht", type=float, default=None)
-    p.add_argument("--tol", type=float, default=None)
-    p.add_argument("--max-steps", type=int, default=None)
 
 
 def cmd_kernels(args) -> int:
@@ -378,17 +377,13 @@ def _write_trajectory(path, track) -> None:
 def cmd_steady(args) -> int:
     res = make_resolver(args.config)
     params, grid, ops = _resolve_model(args, res)
-    h_t = _positive("h_t", res.get("integration", "h_t", float, 1e-4, args.ht))
-    tol = _positive("tol", res.get("integration", "tol", float, 1e-5,
+    tol = _positive("tol", res.get("integration", "tol", float, 0.1,
                                    args.tol))
-    max_steps = _non_negative("max_steps", res.get(
-        "integration", "max_steps", int, 2_000_000, args.max_steps))
     every = _non_negative("trajectory_every", res.get(
         "integration", "trajectory_every", int, 0, args.dump_every))
     state0 = _initial_from_flag(args.init, params, grid, ops)
     t0 = time.time()
-    result = run_to_steady(state0, ops, params, h_t, tol, max_steps,
-                           trajectory_every=every)
+    result = run_to_steady(state0, ops, params, tol, trajectory_every=every)
     if result.blowup is not None:
         raise result.blowup
     outdir = resolve_output_dir(args.out, "steady-out")
@@ -400,15 +395,16 @@ def cmd_steady(args) -> int:
     write_manifest(outdir / "manifest.json", {
         **_run_config_payload(res, "steady", outdir), "init": args.init,
         "wall_time_s": time.time() - t0,
-        "steady_state": steady_state_rule(h_t, tol),
+        "steady_state": steady_state_rule(tol),
         "converged": result.converged, "steps": result.steps,
-        "last_step_delta": result.last_step_delta,
+        "residual": result.residual,
         "region_violations": result.region_violations})
     print(f"steady: converged={result.converged} steps={result.steps} "
-          f"delta={result.last_step_delta:.3e}; outputs in {outdir}")
+          f"residual={result.residual:.3e}; outputs in {outdir}")
     if not result.converged:
-        _error_summary("numerical",
-                       VegpatchError("steady state not reached"))
+        _error_summary("numerical", VegpatchError(
+            f"steady state not reached: ||F(v, w)||_2 = "
+            f"{result.residual:.3e} after {result.steps} steps, tol {tol!r}"))
         return 3
     return 0
 
@@ -428,10 +424,6 @@ def _sweep_config_from(args, res: Resolver) -> SweepConfig:
                                     cfg.L_values[0], args.L_min))
     hi = _positive("L_max", res.get("sweep", "L_max", float,
                                     cfg.L_values[-1], args.L_max))
-    h_t = _positive("h_t", res.get("integration", "h_t", float, cfg.h_t,
-                                   args.ht))
-    max_steps = _non_negative("max_steps", res.get(
-        "integration", "max_steps", int, cfg.max_steps, args.max_steps))
     threshold = _positive("threshold", res.get(
         "sweep", "threshold", float, cfg.threshold, args.threshold))
     A = _positive("A", res.get("model", "A", float, cfg.A))
@@ -440,8 +432,7 @@ def _sweep_config_from(args, res: Resolver) -> SweepConfig:
     d_w = _positive("d_w", res.get("model", "d_w", float, cfg.d_w))
     _require_vegetated("the sweep's start", A, B)
     return SweepConfig(L_values=log_spaced_L(points, lo, hi), A=A, B=B,
-                       d_v=d_v, d_w=d_w, h_t=h_t, tol=cfg.tol,
-                       max_steps=max_steps, n_min=cfg.n_min,
+                       d_v=d_v, d_w=d_w, tol=cfg.tol, n_min=cfg.n_min,
                        nodes_per_L=cfg.nodes_per_L, threshold=threshold)
 
 
@@ -461,7 +452,7 @@ def cmd_sweep(args) -> int:
         **_run_config_payload(res, "sweep", outdir),
         "config": {f: getattr(cfg, f) for f in cfg.__dataclass_fields__},
         "steady_state": {
-            **steady_state_rule(cfg.h_t, cfg.tol),
+            **steady_state_rule(cfg.tol),
             "total_steps": sum(r.steps for r in rows),
             "unconverged": sum(not r.converged for r in rows)},
         "grid_policy": {
@@ -617,6 +608,20 @@ def _check_bifurcation(suite, cfg) -> list[str]:
             failures.append(
                 f"fold of {run.variant}-{run.kernel} d_w=0.1 at "
                 f"{a_fold:.4f} outside {FOLD_BAND}")
+    # A stability change between two flagged points with no fold between
+    # them would be a bifurcation the continuation does not detect.  Only
+    # the presence of a fold is checked: two folds can take a stable state
+    # to one with two unstable eigenvalues.
+    for run in suite.runs:
+        flagged = [pt for pt in run.branch.points if pt.stability is not None]
+        for p, q in zip(flagged, flagged[1:]):
+            if (p.stability.stable != q.stability.stable
+                    and not any(p.index <= f.after_index < q.index
+                                for f in run.branch.folds)):
+                failures.append(
+                    f"stability flips without a fold on {run.branch.label} "
+                    f"between points {p.index} (A={p.A:.4f}) and "
+                    f"{q.index} (A={q.A:.4f})")
     fast = [r for r in suite.runs
             if r.d_w == CHECK_D_W[1] and r.variant == "nonlocal"]
     if fast and not any(pt.A < 2 * cfg.B and pt.max_v > 0.1

@@ -20,7 +20,7 @@ OUTPUT_ROOT_ENV = "VEGPATCH_OUT"
 KNOWN_KEYS = {
     "model": {"a", "b", "d_v", "d_w", "variant", "kernel"},
     "grid": {"l", "n"},
-    "integration": {"h_t", "t_final", "tol", "max_steps", "trajectory_every"},
+    "integration": {"h_t", "t_final", "tol", "trajectory_every"},
     "sweep": {"preset", "points", "l_min", "l_max", "threshold"},
     "bifurcation": {"d_w_values", "l", "gallery_a", "stability_stride"},
     "continuation": {"ds0", "ds_min", "ds_max", "point_cap", "newton_tol"},
@@ -45,15 +45,6 @@ def _cast(value: str, kind, section: str, key: str):
         raise ConfigError(
             f"[{section}] {key} = {value!r}: expected {getattr(kind, '__name__', kind)}"
         ) from exc
-
-
-@dataclass(frozen=True)
-class RunConfig:
-    """Fully resolved configuration of one CLI run, echoed into manifests."""
-
-    experiment: str
-    output_dir: Path
-    sections: dict
 
 
 @dataclass
@@ -98,11 +89,6 @@ def make_resolver(config_path: str | None) -> Resolver:
     res = Resolver(load_ini(config_path))
     res.reject_unknown(KNOWN_KEYS)
     return res
-
-
-def finalize(resolver: Resolver, experiment: str, output_dir) -> RunConfig:
-    return RunConfig(experiment=experiment, output_dir=Path(output_dir),
-                     sections=resolver.resolved)
 
 
 def resolve_output_dir(out: str | None, default: str = ".") -> Path:

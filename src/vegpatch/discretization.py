@@ -94,10 +94,6 @@ class DispersalOperator:
     def row_sums(self) -> np.ndarray:
         return self.apply(np.ones(self.n_nodes)) + 1.0
 
-    def export_csv(self, path) -> None:
-        """Dump the dense matrix for cross-checks in external tools."""
-        np.savetxt(path, self.matrix, delimiter=",")
-
 
 def _densify(n, band, left_col, right_col) -> np.ndarray:
     """Dense K: mat[i, j] = band[hb + i - j] on interior columns, which is

@@ -13,10 +13,10 @@ linearly implicit (IMEX) Euler steps: vegetation transport and mortality
 implicit through one inverse formed per run, growth explicit, then water
 implicit with the new biomass frozen (Ascher, Ruuth & Wetton, SIAM J.
 Numer. Anal. 32, 1995).  Its fixed points are exactly the discrete
-stationary states.  The driver stops when h_t times the l2 norm of the
-right-hand side (vegetation and water concatenated) drops below the
-tolerance; h_t only scales that rule, and the step is always IMEX_STEP.
-A state that is already stationary converges after zero steps.
+stationary states.  The driver stops when the l2 norm of the right-hand
+side (vegetation and water concatenated) drops below the tolerance, or
+after STEADY_STEP_CAP steps.  A state that is already stationary converges
+after zero steps.
 """
 from __future__ import annotations
 
@@ -34,6 +34,8 @@ from .tridiag import thomas_solve
 BLOWUP_LIMIT = 1e6
 _GUARD_SQUARE = (BLOWUP_LIMIT / 2) ** 2   # prefilter on ||v||_2^2
 IMEX_STEP = 0.5
+STEADY_STEP_CAP = 5_000   # IMEX steps; the slowest sweep cell needs 275
+                          # to reach ||F||_2 < 1e-8
 
 
 @dataclass
@@ -49,7 +51,7 @@ class SteadyResult:
     state: State
     converged: bool
     steps: int
-    last_step_delta: float
+    residual: float                         # ||F(v, w)||_2 at the end
     min_v: float
     max_v: float
     max_w: float
@@ -100,7 +102,7 @@ def _make_rhs(ops: Operators, params: ModelParams):
     Each field takes one linear action: vegetation M v with
     M = d_v (K - I) - B I, dense, in the non-local variant, or the stencil
     (b, -2b - B, b) with b = d_v / 2h^2 in the local one; water the stencil
-    (a, -2a - 1, a) with a = d_w / h^2.  Stencils run through np.convolve
+    (a, -2a - 1, a) with a = d_w / h^2.  Stencils run through np.correlate
     with zero ghost values.  Then g = v^2 w is added to the vegetation part,
     subtracted from the water part and the rainfall A added.  Pinned rows
     are zero: water always, vegetation only in the local variant (the
@@ -205,10 +207,9 @@ def _trajectory_row(t: float, v: np.ndarray, w: np.ndarray) -> tuple:
             float(w.max()))
 
 
-def _steady(state: State, ops: Operators, params: ModelParams, h_t: float,
-            tol: float, max_steps: int,
+def _steady(state: State, ops: Operators, params: ModelParams, tol: float,
             trajectory_every: int = 0) -> SteadyResult:
-    """IMEX steps until h_t * ||F(v, w)||_2 < tol or max_steps runs out.
+    """IMEX steps until ||F(v, w)||_2 < tol or STEADY_STEP_CAP runs out.
 
     The running extremes of both fields are taken at every step, and
     excursions of the biomass above B / max(sup w0, A) counted when the
@@ -216,21 +217,20 @@ def _steady(state: State, ops: Operators, params: ModelParams, h_t: float,
     the run with the Blowup in the result and the state at the failing
     step.  The trajectory, when sampled, ends with the returned state.
     """
-    if not (h_t > 0 and tol > 0):
-        raise ValueError("h_t and tol must be positive")
+    if not tol > 0:
+        raise ValueError("tol must be positive")
     v, w = state.v, state.w
     r1 = max(float(w.max()), params.A)
     bound = params.B / r1 if float(v.max()) <= params.B / r1 + 1e-12 else None
     min_v, max_v, max_w = float(v.min()), float(v.max()), float(w.max())
-    violations, n, delta = 0, 0, math.inf
+    violations, n, residual = 0, 0, math.inf
     converged, blowup = False, None
     track: list[tuple] = []
     try:
-        for n, rhs_v, rhs_w in _march(state, ops, params, max_steps,
+        for n, rhs_v, rhs_w in _march(state, ops, params, STEADY_STEP_CAP,
                                       _imex(ops, params)):
-            delta = h_t * math.sqrt(float(rhs_v.dot(rhs_v)
-                                          + rhs_w.dot(rhs_w)))
-            converged = delta < tol
+            residual = math.sqrt(float(rhs_v.dot(rhs_v) + rhs_w.dot(rhs_w)))
+            converged = residual < tol
             cur_max = float(v.max())
             min_v = min(min_v, float(v.min()))
             max_v = max(max_v, cur_max)
@@ -238,27 +238,28 @@ def _steady(state: State, ops: Operators, params: ModelParams, h_t: float,
             if bound is not None and cur_max > bound + 1e-8:
                 violations += 1
             if trajectory_every > 0 and (n % trajectory_every == 0
-                                         or converged or n == max_steps):
+                                         or converged
+                                         or n == STEADY_STEP_CAP):
                 track.append(_trajectory_row(n * IMEX_STEP, v, w))
             if converged:
                 break
     except Blowup as err:
-        n, delta, blowup = err.step, math.inf, err
+        n, residual, blowup = err.step, math.inf, err
     state.t, state.step_count = n * IMEX_STEP, n
     traj = np.asarray(track) if trajectory_every > 0 else None
-    return SteadyResult(state, converged, n, delta, min_v, max_v, max_w,
+    return SteadyResult(state, converged, n, residual, min_v, max_v, max_w,
                         bound, violations, blowup, traj)
 
 
-def steady_state_rule(h_t: float, tol: float) -> dict:
+def steady_state_rule(tol: float) -> dict:
     """How steady states are computed, as the manifests record it."""
     return {"scheme": "linearly implicit Euler: vegetation transport "
                       "(non-local dispersal or local diffusion) and "
                       "mortality implicit, growth v^2 w explicit, then "
                       "water d_w Lap - (v^2 + 1) implicit",
             "step": IMEX_STEP,
-            "stopping_rule": f"h_t * ||F(v, w)||_2 < tol with h_t = "
-                             f"{h_t!r}, tol = {tol!r}"}
+            "stopping_rule": f"||F(v, w)||_2 < {tol!r}",
+            "step_cap": STEADY_STEP_CAP}
 
 
 def initial_state(ops: Operators, v: np.ndarray, w: np.ndarray) -> State:
@@ -272,21 +273,19 @@ def initial_state(ops: Operators, v: np.ndarray, w: np.ndarray) -> State:
 
 
 def run_to_steady(initial: State, ops: Operators, params: ModelParams,
-                  h_t: float, tol: float = 1e-5, max_steps: int = 2_000_000,
-                  trajectory_every: int = 0) -> SteadyResult:
-    """Take IMEX steps until h_t * ||F(v, w)||_2 < tol.
+                  tol: float, trajectory_every: int = 0) -> SteadyResult:
+    """Take IMEX steps until ||F(v, w)||_2 < tol.
 
-    h_t only scales the stopping rule; the step is IMEX_STEP.  Returns the
-    last state with converged=False when max_steps runs out, and with the
-    Blowup in blowup when the biomass blows up.  The running extremes of
-    both fields are tracked, and excursions of the biomass above
-    B / max(sup w0, A) are counted when the initial biomass starts inside
-    that invariant interval.  With trajectory_every > 0 the result carries
-    (t, min v, max v, avg v, max w) samples at that cadence and at the
-    returned state.
+    Returns the last state with converged=False when STEADY_STEP_CAP steps
+    run out, and with the Blowup in blowup when the biomass blows up.  The
+    running extremes of both fields are tracked, and excursions of the
+    biomass above B / max(sup w0, A) are counted when the initial biomass
+    starts inside that invariant interval.  With trajectory_every > 0 the
+    result carries (t, min v, max v, avg v, max w) samples at that cadence
+    and at the returned state.
     """
     return _steady(initial_state(ops, initial.v, initial.w), ops, params,
-                   h_t, tol, max_steps, trajectory_every)
+                   tol, trajectory_every)
 
 
 def simulate_horizon(initial: State, ops: Operators, params: ModelParams,
@@ -315,9 +314,8 @@ class BatchCell:
     w0: np.ndarray
 
 
-def run_to_steady_batch(cells: Iterable[BatchCell], h_t: float,
-                        tol: float = 1e-5,
-                        max_steps: int = 2_000_000) -> list[SteadyResult]:
+def run_to_steady_batch(cells: Iterable[BatchCell],
+                        tol: float) -> list[SteadyResult]:
     """Steady states of independent cells, each as run_to_steady finds it.
 
     Cells run one at a time in iteration order, so a generator of cells
@@ -325,8 +323,7 @@ def run_to_steady_batch(cells: Iterable[BatchCell], h_t: float,
     shared driver itself rather than run_to_steady, so a run of cells counts
     as one steady-state call.
     """
-    return [_steady(initial_state(c.ops, c.v0, c.w0), c.ops, c.params, h_t,
-                    tol, max_steps)
+    return [_steady(initial_state(c.ops, c.v0, c.w0), c.ops, c.params, tol)
             for c in cells]
 
 

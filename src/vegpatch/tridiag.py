@@ -1,6 +1,6 @@
 """Thomas-style elimination for tridiagonal systems.
 
-The water equation and the inverse-iteration eigen solves only ever produce
+The water equation, stationary or one implicit step, only ever produces
 strictly diagonally dominant systems, so no pivoting is performed; a zero
 pivot is reported as SingularSystem instead of being repaired.
 

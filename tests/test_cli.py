@@ -13,7 +13,7 @@ from hypothesis import strategies as st
 from vegpatch.cli import main
 from vegpatch.config import (KNOWN_KEYS, load_ini, make_resolver,
                              resolve_output_dir)
-from vegpatch.dynamics import IMEX_STEP
+from vegpatch.dynamics import IMEX_STEP, STEADY_STEP_CAP
 from vegpatch.errors import ConfigError
 
 
@@ -56,16 +56,30 @@ def test_spectral_beta1_decreases_with_width(capsys):
 
 
 def test_steady_writes_profile_and_manifest(tmp_path, monkeypatch, capsys):
-    code = run_cli(["steady", "--L", "10", "--nodes", "65", "--ht", "1e-3",
-                    "--tol", "1e-4", "--out", "run1"], monkeypatch, tmp_path)
+    code = run_cli(["steady", "--L", "10", "--nodes", "65", "--tol", "0.1",
+                    "--out", "run1"], monkeypatch, tmp_path)
     assert code == 0
     outdir = tmp_path / "run1"
     assert (outdir / "final_profile.csv").exists()
     manifest = json.loads((outdir / "manifest.json").read_text())
     assert manifest["converged"] is True
+    assert manifest["residual"] < 0.1
     assert manifest["resolved"]["model"]["A"] == 1.8
-    assert manifest["resolved"]["integration"]["h_t"] == 1e-3
+    assert manifest["resolved"]["integration"] == {"tol": 0.1,
+                                                   "trajectory_every": 0}
     assert_keys_known(manifest["resolved"])
+    assert f"residual={manifest['residual']:.3e}" in capsys.readouterr().out
+
+
+def test_steady_stops_at_the_step_cap(tmp_path, monkeypatch, capsys):
+    code = run_cli(["steady", "--L", "2", "--nodes", "9", "--tol", "1e-300",
+                    "--out", "stuck"], monkeypatch, tmp_path)
+    assert code == 3
+    manifest = json.loads((tmp_path / "stuck" / "manifest.json").read_text())
+    assert manifest["converged"] is False
+    assert manifest["steps"] == STEADY_STEP_CAP
+    assert manifest["steady_state"]["step_cap"] == STEADY_STEP_CAP
+    assert "steady state not reached" in capsys.readouterr().err
 
 
 def test_steady_trajectory_ends_with_the_returned_state(tmp_path,
@@ -157,6 +171,7 @@ BAD_INPUT_FILES = {
     "point_cap.ini": "[continuation]\npoint_cap = 0\n",
     "stride.ini": "[bifurcation]\nstability_stride = -1\n",
     "dry.ini": "[model]\nB = 1\n",
+    "max_steps.ini": "[integration]\nmax_steps = 10\n",
 }
 
 
@@ -175,10 +190,8 @@ BAD_INPUT_FILES = {
     (["spectral", "--L", "5", "--spacing", "0"], ["--spacing", "0.0"]),
     (["spectral", "--L", "5", "--spacing", "-0.1"], ["--spacing", "-0.1"]),
     (["steady", "--tol", "nan"], ["tol", "nan"]),
-    (["steady", "--max-steps", "-1"], ["max_steps", "-1"]),
     (["simulate", "--dump-every", "-3"], ["trajectory_every", "-3"]),
     (["simulate", "--L", "5", "--nodes", "21", "--ht", "nan"], ["h_t", "nan"]),
-    (["sweep", "--preset", "fast", "--max-steps", "-1"], ["max_steps", "-1"]),
     (["spectral", "--L", "1", "--dv", "-1"], ["d_v must be finite"]),
     (["spectral", "--L", "1", "--M", "-1"], ["--M", "-1"]),
     (["spectral", "--L", "5", "--spacing", "1e-320"], ["inf nodes", "4096"]),
@@ -218,6 +231,11 @@ BAD_INPUT_FILES = {
      ["d_w must be finite", "-1"]),
     (["steady", "--config", "{tmp}/modle.ini"], ["section", "[modle]"]),
     (["steady", "--config", "{tmp}/aa.ini"], ["[model]", "aa", "'2'"]),
+    # steady states stop on tol alone
+    (["steady", "--config", "{tmp}/max_steps.ini"],
+     ["[integration]", "max_steps", "'10'"]),
+    (["sweep", "--preset", "fast", "--config", "{tmp}/max_steps.ini"],
+     ["[integration]", "max_steps", "'10'"]),
     # --check needs both diffusion rates it tests; nothing is traced
     (["bifurcate", "--check", "--config", "{tmp}/no_dw.ini"],
      ["--check", "d_w_values", "got none"]),
@@ -299,6 +317,61 @@ def test_no_subcommand_is_usage_error(capsys):
     assert "usage" in capsys.readouterr().out.lower()
 
 
+@pytest.mark.parametrize("argv", [
+    ["simulate", "--tol", "5"], ["simulate", "--max-steps", "3"],
+    ["steady", "--ht", "1e-3"], ["steady", "--max-steps", "3"],
+    ["sweep", "--ht", "1e-3"], ["sweep", "--max-steps", "3"],
+])
+def test_flags_a_command_does_not_read_are_rejected(argv, capsys):
+    with pytest.raises(SystemExit) as exc:
+        main(argv)
+    assert exc.value.code == 2
+    assert "unrecognized arguments" in capsys.readouterr().err
+
+
+def _synthetic_suite(flags, fold_after):
+    """One local d_w = 80 desert branch: flags maps point index to stable,
+    and a fold follows each index in fold_after."""
+    from vegpatch.continuation import Branch, BranchPoint, Fold, Stability
+    from vegpatch.experiments import BifurcationSuite, BranchRun
+
+    points = [BranchPoint(index=i, A=3.0 - 0.1 * i, s=0.1 * i, max_v=0.0,
+                          avg_v=0.0, avg_v_nodes=0.0, tangent_A=-1.0,
+                          snapshot=np.zeros(2), snapshot_id=f"p{i}",
+                          stability=(Stability(flags[i], -1.0, 1)
+                                     if i in flags else None))
+              for i in range(10)]
+    folds = [Fold(s=0.1 * i + 0.05, A=3.0 - 0.1 * i, after_index=i)
+             for i in fold_after]
+    branch = Branch(points=points, folds=folds, label="local-none-dw80-desert")
+    return BifurcationSuite(runs=[BranchRun("local", "", 80.0, "desert",
+                                            branch)])
+
+
+@pytest.mark.parametrize("flags, fold_after, fails", [
+    ({0: True, 4: True, 9: True}, [], False),
+    ({0: True, 4: False, 9: False}, [2], False),
+    ({0: True, 4: False, 9: False}, [3], False),      # fold right before 4
+    ({0: True, 4: False, 9: False}, [4], True),       # fold right after 4
+    ({0: True, 4: False, 9: True}, [1, 6], False),
+    ({0: True, 4: True, 9: False}, [1, 2], True),     # both folds before 4
+    ({0: True, 4: False, 9: False}, [], True),
+    ({0: True, 9: False}, [9], True),                 # fold past the last
+    ({0: True, 2: True, 9: False}, [0, 1], True),
+])
+def test_stability_flips_only_across_a_fold(flags, fold_after, fails):
+    from vegpatch.cli import _check_bifurcation
+    from vegpatch.experiments import BifurcationConfig
+
+    failures = _check_bifurcation(_synthetic_suite(flags, fold_after),
+                                  BifurcationConfig())
+    assert bool(failures) is fails
+    if fails:
+        assert len(failures) == 1
+        assert "stability flips without a fold" in failures[0]
+        assert "local-none-dw80-desert" in failures[0]
+
+
 def test_sweep_defaults_match_standard_experiment():
     # empty config resolves to the standard parameters and the 50-point
     # logarithmic ladder
@@ -306,14 +379,14 @@ def test_sweep_defaults_match_standard_experiment():
 
     from vegpatch.cli import _sweep_config_from
     args = argparse.Namespace(preset=None, points=None, L_min=None,
-                              L_max=None, ht=None, max_steps=None,
-                              threshold=None, workers=1, config=None)
+                              L_max=None, threshold=None, workers=1,
+                              config=None)
     cfg = _sweep_config_from(args, make_resolver(None))
     assert (cfg.A, cfg.B, cfg.d_v, cfg.d_w) == (1.8, 0.45, 2.0, 0.1)
     assert len(cfg.L_values) == 50
     assert cfg.L_values[0] == pytest.approx(1.0)
     assert cfg.L_values[-1] == pytest.approx(100.0)
-    assert cfg.h_t == 1e-4 and cfg.tol == 1e-5
+    assert cfg.tol == 0.1
 
 
 @pytest.mark.slow
@@ -321,8 +394,8 @@ def test_sweep_check_failure_exits_4(tmp_path, monkeypatch):
     # a ladder that never reaches collapse cannot satisfy the regression
     # check: every variant stays vegetated, so no critical width exists
     code = run_cli(["sweep", "--preset", "fast", "--points", "2",
-                    "--L-min", "5.0", "--L-max", "10.0", "--max-steps",
-                    "120000", "--out", "swfail", "--check"],
+                    "--L-min", "5.0", "--L-max", "10.0",
+                    "--out", "swfail", "--check"],
                    monkeypatch, tmp_path)
     assert code == 4
 
@@ -338,8 +411,8 @@ def test_output_root_env(monkeypatch):
 @pytest.mark.slow
 def test_sweep_defaults_and_outputs(tmp_path, monkeypatch):
     code = run_cli(["sweep", "--preset", "fast", "--points", "4",
-                    "--L-min", "1.0", "--L-max", "4.0", "--max-steps",
-                    "150000", "--out", "sw"], monkeypatch, tmp_path)
+                    "--L-min", "1.0", "--L-max", "4.0",
+                    "--out", "sw"], monkeypatch, tmp_path)
     assert code == 0
     outdir = tmp_path / "sw"
     sweep_lines = (outdir / "sweep.csv").read_text().splitlines()
@@ -358,8 +431,8 @@ def test_sweep_defaults_and_outputs(tmp_path, monkeypatch):
     # determinism: identical config, identical bytes
     first = (outdir / "sweep.csv").read_bytes()
     code = run_cli(["sweep", "--preset", "fast", "--points", "4",
-                    "--L-min", "1.0", "--L-max", "4.0", "--max-steps",
-                    "150000", "--out", "sw2"], monkeypatch, tmp_path)
+                    "--L-min", "1.0", "--L-max", "4.0",
+                    "--out", "sw2"], monkeypatch, tmp_path)
     assert code == 0
     assert (tmp_path / "sw2" / "sweep.csv").read_bytes() == first
 
@@ -433,8 +506,7 @@ def test_random_ini_files_never_end_in_a_traceback(sections):
         with contextlib.redirect_stdout(io.StringIO()), \
                 contextlib.redirect_stderr(err):
             code = main(["steady", "--config", str(ini), "--L", "2",
-                         "--nodes", "9", "--max-steps", "0",
-                         "--out", str(Path(tmp) / "out")])
+                         "--nodes", "9", "--out", str(Path(tmp) / "out")])
     assert code in (0, 2, 3)
     assert "Traceback" not in err.getvalue()
 
@@ -452,18 +524,22 @@ _NUMBERS = st.one_of(
        L=st.floats(min_value=0.1, max_value=5.0),
        nodes=st.integers(min_value=-1, max_value=41),
        t_final=st.floats(min_value=0.0, max_value=0.05),
-       max_steps=st.integers(min_value=0, max_value=200),
+       step_or_tol=st.one_of(st.none(), _NUMBERS),
        model=st.fixed_dictionaries(
            {}, optional={flag: _NUMBERS for flag in
-                         ("--ht", "--dv", "--dw", "--A", "--B")}))
+                         ("--dv", "--dw", "--A", "--B")}))
 def test_random_flags_never_end_in_a_traceback(command, variant, L, nodes,
-                                               t_final, max_steps, model):
+                                               t_final, step_or_tol, model):
     # any mix of finite, zero, negative, non-finite and huge model flags
-    # ends in a run, a configuration error or a numerical failure
+    # ends in a run, a configuration error or a numerical failure; simulate
+    # alone takes --ht and steady alone --tol
     argv = [command, "--variant", variant, f"--L={L!r}",
             f"--nodes={nodes}"]
-    argv += ([f"--t-final={t_final!r}"] if command == "simulate"
-             else [f"--max-steps={max_steps}"])
+    if command == "simulate":
+        argv.append(f"--t-final={t_final!r}")
+    if step_or_tol is not None:
+        flag = "--ht" if command == "simulate" else "--tol"
+        argv.append(f"{flag}={step_or_tol!r}")
     argv += [f"{flag}={value!r}" for flag, value in model.items()]
     with tempfile.TemporaryDirectory() as tmp:
         err = io.StringIO()

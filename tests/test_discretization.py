@@ -3,7 +3,7 @@ import math
 import numpy as np
 import pytest
 
-from vegpatch.discretization import (DENSE_LIMIT, _densify,
+from vegpatch.discretization import (_densify,
                                      _hat_moments_exact, assemble_laplacian,
                                      assemble_nonlocal, make_grid,
                                      taylor_consistency)
@@ -113,17 +113,6 @@ def test_schemes_agree_for_smooth_kernel(super_gaussian):
     trap = grid.quad_weights[None, :] * kernel_eval(super_gaussian, offsets)
     v = np.exp(-grid.nodes**2 / 10.0)
     assert np.max(np.abs(exact.apply(v) - (trap @ v - v))) < 5e-4
-
-
-def test_export_csv_roundtrip(tmp_path, laplace):
-    grid = make_grid(2.0, 41)
-    op = assemble_nonlocal(grid, laplace)
-    path = tmp_path / "K.csv"
-    op.export_csv(path)
-    back = np.loadtxt(path, delimiter=",")
-    assert np.allclose(back, op.matrix, atol=1e-15)
-    # every operator holds its dense matrix; the CLI caps N at DENSE_LIMIT
-    assert DENSE_LIMIT >= 4096
 
 
 _GAUSS_X, _GAUSS_W = np.polynomial.legendre.leggauss(24)

@@ -64,7 +64,7 @@ def test_blowup_reports_step_and_node(small_ops, default_params):
 def test_steady_blowup_returns_step_and_node(small_ops, default_params):
     n = small_ops.grid.n_nodes
     state = initial_state(small_ops, np.full(n, 9e5), np.full(n, 1.8))
-    result = run_to_steady(state, small_ops, default_params, h_t=1e-2)
+    result = run_to_steady(state, small_ops, default_params, tol=1e-3)
     err = result.blowup
     assert isinstance(err, Blowup) and not result.converged
     assert err.step == result.steps == result.state.step_count == 1
@@ -78,7 +78,7 @@ def test_batch_blowup_returns_failing_state(small_ops, default_params):
     n = small_ops.grid.n_nodes
     v0, w0 = np.full(n, 9e5), np.full(n, 1.8)
     (got,) = run_to_steady_batch(
-        [BatchCell(small_ops, default_params, v0, w0)], 1e-2)
+        [BatchCell(small_ops, default_params, v0, w0)], 1e-3)
     assert got.blowup and not got.converged
     assert got.steps == got.state.step_count == 1
     # one implicit step from the start: P v1 = v0 + h v0^2 w0 with
@@ -95,7 +95,7 @@ def test_steady_convergence_to_uniform_state(default_params, laplace):
     ops = build_operators(make_grid(50.0, 401), "nonlocal", laplace)
     v0, w0 = cosine_perturbed_start(ops.grid, 1.8, 0.45)
     result = run_to_steady(initial_state(ops, v0, w0), ops, default_params,
-                           h_t=1e-3, tol=1e-5, max_steps=200_000)
+                           tol=0.01)
     eq = vegetated_equilibrium(1.8, 0.45)
     avg = float(ops.grid.quad_weights @ result.state.v) / 100.0
     assert result.converged
@@ -106,7 +106,7 @@ def test_collapse_below_critical_width(default_params, laplace):
     ops = build_operators(make_grid(1.0, 127), "nonlocal", laplace)
     v0, w0 = cosine_perturbed_start(ops.grid, 1.8, 0.45)
     result = run_to_steady(initial_state(ops, v0, w0), ops, default_params,
-                           h_t=1e-3, tol=1e-5, max_steps=300_000)
+                           tol=0.01)
     avg = float(ops.grid.quad_weights @ result.state.v) / 2.0
     assert result.converged
     assert avg < 0.1
@@ -117,7 +117,7 @@ def test_desert_initial_state_converges_immediately(small_ops,
     grid = small_ops.grid
     w0 = solve_water_stationary(np.zeros(grid.n_nodes), default_params, grid)
     result = run_to_steady(initial_state(small_ops, np.zeros(grid.n_nodes), w0),
-                           small_ops, default_params, h_t=1e-3, tol=1e-5)
+                           small_ops, default_params, tol=0.01)
     assert result.converged
     assert result.steps == 0
 
@@ -126,8 +126,8 @@ def test_invariant_region_and_water_bound(small_ops, default_params):
     grid = small_ops.grid
     w0 = solve_water_stationary(np.zeros(grid.n_nodes), default_params, grid)
     state = initial_state(small_ops, np.full(grid.n_nodes, 0.2), w0)
-    result = run_to_steady(state, small_ops, default_params, h_t=1e-3,
-                           tol=1e-5, max_steps=60_000, trajectory_every=5)
+    result = run_to_steady(state, small_ops, default_params, tol=0.01,
+                           trajectory_every=5)
     assert result.region_bound == pytest.approx(0.45 / 1.8)
     assert result.region_violations == 0
     assert result.max_v <= result.region_bound + 1e-8
@@ -144,8 +144,8 @@ def test_trajectory_sampling(small_ops, default_params):
     grid = small_ops.grid
     w0 = solve_water_stationary(np.zeros(grid.n_nodes), default_params, grid)
     state = initial_state(small_ops, np.full(grid.n_nodes, 0.1), w0)
-    result = run_to_steady(state, small_ops, default_params, h_t=1e-3,
-                           tol=1e-5, max_steps=5_000, trajectory_every=100)
+    result = run_to_steady(state, small_ops, default_params, tol=0.01,
+                           trajectory_every=100)
     track = result.trajectory
     assert track is not None and track.shape[1] == 5
     assert track[0, 0] == 0.0
@@ -219,9 +219,8 @@ def test_implicit_batch_reaches_stationary_state(variant, laplace):
     ops = build_operators(grid, variant,
                           laplace if variant == "nonlocal" else None)
     v0, w0 = cosine_perturbed_start(grid, 1.8, 0.45)
-    h_t, tol = 1e-3, 1e-5
-    (got,) = run_to_steady_batch([BatchCell(ops, params, v0, w0)], h_t, tol,
-                                 max_steps=10_000)
+    tol = 0.01
+    (got,) = run_to_steady_batch([BatchCell(ops, params, v0, w0)], tol)
     assert got.converged and not got.blowup
     assert got.state.t == got.steps * IMEX_STEP
 
@@ -230,7 +229,7 @@ def test_implicit_batch_reaches_stationary_state(variant, laplace):
 
     # the stopping rule holds on the returned state
     rhs_v, rhs_w = _make_rhs(ops, params)(got.state.v, got.state.w)
-    assert h_t * np.sqrt(rhs_v @ rhs_v + rhs_w @ rhs_w) < tol
+    assert np.sqrt(rhs_v @ rhs_v + rhs_w @ rhs_w) < tol
     # Newton polishing barely moves it
     sr = StationaryResidual(ops, params)
     u, _ = solve_stationary(sr, 1.8, sr.join(got.state.v, got.state.w))
@@ -245,12 +244,11 @@ def test_implicit_step_stable_for_fast_dispersal(laplace):
     ops = build_operators(grid, "nonlocal", laplace)
     params = ModelParams(1.8, 0.45, 4.0, 0.1)
     v0, w0 = cosine_perturbed_start(grid, 1.8, 0.45)
-    h_t, tol = 1e-3, 1e-5
-    (got,) = run_to_steady_batch([BatchCell(ops, params, v0, w0)], h_t, tol,
-                                 max_steps=10_000)
+    tol = 0.01
+    (got,) = run_to_steady_batch([BatchCell(ops, params, v0, w0)], tol)
     assert got.converged and not got.blowup
     rhs_v, rhs_w = _make_rhs(ops, params)(got.state.v, got.state.w)
-    assert h_t * np.sqrt(rhs_v @ rhs_v + rhs_w @ rhs_w) < tol
+    assert np.sqrt(rhs_v @ rhs_v + rhs_w @ rhs_w) < tol
 
 
 @pytest.mark.parametrize("variant", ["nonlocal", "local"])
@@ -261,8 +259,7 @@ def test_implicit_step_fixes_stationary_state(variant, laplace):
     ops = build_operators(grid, variant,
                           laplace if variant == "nonlocal" else None)
     v0, w0 = cosine_perturbed_start(grid, 1.8, 0.45)
-    (got,) = run_to_steady_batch([BatchCell(ops, params, v0, w0)], 1e-3,
-                                 1e-5, max_steps=10_000)
+    (got,) = run_to_steady_batch([BatchCell(ops, params, v0, w0)], 0.01)
     sr = StationaryResidual(ops, params)
     u, _ = solve_stationary(sr, 1.8, sr.join(got.state.v, got.state.w))
     v_star, w_star = sr.split(u)
@@ -279,7 +276,7 @@ def test_perturbation_decay_negative_slope(default_params, laplace):
     ops = build_operators(make_grid(10.0, 129), "nonlocal", laplace)
     v0, w0 = cosine_perturbed_start(ops.grid, 1.8, 0.45)
     settled = run_to_steady(initial_state(ops, v0, w0), ops, default_params,
-                            h_t=1e-3, tol=1e-6, max_steps=200_000)
+                            tol=1e-3)
     assert settled.converged
     times, gaps, slope = perturbation_decay(
         ops, default_params, settled.state.v, settled.state.w,

@@ -68,7 +68,7 @@ class TestDetectCriticalL:
 
 @pytest.fixture(scope="module")
 def tiny_rows():
-    cfg = SweepConfig(L_values=(1.2, 3.0), h_t=1e-3, max_steps=120_000)
+    cfg = SweepConfig(L_values=(1.2, 3.0), tol=0.01)
     return cfg, run_patch_sweep(cfg)
 
 
@@ -177,7 +177,7 @@ def test_dynamics_and_continuation_agree_at_same_rainfall(laplace):
     params = ModelParams(1.8, 0.45, 2.0, 0.1)
     v0, w0 = cosine_perturbed_start(grid, 1.8, 0.45)
     steady = run_to_steady(initial_state(ops, v0, w0), ops, params,
-                           h_t=1e-3, tol=1e-6, max_steps=300_000)
+                           tol=1e-3)
     assert steady.converged
     sr = StationaryResidual(ops, params)
     u_dyn, _ = solve_stationary(
