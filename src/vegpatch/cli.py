@@ -10,12 +10,11 @@ import json
 import math
 import sys
 import time
-from dataclasses import asdict
+from dataclasses import asdict, replace
 
 import numpy as np
 
 from .config import Resolver, make_resolver, resolve_output_dir
-from .continuation import PalcControls
 from .discretization import DENSE_LIMIT, build_operators, make_grid
 from .dynamics import (State, initial_state, run_to_steady, simulate_horizon,
                        steady_state_rule)
@@ -45,9 +44,11 @@ LCRIT_REFERENCE = {("nonlocal", "laplace"): 1.46,
                    ("local", ""): 2.33}
 LCRIT_BAND = 0.20
 FOLD_BAND = (0.85, 1.00)
-CHECK_D_W = (0.1, 80.0)    # slow water (fold band), fast water (patterns)
+CHECK_D_W = BifurcationConfig.d_w_values  # fold band, sub-threshold patterns
 BIOMASS_FLOOR_CUT = 0.01
 KERNEL_FAMILIES = ("laplace", "super_gaussian")
+MODEL_VARIANTS = ("nonlocal", "local")
+SWEEP_PRESETS = ("full", "fast")
 SIMULATE_STEP_CAP = 10_000_000   # t_final / h_t; about 2 min at 75 nodes
 
 
@@ -101,6 +102,15 @@ def _choice(name: str, value: str, choices) -> str:
         raise ConfigError(
             f"{name} must be one of {', '.join(choices)}, got {value!r}")
     return value
+
+
+def _within_dense_limit(n, setting: str, remedy: str):
+    """n itself if it is at most DENSE_LIMIT nodes; otherwise a ConfigError."""
+    if n > DENSE_LIMIT:
+        raise ConfigError(
+            f"{setting} needs {n} nodes; the dense operators allow at most "
+            f"{DENSE_LIMIT}, so {remedy}")
+    return n
 
 
 def _run_config_payload(res: Resolver, experiment: str, outdir) -> dict:
@@ -163,7 +173,7 @@ def _build_parser() -> argparse.ArgumentParser:
 
     pw = sub.add_parser("sweep", help="critical patch size sweep")
     common(pw)
-    pw.add_argument("--preset", choices=["full", "fast"], default=None,
+    pw.add_argument("--preset", choices=SWEEP_PRESETS, default=None,
                     help="full: 50 points on [1,100]; fast: 20 on [1,10]")
     pw.add_argument("--points", type=int, default=None)
     pw.add_argument("--L-min", type=float, default=None)
@@ -193,7 +203,7 @@ def _add_model_flags(p) -> None:
     p.add_argument("--B", type=float, default=None)
     p.add_argument("--dv", type=float, default=None)
     p.add_argument("--dw", type=float, default=None)
-    p.add_argument("--variant", choices=["nonlocal", "local"], default=None)
+    p.add_argument("--variant", choices=MODEL_VARIANTS, default=None)
     p.add_argument("--kernel", choices=KERNEL_FAMILIES,
                    default=None)
     p.add_argument("--L", type=float, default=None)
@@ -231,10 +241,11 @@ def cmd_kernels(args) -> int:
 
 def cmd_spectral(args) -> int:
     res = make_resolver(args.config)
-    d_v = res.get("model", "d_v", float, 2.0, args.dv)
-    A = res.get("model", "A", float, 1.8)
-    B = res.get("model", "B", float, 0.45)
-    d_w = res.get("model", "d_w", float, 0.1)
+    d_v = res.get("model", "d_v", float, ModelParams.d_v, args.dv)
+    A = res.get("model", "A", float, ModelParams.A)
+    B = res.get("model", "B", float, ModelParams.B)
+    d_w = res.get("model", "d_w", float, ModelParams.d_w)
+    res.reject_unread("spectral")
     try:
         params = ModelParams(A, B, d_v, d_w)
     except ValueError as exc:
@@ -248,12 +259,9 @@ def cmd_spectral(args) -> int:
         intervals = 2.0 * _positive("--L", L) / spacing
         n = max(3, int(round(intervals)) + 1) if math.isfinite(intervals) \
             else math.inf
-        if n > DENSE_LIMIT:
-            raise ConfigError(
-                f"--L {L!r} at --spacing {spacing!r} needs {n} nodes; "
-                f"the spectral routines allow at most {DENSE_LIMIT} (dense "
-                f"dispersal matrix), so raise --spacing or lower --L")
-        nodes.append(n)
+        nodes.append(_within_dense_limit(
+            n, f"--L {L!r} at --spacing {spacing!r}",
+            "raise --spacing or lower --L"))
     lines = ["L,beta1,lambda1,extinction_guaranteed"]
     widths = []
     for L, n in zip(args.L, nodes):
@@ -294,22 +302,32 @@ def cmd_spectral(args) -> int:
     return 0
 
 
+def _grid_nodes(L: float):
+    """floor(nodes_per_L * L) nodes as in the bifurcation suite, at least 3;
+    inf on overflow, and 3 for a non-finite L, which make_grid rejects."""
+    span = BifurcationConfig.nodes_per_L * L
+    if not math.isfinite(span):
+        return math.inf if math.isfinite(L) else 3
+    return max(3, math.floor(span))
+
+
 def _resolve_model(args, res: Resolver):
-    A = res.get("model", "A", float, 1.8, args.A)
-    B = res.get("model", "B", float, 0.45, args.B)
-    d_v = res.get("model", "d_v", float, 2.0, args.dv)
-    d_w = res.get("model", "d_w", float, 0.1, args.dw)
-    variant = res.get("model", "variant", str, "nonlocal", args.variant)
+    A = res.get("model", "A", float, ModelParams.A, args.A)
+    B = res.get("model", "B", float, ModelParams.B, args.B)
+    d_v = res.get("model", "d_v", float, ModelParams.d_v, args.dv)
+    d_w = res.get("model", "d_w", float, ModelParams.d_w, args.dw)
+    variant = _choice("variant", res.get("model", "variant", str,
+                                         MODEL_VARIANTS[0], args.variant),
+                      MODEL_VARIANTS)
     kernel_family = _choice("kernel", res.get("model", "kernel", str,
-                                              "laplace", args.kernel),
+                                              KERNEL_FAMILIES[0], args.kernel),
                             KERNEL_FAMILIES)
-    L = res.get("grid", "L", float, 25.0, args.L)
-    # floor(3 L) needs a finite L; make_grid rejects any other bad width
-    n_default = max(3, int(math.floor(3 * L))) if math.isfinite(L) else 3
-    n = res.get("grid", "N", int, n_default, args.nodes)
+    L = res.get("grid", "L", float, BifurcationConfig.L, args.L)
+    n = _within_dense_limit(res.get("grid", "N", int, _grid_nodes(L),
+                                    args.nodes),
+                            f"the grid L = {L!r}", "lower L or N")
     try:
-        params = ModelParams(A, B, d_v, d_w, variant,
-                             kernel_family if variant == "nonlocal" else "")
+        params = ModelParams(A, B, d_v, d_w)
     except ValueError as exc:
         raise ConfigError(str(exc)) from exc
     grid = make_grid(L, n)
@@ -345,6 +363,7 @@ def cmd_simulate(args) -> int:
                                            10.0, args.t_final))
     every = _non_negative("trajectory_every", res.get(
         "integration", "trajectory_every", int, 100, args.dump_every))
+    res.reject_unread("simulate")
     if not t_final / h_t <= SIMULATE_STEP_CAP:
         raise ConfigError(
             f"t_final / h_t = {t_final / h_t:.3g} steps exceeds the cap of "
@@ -381,6 +400,7 @@ def cmd_steady(args) -> int:
                                    args.tol))
     every = _non_negative("trajectory_every", res.get(
         "integration", "trajectory_every", int, 0, args.dump_every))
+    res.reject_unread("steady")
     state0 = _initial_from_flag(args.init, params, grid, ops)
     t0 = time.time()
     result = run_to_steady(state0, ops, params, tol, trajectory_every=every)
@@ -410,13 +430,10 @@ def cmd_steady(args) -> int:
 
 
 def _sweep_config_from(args, res: Resolver) -> SweepConfig:
-    preset = res.get("sweep", "preset", str, "full", args.preset)
-    if preset == "fast":
-        cfg = fast_sweep_config()
-    elif preset == "full":
-        cfg = full_sweep_config()
-    else:
-        raise ConfigError(f"unknown sweep preset {preset!r}")
+    preset = _choice("preset", res.get("sweep", "preset", str,
+                                       SWEEP_PRESETS[0], args.preset),
+                     SWEEP_PRESETS)
+    cfg = fast_sweep_config() if preset == "fast" else full_sweep_config()
     points = res.get("sweep", "points", int, len(cfg.L_values), args.points)
     if points < 1:
         raise ConfigError(f"sweep points must be at least 1, got {points}")
@@ -431,14 +448,21 @@ def _sweep_config_from(args, res: Resolver) -> SweepConfig:
     d_v = _positive("d_v", res.get("model", "d_v", float, cfg.d_v))
     d_w = _positive("d_w", res.get("model", "d_w", float, cfg.d_w))
     _require_vegetated("the sweep's start", A, B)
-    return SweepConfig(L_values=log_spaced_L(points, lo, hi), A=A, B=B,
-                       d_v=d_v, d_w=d_w, tol=cfg.tol, n_min=cfg.n_min,
-                       nodes_per_L=cfg.nodes_per_L, threshold=threshold)
+    cfg = replace(cfg, L_values=log_spaced_L(points, lo, hi), A=A, B=B,
+                  d_v=d_v, d_w=d_w, threshold=threshold)
+    widest = max(cfg.L_values)
+    _within_dense_limit(sweep_resolution(cfg, widest)
+                        if math.isfinite(cfg.nodes_per_L * widest)
+                        else math.inf,
+                        f"the sweep's widest cell L = {widest!r}",
+                        "lower L_max")
+    return cfg
 
 
 def cmd_sweep(args) -> int:
     res = make_resolver(args.config)
     cfg = _sweep_config_from(args, res)
+    res.reject_unread("sweep")
     t0 = time.time()
     rows = run_patch_sweep(cfg)
     crit = detect_critical_L(rows, cfg.threshold)
@@ -505,35 +529,32 @@ def _check_sweep(crit) -> list[str]:
 
 def cmd_bifurcate(args) -> int:
     res = make_resolver(args.config)
-    d_w_values = tuple(args.dw) if args.dw else \
-        res.get("bifurcation", "d_w_values", "floats", (0.1, 80.0))
-    d_w_values = tuple(_positive("d_w", d_w) for d_w in d_w_values)
+    base = BifurcationConfig()
+    d_w_values = tuple(_positive("d_w", d_w) for d_w in res.get(
+        "bifurcation", "d_w_values", "floats", base.d_w_values,
+        tuple(args.dw) if args.dw else None))
     if args.check and not set(CHECK_D_W) <= set(d_w_values):
         raise ConfigError(
             f"--check tests the fold band at d_w = {CHECK_D_W[0]:g} and the "
             f"sub-threshold patterns at d_w = {CHECK_D_W[1]:g}, so d_w_values "
             f"must hold both, got {', '.join(map(repr, d_w_values)) or 'none'}")
-    L = _positive("L", res.get("bifurcation", "L", float, 25.0, args.L))
-    B = _positive("B", res.get("model", "B", float, 0.45))
-    d_v = _positive("d_v", res.get("model", "d_v", float, 2.0))
-    gallery_A = res.get("bifurcation", "gallery_A", "floats", (1.2, 1.5, 2.0))
+    L = _positive("L", res.get("bifurcation", "L", float, base.L, args.L))
+    B = _positive("B", res.get("model", "B", float, base.B))
+    d_v = _positive("d_v", res.get("model", "d_v", float, base.d_v))
+    gallery_A = res.get("bifurcation", "gallery_A", "floats", base.gallery_A)
     stride = _non_negative("stability_stride", res.get(
-        "bifurcation", "stability_stride", int, 25))
+        "bifurcation", "stability_stride", int, base.stability_stride))
     snapshot_stride = _non_negative("--snapshot-stride",
                                     args.snapshot_stride or 0)
-    controls = PalcControls(
-        ds0=_positive("ds0", res.get("continuation", "ds0", float, 0.01)),
-        ds_min=_positive("ds_min", res.get("continuation", "ds_min", float,
-                                           1e-6)),
-        ds_max=_positive("ds_max", res.get("continuation", "ds_max", float,
-                                           0.1)),
-        point_cap=_positive("point_cap", res.get("continuation", "point_cap",
-                                                 int, 20_000)),
-        newton_tol=_positive("newton_tol", res.get(
-            "continuation", "newton_tol", float, 1e-10)))
-    cfg = BifurcationConfig(B=B, d_v=d_v, d_w_values=d_w_values, L=L,
-                            controls=controls,
-                            stability_stride=stride, gallery_A=gallery_A)
+    controls = replace(base.controls, **{
+        name: _positive(name, res.get("continuation", name, type(v), v))
+        for name, v in asdict(base.controls).items()
+        if name in ("ds0", "ds_min", "ds_max", "point_cap", "newton_tol")})
+    cfg = replace(base, B=B, d_v=d_v, d_w_values=d_w_values, L=L,
+                  controls=controls, stability_stride=stride,
+                  gallery_A=gallery_A)
+    _within_dense_limit(_grid_nodes(L), f"the grid L = {L!r}", "lower L")
+    res.reject_unread("bifurcate")
     t0 = time.time()
     suite = run_bifurcation_suite(cfg, progress=_report_branch)
     outdir = resolve_output_dir(args.out, "bifurcate-out")
@@ -588,7 +609,10 @@ def _report_branch(branch) -> None:
 
 
 def _check_bifurcation(suite, cfg) -> list[str]:
-    failures = []
+    failures = [f"suite error: {error}" for error in suite.errors]
+    failures += [f"{run.branch.label} ended in {run.branch.termination}, "
+                 "not parameter_exit" for run in suite.runs
+                 if run.branch.termination != "parameter_exit"]
     for run in suite.runs:
         for pt in run.branch.points:
             if pt.max_v > BIOMASS_FLOOR_CUT and pt.max_v < cfg.B / pt.A:

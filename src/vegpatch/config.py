@@ -1,8 +1,11 @@
 """Run configuration: INI files with per-module sections plus flag overrides.
 
 Precedence, lowest to highest: built-in defaults, values from the config
-file, command-line flags.  The fully resolved configuration is echoed into
-every run manifest so a run can be reproduced from its outputs alone.
+file, command-line flags.  A command asks the Resolver for every key it
+reads, then rejects any file section or key it never asked for, so each
+command accepts exactly the keys it reads.  The resolved configuration,
+which holds those keys, is echoed into every run manifest so a run can be
+reproduced from its outputs alone.
 """
 from __future__ import annotations
 
@@ -14,18 +17,6 @@ from pathlib import Path
 from .errors import ConfigError
 
 OUTPUT_ROOT_ENV = "VEGPATCH_OUT"
-
-# Every key some command reads, per section, lower-cased as configparser
-# returns them; make_resolver rejects any other section or key.
-KNOWN_KEYS = {
-    "model": {"a", "b", "d_v", "d_w", "variant", "kernel"},
-    "grid": {"l", "n"},
-    "integration": {"h_t", "t_final", "tol", "trajectory_every"},
-    "sweep": {"preset", "points", "l_min", "l_max", "threshold"},
-    "bifurcation": {"d_w_values", "l", "gallery_a", "stability_stride"},
-    "continuation": {"ds0", "ds_min", "ds_max", "point_cap", "newton_tol"},
-}
-
 
 def load_ini(path) -> dict[str, dict[str, str]]:
     parser = configparser.ConfigParser(inline_comment_prefixes=(";", "#"))
@@ -71,24 +62,26 @@ class Resolver:
         self.resolved.setdefault(section, {})[key] = value
         return value
 
-    def reject_unknown(self, known: dict[str, set[str]]):
-        """ConfigError naming the first section or key not in known."""
+    def reject_unread(self, command: str) -> None:
+        """ConfigError naming the first file section or key never asked
+        for; called once a command has resolved all its settings."""
         for section, items in self.sections.items():
-            if section not in known:
-                raise ConfigError(f"unknown config section [{section}]")
-            for key, value in items.items():
-                if key.lower() not in known[section]:
-                    raise ConfigError(
-                        f"unknown key [{section}] {key} = {value!r}")
+            read = {key.lower() for key in self.resolved.get(section, ())}
+            unread = [f"[{section}] {key} = {value!r}"
+                      for key, value in items.items()
+                      if key.lower() not in read]
+            if section not in self.resolved:
+                raise ConfigError(
+                    f"{command} reads no config section [{section}]"
+                    + (f"; it holds {unread[0]}" if unread else ""))
+            if unread:
+                raise ConfigError(
+                    f"{command} does not read config key {unread[0]}")
 
 
 def make_resolver(config_path: str | None) -> Resolver:
-    """Resolver over the INI file, if any, after rejecting unknown keys."""
-    if not config_path:
-        return Resolver()
-    res = Resolver(load_ini(config_path))
-    res.reject_unknown(KNOWN_KEYS)
-    return res
+    """Resolver over the INI file, if any."""
+    return Resolver(load_ini(config_path)) if config_path else Resolver()
 
 
 def resolve_output_dir(out: str | None, default: str = ".") -> Path:

@@ -74,8 +74,9 @@ def _panel_sums(values: np.ndarray, rad: float) -> np.ndarray:
 class DispersalOperator:
     """Discrete non-local dispersal on a grid: apply(v) = K v - v.
 
-    K is always a dense N x N matrix; DENSE_LIMIT caps the node count the
-    CLI accepts.  Instances are immutable after assembly.
+    K is always a dense N x N matrix; every command rejects a grid of more
+    than DENSE_LIMIT nodes before assembling one.  Instances are immutable
+    after assembly.
     """
 
     def __init__(self, grid: Grid1D, kernel: Kernel, matrix: np.ndarray):

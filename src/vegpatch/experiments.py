@@ -22,7 +22,7 @@ import numpy as np
 from .continuation import (Branch, PalcControls, StationaryResidual,
                            palc_continue, solve_stationary, stability_flag)
 from .discretization import Grid1D, build_operators, make_grid
-from .dynamics import BatchCell, run_to_steady_batch
+from .dynamics import BatchCell, initial_state, run_to_steady_batch
 from .errors import NewtonDiverged, SingularJacobian
 from .kernels import Kernel, laplace_kernel, super_gaussian_kernel
 from .kinetics import (ModelParams, solve_water_stationary,
@@ -54,10 +54,10 @@ def cosine_perturbed_start(grid: Grid1D, A: float, B: float,
 @dataclass(frozen=True)
 class SweepConfig:
     L_values: tuple[float, ...]
-    A: float = 1.8
-    B: float = 0.45
-    d_v: float = 2.0
-    d_w: float = 0.1
+    A: float = ModelParams.A
+    B: float = ModelParams.B
+    d_v: float = ModelParams.d_v
+    d_w: float = ModelParams.d_w
     tol: float = 0.1        # steady states stop at ||F(v, w)||_2 < tol
     n_min: int = 128
     nodes_per_L: float = 8.0
@@ -135,8 +135,7 @@ def run_patch_sweep(cfg: SweepConfig) -> list[SweepRow]:
         for variant, kernel_family, L, grid in keys:
             kernel = builtin_kernel(kernel_family) if kernel_family else None
             ops = build_operators(grid, variant, kernel)
-            params = ModelParams(cfg.A, cfg.B, cfg.d_v, cfg.d_w, variant,
-                                 kernel_family or "")
+            params = ModelParams(cfg.A, cfg.B, cfg.d_v, cfg.d_w)
             v0, w0 = cosine_perturbed_start(grid, cfg.A, cfg.B,
                                             cfg.perturbation)
             yield BatchCell(ops, params, v0, w0)
@@ -178,8 +177,8 @@ def detect_critical_L(rows: list[SweepRow],
 class BifurcationConfig:
     A_start: float = 3.0
     A_range: tuple[float, float] = (0.1, 3.0)
-    B: float = 0.45
-    d_v: float = 2.0
+    B: float = ModelParams.B
+    d_v: float = ModelParams.d_v
     d_w_values: tuple[float, ...] = (0.1, 80.0)
     L: float = 25.0
     nodes_per_L: float = 3.0
@@ -233,51 +232,37 @@ def _flag_selected(sr: StationaryResidual, branch: Branch, stride: int):
 
 def _trace_cell(cfg: BifurcationConfig, variant: str, kernel_family: str,
                 d_w: float, suite: BifurcationSuite, progress) -> None:
+    """Vegetated branch from the cosine-perturbed uniform state, then the
+    desert branch from zero biomass with its stationary water profile."""
     grid = suite.grid
-    n = grid.n_nodes
     kernel = builtin_kernel(kernel_family) if kernel_family else None
     ops = build_operators(grid, variant, kernel)
-    params = ModelParams(cfg.A_start, cfg.B, cfg.d_v, d_w, variant,
-                         kernel_family or "")
+    params = ModelParams(cfg.A_start, cfg.B, cfg.d_v, d_w)
     sr = StationaryResidual(ops, params)
     tag = f"{variant}-{kernel_family or 'none'}-dw{d_w:g}"
-
-    # Vegetated branch, seeded from the cosine-perturbed uniform state.
-    try:
-        v0, w0 = cosine_perturbed_start(grid, cfg.A_start, cfg.B,
-                                        cfg.perturbation)
-        if variant == "local":
-            v0 = v0.copy()
-            v0[0] = v0[-1] = 0.0
-        w0[0] = w0[-1] = 0.0
-        u0, _ = solve_stationary(sr, cfg.A_start, sr.join(v0, w0),
-                                 tol=cfg.controls.newton_tol)
-        branch = palc_continue(sr, cfg.A_start, cfg.A_range, u0,
-                               cfg.controls, label=f"{tag}-veg")
-        _flag_selected(sr, branch, cfg.stability_stride)
-        suite.runs.append(BranchRun(variant, kernel_family, d_w,
-                                    "vegetated", branch))
-        progress(branch)
-        if d_w == cfg.gallery_d_w:
-            _collect_gallery(cfg, sr, branch, variant, kernel_family, d_w,
-                             suite)
-    except (NewtonDiverged, SingularJacobian) as exc:
-        suite.errors.append(f"{tag} vegetated: {exc}")
-
-    # Desert branch: zero biomass with its stationary water profile.
-    try:
-        w_desert = solve_water_stationary(np.zeros(n), params, grid)
-        ud, _ = solve_stationary(sr, cfg.A_start,
-                                 sr.join(np.zeros(n), w_desert),
-                                 tol=cfg.controls.newton_tol)
-        branch = palc_continue(sr, cfg.A_start, cfg.A_range, ud,
-                               cfg.controls, label=f"{tag}-desert")
-        _flag_selected(sr, branch, cfg.stability_stride)
-        suite.runs.append(BranchRun(variant, kernel_family, d_w,
-                                    "desert", branch))
-        progress(branch)
-    except (NewtonDiverged, SingularJacobian) as exc:
-        suite.errors.append(f"{tag} desert: {exc}")
+    for seed, suffix in (("vegetated", "veg"), ("desert", "desert")):
+        try:
+            if seed == "vegetated":
+                v0, w0 = cosine_perturbed_start(grid, cfg.A_start, cfg.B,
+                                                cfg.perturbation)
+            else:
+                v0 = np.zeros(grid.n_nodes)
+                w0 = solve_water_stationary(v0, params, grid)
+            start = initial_state(ops, v0, w0)
+            u0, _ = solve_stationary(sr, cfg.A_start,
+                                     sr.join(start.v, start.w),
+                                     tol=cfg.controls.newton_tol)
+            branch = palc_continue(sr, cfg.A_start, cfg.A_range, u0,
+                                   cfg.controls, label=f"{tag}-{suffix}")
+            _flag_selected(sr, branch, cfg.stability_stride)
+            suite.runs.append(BranchRun(variant, kernel_family, d_w, seed,
+                                        branch))
+            progress(branch)
+            if seed == "vegetated" and d_w == cfg.gallery_d_w:
+                _collect_gallery(cfg, sr, branch, variant, kernel_family,
+                                 d_w, suite)
+        except (NewtonDiverged, SingularJacobian) as exc:
+            suite.errors.append(f"{tag} {seed}: {exc}")
 
 
 def _collect_gallery(cfg, sr, branch, variant, kernel_family, d_w, suite):

@@ -25,14 +25,12 @@ EQ_MERGED = 4
 
 @dataclass(frozen=True)
 class ModelParams:
-    """Kinetic and transport constants plus the model variant."""
+    """Kinetic and transport constants; the defaults are the standard ones."""
 
-    A: float                     # rainfall rate
-    B: float                     # mortality rate
-    d_v: float                   # plant dispersal rate
-    d_w: float                   # water diffusion rate
-    variant: str = "nonlocal"    # "nonlocal" | "local"
-    kernel_family: str = "laplace"
+    A: float = 1.8      # rainfall rate
+    B: float = 0.45     # mortality rate
+    d_v: float = 2.0    # plant dispersal rate
+    d_w: float = 0.1    # water diffusion rate
 
     def __post_init__(self):
         for name in ("A", "B", "d_v", "d_w"):
@@ -40,8 +38,6 @@ class ModelParams:
             if not (math.isfinite(value) and value > 0):
                 raise ValueError(
                     f"{name} must be finite and strictly positive")
-        if self.variant not in ("nonlocal", "local"):
-            raise ValueError(f"unknown variant {self.variant!r}")
 
 
 @dataclass(frozen=True)

@@ -160,7 +160,7 @@ def test_criterion_09_subthreshold_patterns_fast_diffusion(bif_suite):
 def _sharpness_ratio(variant, kernel, n, tol):
     grid = make_grid(10.0, n)
     ops = build_operators(grid, variant, kernel)
-    params = ModelParams(A_STD, B_STD, 2.0, 0.1, variant)
+    params = ModelParams(A_STD, B_STD, 2.0, 0.1)
     v0, w0 = cosine_perturbed_start(grid, A_STD, B_STD)
     result = run_to_steady(initial_state(ops, v0, w0), ops, params, tol)
     assert result.converged

@@ -11,8 +11,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from vegpatch.cli import main
-from vegpatch.config import (KNOWN_KEYS, load_ini, make_resolver,
-                             resolve_output_dir)
+from vegpatch.config import load_ini, make_resolver, resolve_output_dir
 from vegpatch.dynamics import IMEX_STEP, STEADY_STEP_CAP
 from vegpatch.errors import ConfigError
 
@@ -20,12 +19,6 @@ from vegpatch.errors import ConfigError
 def run_cli(args, monkeypatch, tmp_path):
     monkeypatch.setenv("VEGPATCH_OUT", str(tmp_path))
     return main(args)
-
-
-def assert_keys_known(resolved):
-    # every key a command reads must pass make_resolver's unknown-key check
-    for section, keys in resolved.items():
-        assert {key.lower() for key in keys} <= KNOWN_KEYS[section]
 
 
 def test_kernels_check_passes(capsys):
@@ -67,7 +60,6 @@ def test_steady_writes_profile_and_manifest(tmp_path, monkeypatch, capsys):
     assert manifest["resolved"]["model"]["A"] == 1.8
     assert manifest["resolved"]["integration"] == {"tol": 0.1,
                                                    "trajectory_every": 0}
-    assert_keys_known(manifest["resolved"])
     assert f"residual={manifest['residual']:.3e}" in capsys.readouterr().out
 
 
@@ -148,7 +140,6 @@ def test_uppercase_config_keys_reach_the_run(tmp_path, monkeypatch):
     resolved = json.loads((outdir / "manifest.json").read_text())["resolved"]
     assert resolved["model"]["A"] == 2.5
     assert resolved["grid"] == {"L": 10.0, "N": 33}
-    assert_keys_known(resolved)
     profile = (outdir / "final_profile.csv").read_text().splitlines()
     assert len(profile) == 1 + 33
 
@@ -172,6 +163,11 @@ BAD_INPUT_FILES = {
     "stride.ini": "[bifurcation]\nstability_stride = -1\n",
     "dry.ini": "[model]\nB = 1\n",
     "max_steps.ini": "[integration]\nmax_steps = 10\n",
+    "tol.ini": "[integration]\ntol = 1e-9\n",
+    "h_t.ini": "[integration]\nh_t = 1e-3\n",
+    "bif_model.ini": "[model]\nd_w = 80\nA = 2.5\n\n[grid]\nN = 300\n",
+    "grid_n.ini": "[grid]\nN = 300\n",
+    "variant.ini": "[model]\nvariant = abc\n",
 }
 
 
@@ -214,6 +210,8 @@ BAD_INPUT_FILES = {
      ["kernel", "cauchy"]),
     (["steady", "--config", "{tmp}/cauchy.ini", "--L", "5", "--nodes", "21"],
      ["kernel", "cauchy"]),
+    (["steady", "--config", "{tmp}/variant.ini", "--L", "5", "--nodes", "21"],
+     ["variant", "abc"]),
 ] + [
     ([command, "--config", "{tmp}/simpson.ini"] + extra, ["scheme", "simpson"])
     for command, extra in (("simulate", ["--L", "5", "--nodes", "21"]),
@@ -236,6 +234,29 @@ BAD_INPUT_FILES = {
      ["[integration]", "max_steps", "'10'"]),
     (["sweep", "--preset", "fast", "--config", "{tmp}/max_steps.ini"],
      ["[integration]", "max_steps", "'10'"]),
+    # each command accepts exactly the keys it reads
+    (["sweep", "--preset", "fast", "--config", "{tmp}/tol.ini"],
+     ["sweep", "section [integration]", "[integration] tol = '1e-9'"]),
+    (["simulate", "--config", "{tmp}/tol.ini"],
+     ["simulate", "[integration] tol = '1e-9'"]),
+    (["steady", "--config", "{tmp}/h_t.ini"],
+     ["steady", "[integration] h_t = '1e-3'"]),
+    (["bifurcate", "--dw", "0.1", "--config", "{tmp}/bif_model.ini"],
+     ["bifurcate", "[model] d_w = '80'"]),
+    (["spectral", "--L", "1", "--config", "{tmp}/grid_n.ini"],
+     ["spectral", "section [grid]", "[grid] n = '300'"]),
+    # every command caps its grids at the dense limit
+    (["steady", "--L", "1e6"], ["3000000 nodes", "4096"]),
+    (["simulate", "--variant", "local", "--nodes", "5000"],
+     ["5000 nodes", "4096"]),
+    (["sweep", "--points", "1", "--L-min", "1e6", "--L-max", "1e6"],
+     ["8000000 nodes", "4096"]),
+    (["bifurcate", "--L", "1e6", "--dw", "0.1"], ["3000000 nodes", "4096"]),
+    # node counts past the float range
+    (["steady", "--L", "1e308"], ["inf nodes", "4096"]),
+    (["sweep", "--points", "1", "--L-min", "1e308", "--L-max", "1e308"],
+     ["inf nodes", "4096"]),
+    (["bifurcate", "--L", "1e308", "--dw", "0.1"], ["inf nodes", "4096"]),
     # --check needs both diffusion rates it tests; nothing is traced
     (["bifurcate", "--check", "--config", "{tmp}/no_dw.ini"],
      ["--check", "d_w_values", "got none"]),
@@ -304,7 +325,6 @@ def test_spectral_manifest_records_each_width(tmp_path, monkeypatch):
     assert all(w["krylov_dim"] >= 1 for w in widths)
     assert all(w["beta1_residual"] <= 1e-9 for w in widths)
     assert all(w["lambda1_residual"] <= 1e-9 for w in widths)
-    assert_keys_known(manifest["resolved"])
 
 
 def test_missing_config_file_rejected():
@@ -343,7 +363,9 @@ def _synthetic_suite(flags, fold_after):
               for i in range(10)]
     folds = [Fold(s=0.1 * i + 0.05, A=3.0 - 0.1 * i, after_index=i)
              for i in fold_after]
-    branch = Branch(points=points, folds=folds, label="local-none-dw80-desert")
+    branch = Branch(points=points, folds=folds,
+                    termination="parameter_exit",
+                    label="local-none-dw80-desert")
     return BifurcationSuite(runs=[BranchRun("local", "", 80.0, "desert",
                                             branch)])
 
@@ -370,6 +392,55 @@ def test_stability_flips_only_across_a_fold(flags, fold_after, fails):
         assert len(failures) == 1
         assert "stability flips without a fold" in failures[0]
         assert "local-none-dw80-desert" in failures[0]
+
+
+@pytest.mark.parametrize("errors, termination", [
+    (["local-none-dw80 desert: Newton diverged"], "parameter_exit"),
+    ([], "step_failure"),
+    ([], "point_cap"),
+])
+def test_bifurcation_check_needs_every_branch_traced(errors, termination):
+    from vegpatch.cli import _check_bifurcation
+    from vegpatch.experiments import BifurcationConfig
+
+    suite = _synthetic_suite({0: True, 9: True}, [])
+    suite.errors = errors
+    suite.runs[0].branch.termination = termination
+    failures = _check_bifurcation(suite, BifurcationConfig())
+    assert len(failures) == 1
+    assert (errors[0] if errors else termination) in failures[0]
+
+
+def _ini_text(resolved) -> str:
+    """An INI file holding every key of a manifest's resolved block."""
+    def value(v):
+        return ", ".join(map(repr, v)) if isinstance(v, list) else str(v)
+    return "".join(f"[{section}]\n" + "".join(f"{key} = {value(v)}\n"
+                                              for key, v in items.items())
+                   for section, items in resolved.items())
+
+
+@pytest.mark.parametrize("argv, required", [
+    (["spectral", "--L", "1", "--spacing", "0.1", "--M", "0.3"], 3),
+    (["simulate", "--L", "2", "--nodes", "9", "--ht", "1e-3",
+      "--t-final", "0.01"], 1),
+    (["steady", "--L", "2", "--nodes", "9"], 1),
+    (["sweep", "--preset", "fast", "--points", "1", "--L-min", "1",
+      "--L-max", "1", "--no-plots"], 1),
+    (["bifurcate", "--dw", "80", "--L", "5", "--no-plots"], 1),
+])
+def test_every_key_a_command_reads_is_accepted(argv, required, tmp_path,
+                                               monkeypatch):
+    # the resolved block, written back as a config file, reruns to itself
+    assert run_cli(argv + ["--out", "first"], monkeypatch, tmp_path) == 0
+    resolved = json.loads(
+        (tmp_path / "first" / "manifest.json").read_text())["resolved"]
+    ini = tmp_path / "resolved.ini"
+    ini.write_text(_ini_text(resolved))
+    assert run_cli(argv[:required] + ["--config", str(ini), "--out",
+                                      "second"], monkeypatch, tmp_path) == 0
+    rerun = json.loads((tmp_path / "second" / "manifest.json").read_text())
+    assert rerun["resolved"] == resolved
 
 
 def test_sweep_defaults_match_standard_experiment():
@@ -424,7 +495,6 @@ def test_sweep_defaults_and_outputs(tmp_path, monkeypatch):
     assert manifest["config"]["d_v"] == 2.0
     assert manifest["config"]["d_w"] == 0.1
     assert "grid_policy" in manifest and "wall_time_s" in manifest
-    assert_keys_known(manifest["resolved"])
     assert (outdir / "lcrit.csv").exists()
     assert (outdir / "plots" / "fig_patch_sweep.gp").exists()
 
@@ -445,7 +515,6 @@ def test_bifurcate_defaults_and_outputs(tmp_path, monkeypatch, capsys):
     outdir = tmp_path / "bf"
     manifest = json.loads((outdir / "manifest.json").read_text())
     assert manifest["grid"] == {"L": 25.0, "N": 75}
-    assert_keys_known(manifest["resolved"])
     # per-branch counters in the manifest, one progress line per branch
     branches = manifest["branches"]
     assert len(branches) == 6
@@ -482,14 +551,21 @@ def test_bifurcate_defaults_and_outputs(tmp_path, monkeypatch, capsys):
     assert profiles
 
 
-_INI_KEYS = sorted(set().union(*KNOWN_KEYS.values())) + ["scheme", "aa",
-                                                          "kernal"]
+# Every key some command reads, lower-cased as configparser returns them,
+# then keys no command reads.
+_INI_KEYS = ["a", "b", "d_v", "d_w", "d_w_values", "ds0", "ds_max", "ds_min",
+             "gallery_a", "h_t", "kernel", "l", "l_max", "l_min", "n",
+             "newton_tol", "point_cap", "points", "preset",
+             "stability_stride", "t_final", "threshold", "tol",
+             "trajectory_every", "variant", "scheme", "aa", "kernal"]
+_INI_SECTIONS = ["bifurcation", "continuation", "grid", "integration",
+                 "model", "sweep", "modle"]
 _INI_VALUES = ["nan", "inf", "-1", "0", "3", "1e-3", "abc"]
 
 
 @settings(max_examples=25, deadline=None, derandomize=True)
 @given(st.dictionaries(
-    st.sampled_from(sorted(KNOWN_KEYS) + ["modle"]),
+    st.sampled_from(_INI_SECTIONS),
     st.dictionaries(st.sampled_from(_INI_KEYS), st.sampled_from(_INI_VALUES),
                     max_size=4),
     max_size=4))

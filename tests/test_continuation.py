@@ -211,8 +211,7 @@ def _random_sr(variant, d_w, n, laplace):
     grid = make_grid(25.0, n)
     kernel = laplace if variant == "nonlocal" else None
     ops = build_operators(grid, variant, kernel)
-    return StationaryResidual(ops, ModelParams(
-        1.8, 0.45, 2.0, d_w, variant, "laplace" if kernel else ""))
+    return StationaryResidual(ops, ModelParams(1.8, 0.45, 2.0, d_w))
 
 
 class TestBorderedSolve:
@@ -408,8 +407,7 @@ class TestArnoldiFlag:
         kernel = laplace if variant == "nonlocal" else None
         sr = StationaryResidual(
             build_operators(bif_grid, variant, kernel),
-            ModelParams(3.0, 0.45, 2.0, d_w, variant,
-                        "laplace" if kernel else ""))
+            ModelParams(3.0, 0.45, 2.0, d_w))
         runs = [r for r in bif_suite.runs if r.variant == variant
                 and r.kernel in ("laplace", "") and r.d_w == d_w]
         assert len(runs) == 2                  # vegetated and desert

@@ -215,7 +215,7 @@ class TestExtinctionDecay:
 def test_implicit_batch_reaches_stationary_state(variant, laplace):
     # a vegetated cell of the fast sweep, at its grid and stopping rule
     grid = make_grid(3.0, sweep_resolution(fast_sweep_config(), 3.0))
-    params = ModelParams(1.8, 0.45, 2.0, 0.1, variant)
+    params = ModelParams(1.8, 0.45, 2.0, 0.1)
     ops = build_operators(grid, variant,
                           laplace if variant == "nonlocal" else None)
     v0, w0 = cosine_perturbed_start(grid, 1.8, 0.45)
@@ -255,7 +255,7 @@ def test_implicit_step_stable_for_fast_dispersal(laplace):
 def test_implicit_step_fixes_stationary_state(variant, laplace):
     # a Newton-polished stationary state is a fixed point of the step
     grid = make_grid(3.0, sweep_resolution(fast_sweep_config(), 3.0))
-    params = ModelParams(1.8, 0.45, 2.0, 0.1, variant)
+    params = ModelParams(1.8, 0.45, 2.0, 0.1)
     ops = build_operators(grid, variant,
                           laplace if variant == "nonlocal" else None)
     v0, w0 = cosine_perturbed_start(grid, 1.8, 0.45)
@@ -305,7 +305,7 @@ def bif_model(request, laplace):
     variant = request.param
     ops = build_operators(make_grid(25.0, 75), variant,
                           laplace if variant == "nonlocal" else None)
-    return ops, ModelParams(1.8, 0.45, 2.0, 0.1, variant)
+    return ops, ModelParams(1.8, 0.45, 2.0, 0.1)
 
 
 def test_folded_rhs_matches_reference_and_residual(bif_model):
