@@ -16,8 +16,8 @@ import numpy as np
 
 from .config import Resolver, make_resolver, resolve_output_dir
 from .discretization import DENSE_LIMIT, build_operators, make_grid
-from .dynamics import (State, initial_state, run_to_steady, simulate_horizon,
-                       steady_state_rule)
+from .dynamics import (STEADY_TOL, State, initial_state, run_to_steady,
+                       simulate_horizon, steady_state_rule)
 from .errors import ConfigError, EigenNotConverged, VegpatchError
 from .experiments import (BifurcationConfig, SweepConfig, builtin_kernel,
                           cosine_perturbed_start, detect_critical_L,
@@ -128,9 +128,6 @@ def _build_parser() -> argparse.ArgumentParser:
     def common(p):
         p.add_argument("--config", help="INI config file; flags override it")
         p.add_argument("--out", help="output directory (under $VEGPATCH_OUT)")
-        p.add_argument("--workers", type=int, default=None,
-                       help="accepted for compatibility; runs are "
-                       "single-process")
 
     pk = sub.add_parser("kernels", help="kernel admissibility checks")
     pk.add_argument("action", choices=["check"])
@@ -173,6 +170,9 @@ def _build_parser() -> argparse.ArgumentParser:
 
     pw = sub.add_parser("sweep", help="critical patch size sweep")
     common(pw)
+    pw.add_argument("--workers", type=int, default=None,
+                    help="accepted for compatibility; runs are "
+                    "single-process")
     pw.add_argument("--preset", choices=SWEEP_PRESETS, default=None,
                     help="full: 50 points on [1,100]; fast: 20 on [1,10]")
     pw.add_argument("--points", type=int, default=None)
@@ -396,7 +396,7 @@ def _write_trajectory(path, track) -> None:
 def cmd_steady(args) -> int:
     res = make_resolver(args.config)
     params, grid, ops = _resolve_model(args, res)
-    tol = _positive("tol", res.get("integration", "tol", float, 0.1,
+    tol = _positive("tol", res.get("integration", "tol", float, STEADY_TOL,
                                    args.tol))
     every = _non_negative("trajectory_every", res.get(
         "integration", "trajectory_every", int, 0, args.dump_every))
@@ -476,7 +476,7 @@ def cmd_sweep(args) -> int:
         **_run_config_payload(res, "sweep", outdir),
         "config": {f: getattr(cfg, f) for f in cfg.__dataclass_fields__},
         "steady_state": {
-            **steady_state_rule(cfg.tol),
+            **steady_state_rule(STEADY_TOL),
             "total_steps": sum(r.steps for r in rows),
             "unconverged": sum(not r.converged for r in rows)},
         "grid_policy": {

@@ -49,16 +49,15 @@ class Resolver:
         """Typed value of [section] key; file keys match in any case.
 
         configparser lowercases the keys it reads, so ``A`` finds ``a``.
-        The resolved echo keeps the key as the caller spells it.
+        The resolved echo keeps the key as the caller spells it.  A file
+        value is cast, and a malformed one refused, even under an override.
         """
         items = {k.lower(): v
                  for k, v in self.sections.get(section, {}).items()}
+        value = (_cast(items[key.lower()], kind, section, key)
+                 if key.lower() in items else default)
         if override is not None:
             value = override
-        elif key.lower() in items:
-            value = _cast(items[key.lower()], kind, section, key)
-        else:
-            value = default
         self.resolved.setdefault(section, {})[key] = value
         return value
 

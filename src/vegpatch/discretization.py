@@ -17,6 +17,7 @@ evaluations.
 from __future__ import annotations
 
 import math
+import sys
 import warnings
 from dataclasses import dataclass
 
@@ -48,6 +49,10 @@ def make_grid(half_width: float, n_nodes: int) -> Grid1D:
     if n_nodes < 3:
         raise BadGrid(f"need at least 3 nodes, got {n_nodes}")
     h = 2.0 * half_width / (n_nodes - 1)
+    if h * h < sys.float_info.min:
+        # the operators divide by h^2, which would underflow
+        raise BadGrid(f"grid spacing {h!r} is too fine: its square "
+                      "underflows; widen the habitat or use fewer nodes")
     nodes = np.linspace(-half_width, half_width, n_nodes)
     weights = np.full(n_nodes, h)
     weights[0] = weights[-1] = h / 2.0
@@ -216,20 +221,19 @@ class Operators:
     variant: str                      # "nonlocal" | "local"
     dispersal: DispersalOperator | None
     laplacian: LaplacianOperator
-    kernel: Kernel | None = None
 
 
 def build_operators(grid: Grid1D, variant: str,
                     kernel: Kernel | None = None) -> Operators:
     lap = assemble_laplacian(grid)
     if variant == "local":
-        return Operators(grid, "local", None, lap, None)
+        return Operators(grid, "local", None, lap)
     if variant != "nonlocal":
         raise ValueError(f"unknown variant {variant!r}")
     if kernel is None:
         raise ValueError("nonlocal variant needs a kernel")
     disp = assemble_nonlocal(grid, kernel)
-    return Operators(grid, "nonlocal", disp, lap, kernel)
+    return Operators(grid, "nonlocal", disp, lap)
 
 
 def taylor_consistency(op: DispersalOperator, profile: np.ndarray) -> float:

@@ -14,9 +14,9 @@ implicit through one inverse formed per run, growth explicit, then water
 implicit with the new biomass frozen (Ascher, Ruuth & Wetton, SIAM J.
 Numer. Anal. 32, 1995).  Its fixed points are exactly the discrete
 stationary states.  The driver stops when the l2 norm of the right-hand
-side (vegetation and water concatenated) drops below the tolerance, or
-after STEADY_STEP_CAP steps.  A state that is already stationary converges
-after zero steps.
+side (vegetation and water concatenated) drops below the tolerance,
+STEADY_TOL for every sweep cell, or after STEADY_STEP_CAP steps.  A state
+that is already stationary converges after zero steps.
 """
 from __future__ import annotations
 
@@ -34,6 +34,7 @@ from .tridiag import thomas_solve
 BLOWUP_LIMIT = 1e6
 _GUARD_SQUARE = (BLOWUP_LIMIT / 2) ** 2   # prefilter on ||v||_2^2
 IMEX_STEP = 0.5
+STEADY_TOL = 0.01         # steady states stop at ||F(v, w)||_2 < STEADY_TOL
 STEADY_STEP_CAP = 5_000   # IMEX steps; the slowest sweep cell needs 275
                           # to reach ||F||_2 < 1e-8
 
@@ -314,16 +315,16 @@ class BatchCell:
     w0: np.ndarray
 
 
-def run_to_steady_batch(cells: Iterable[BatchCell],
-                        tol: float) -> list[SteadyResult]:
-    """Steady states of independent cells, each as run_to_steady finds it.
+def run_to_steady_batch(cells: Iterable[BatchCell]) -> list[SteadyResult]:
+    """Each cell's steady state as run_to_steady finds it at STEADY_TOL.
 
     Cells run one at a time in iteration order, so a generator of cells
     keeps only the running cell's operators alive.  Each cell calls the
     shared driver itself rather than run_to_steady, so a run of cells counts
     as one steady-state call.
     """
-    return [_steady(initial_state(c.ops, c.v0, c.w0), c.ops, c.params, tol)
+    return [_steady(initial_state(c.ops, c.v0, c.w0), c.ops, c.params,
+                    STEADY_TOL)
             for c in cells]
 
 

@@ -58,7 +58,6 @@ class SweepConfig:
     B: float = ModelParams.B
     d_v: float = ModelParams.d_v
     d_w: float = ModelParams.d_w
-    tol: float = 0.1        # steady states stop at ||F(v, w)||_2 < tol
     n_min: int = 128
     nodes_per_L: float = 8.0
     perturbation: float = 0.01
@@ -72,19 +71,14 @@ def log_spaced_L(n_points: int, lo: float = 1.0, hi: float = 100.0):
 
 
 def full_sweep_config() -> SweepConfig:
-    """Full 50-point sweep over L in [1, 100]; reference stopping rule."""
+    """Full 50-point sweep over L in [1, 100]."""
     return SweepConfig(L_values=log_spaced_L(50))
 
 
 def fast_sweep_config() -> SweepConfig:
-    """Reduced 20-point sweep over L in [1, 10]; tighter stopping rule.
-
-    Intended for the quick ordering-and-bracketing check.  Its steady
-    states stop at ||F||_2 < 0.01, tenfold tighter than the full preset's
-    0.1: the two bounds are those of the explicit steps (1e-3 and 1e-4)
-    the presets once took, kept so their outputs stay the same.
-    """
-    return SweepConfig(L_values=log_spaced_L(20, 1.0, 10.0), tol=0.01)
+    """Reduced 20-point sweep over L in [1, 10], for the quick
+    ordering-and-bracketing check."""
+    return SweepConfig(L_values=log_spaced_L(20, 1.0, 10.0))
 
 
 def sweep_resolution(cfg: SweepConfig, L: float) -> int:
@@ -140,7 +134,7 @@ def run_patch_sweep(cfg: SweepConfig) -> list[SweepRow]:
                                             cfg.perturbation)
             yield BatchCell(ops, params, v0, w0)
 
-    results = run_to_steady_batch(cells(), cfg.tol)
+    results = run_to_steady_batch(cells())
     rows = []
     for (variant, kernel_family, L, grid), res in zip(keys, results):
         v = res.state.v

@@ -168,6 +168,8 @@ BAD_INPUT_FILES = {
     "bif_model.ini": "[model]\nd_w = 80\nA = 2.5\n\n[grid]\nN = 300\n",
     "grid_n.ini": "[grid]\nN = 300\n",
     "variant.ini": "[model]\nvariant = abc\n",
+    "dw_abc.ini": "[bifurcation]\nd_w_values = abc\n",
+    "rain_x.ini": "[model]\nA = x\n",
 }
 
 
@@ -278,6 +280,17 @@ BAD_INPUT_FILES = {
      ["t_final / h_t", "1e+304", "10,000,000"]),
     (["simulate", "--L", "2", "--nodes", "9", "--t-final", "0.05",
       "--ht", "1e-300"], ["t_final / h_t", "5e+298", "10,000,000"]),
+    # grid spacings whose square underflows
+    (["spectral", "--L", "1e-300"], ["spacing", "underflows"]),
+    (["sweep", "--points", "1", "--L-min", "1e-300", "--L-max", "1e-300"],
+     ["spacing", "underflows"]),
+    (["steady", "--L", "1e-200", "--nodes", "3"], ["spacing", "underflows"]),
+    (["simulate", "--L", "1e-300"], ["spacing", "underflows"]),
+    # a file value is cast even when a flag overrides it
+    (["bifurcate", "--dw", "80", "--L", "5", "--config", "{tmp}/dw_abc.ini"],
+     ["[bifurcation] d_w_values = 'abc'"]),
+    (["steady", "--L", "5", "--nodes", "21", "--A", "1.8", "--config",
+      "{tmp}/rain_x.ini"], ["[model] A = 'x'"]),
 ])
 def test_bad_input_exits_2_without_traceback(argv, needles, tmp_path,
                                              monkeypatch, capsys):
@@ -341,6 +354,8 @@ def test_no_subcommand_is_usage_error(capsys):
     ["simulate", "--tol", "5"], ["simulate", "--max-steps", "3"],
     ["steady", "--ht", "1e-3"], ["steady", "--max-steps", "3"],
     ["sweep", "--ht", "1e-3"], ["sweep", "--max-steps", "3"],
+    ["spectral", "--L", "1", "--workers", "1"], ["simulate", "--workers", "1"],
+    ["steady", "--workers", "1"], ["bifurcate", "--workers", "1"],
 ])
 def test_flags_a_command_does_not_read_are_rejected(argv, capsys):
     with pytest.raises(SystemExit) as exc:
@@ -457,7 +472,6 @@ def test_sweep_defaults_match_standard_experiment():
     assert len(cfg.L_values) == 50
     assert cfg.L_values[0] == pytest.approx(1.0)
     assert cfg.L_values[-1] == pytest.approx(100.0)
-    assert cfg.tol == 0.1
 
 
 @pytest.mark.slow

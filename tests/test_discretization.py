@@ -28,7 +28,9 @@ def test_weights_sum_to_domain_length():
     assert grid.quad_weights.sum() == pytest.approx(20.0, rel=1e-14)
 
 
-@pytest.mark.parametrize("L,n", [(0.0, 5), (-1.0, 5), (2.0, 2)])
+# spacings whose square underflows to zero or to a subnormal
+@pytest.mark.parametrize("L,n", [(0.0, 5), (-1.0, 5), (2.0, 2),
+                                 (1e-300, 3), (1e-160, 3)])
 def test_make_grid_rejects_bad_input(L, n):
     with pytest.raises(BadGrid):
         make_grid(L, n)

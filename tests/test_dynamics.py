@@ -3,8 +3,8 @@ import pytest
 
 from vegpatch.continuation import StationaryResidual, solve_stationary
 from vegpatch.discretization import build_operators, make_grid
-from vegpatch.dynamics import (BLOWUP_LIMIT, IMEX_STEP, BatchCell, State,
-                               _imex, _make_rhs, extinction_decay_check,
+from vegpatch.dynamics import (BLOWUP_LIMIT, IMEX_STEP, STEADY_TOL, BatchCell,
+                               State, _imex, _make_rhs, extinction_decay_check,
                                initial_state, perturbation_decay,
                                run_to_steady, run_to_steady_batch,
                                simulate_horizon)
@@ -78,7 +78,7 @@ def test_batch_blowup_returns_failing_state(small_ops, default_params):
     n = small_ops.grid.n_nodes
     v0, w0 = np.full(n, 9e5), np.full(n, 1.8)
     (got,) = run_to_steady_batch(
-        [BatchCell(small_ops, default_params, v0, w0)], 1e-3)
+        [BatchCell(small_ops, default_params, v0, w0)])
     assert got.blowup and not got.converged
     assert got.steps == got.state.step_count == 1
     # one implicit step from the start: P v1 = v0 + h v0^2 w0 with
@@ -213,14 +213,13 @@ class TestExtinctionDecay:
 
 @pytest.mark.parametrize("variant", ["nonlocal", "local"])
 def test_implicit_batch_reaches_stationary_state(variant, laplace):
-    # a vegetated cell of the fast sweep, at its grid and stopping rule
+    # a vegetated cell of the fast sweep, at its grid
     grid = make_grid(3.0, sweep_resolution(fast_sweep_config(), 3.0))
     params = ModelParams(1.8, 0.45, 2.0, 0.1)
     ops = build_operators(grid, variant,
                           laplace if variant == "nonlocal" else None)
     v0, w0 = cosine_perturbed_start(grid, 1.8, 0.45)
-    tol = 0.01
-    (got,) = run_to_steady_batch([BatchCell(ops, params, v0, w0)], tol)
+    (got,) = run_to_steady_batch([BatchCell(ops, params, v0, w0)])
     assert got.converged and not got.blowup
     assert got.state.t == got.steps * IMEX_STEP
 
@@ -229,7 +228,7 @@ def test_implicit_batch_reaches_stationary_state(variant, laplace):
 
     # the stopping rule holds on the returned state
     rhs_v, rhs_w = _make_rhs(ops, params)(got.state.v, got.state.w)
-    assert np.sqrt(rhs_v @ rhs_v + rhs_w @ rhs_w) < tol
+    assert np.sqrt(rhs_v @ rhs_v + rhs_w @ rhs_w) < STEADY_TOL
     # Newton polishing barely moves it
     sr = StationaryResidual(ops, params)
     u, _ = solve_stationary(sr, 1.8, sr.join(got.state.v, got.state.w))
@@ -244,11 +243,10 @@ def test_implicit_step_stable_for_fast_dispersal(laplace):
     ops = build_operators(grid, "nonlocal", laplace)
     params = ModelParams(1.8, 0.45, 4.0, 0.1)
     v0, w0 = cosine_perturbed_start(grid, 1.8, 0.45)
-    tol = 0.01
-    (got,) = run_to_steady_batch([BatchCell(ops, params, v0, w0)], tol)
+    (got,) = run_to_steady_batch([BatchCell(ops, params, v0, w0)])
     assert got.converged and not got.blowup
     rhs_v, rhs_w = _make_rhs(ops, params)(got.state.v, got.state.w)
-    assert np.sqrt(rhs_v @ rhs_v + rhs_w @ rhs_w) < tol
+    assert np.sqrt(rhs_v @ rhs_v + rhs_w @ rhs_w) < STEADY_TOL
 
 
 @pytest.mark.parametrize("variant", ["nonlocal", "local"])
@@ -259,7 +257,7 @@ def test_implicit_step_fixes_stationary_state(variant, laplace):
     ops = build_operators(grid, variant,
                           laplace if variant == "nonlocal" else None)
     v0, w0 = cosine_perturbed_start(grid, 1.8, 0.45)
-    (got,) = run_to_steady_batch([BatchCell(ops, params, v0, w0)], 0.01)
+    (got,) = run_to_steady_batch([BatchCell(ops, params, v0, w0)])
     sr = StationaryResidual(ops, params)
     u, _ = solve_stationary(sr, 1.8, sr.join(got.state.v, got.state.w))
     v_star, w_star = sr.split(u)

@@ -66,9 +66,19 @@ class TestDetectCriticalL:
         assert math.isnan(out[0].L_crit)
 
 
+def test_sweep_cells_straddling_the_laplace_fold():
+    # rungs 5 and 6 of the full ladder lie on either side of the laplace
+    # fold in L at 1.6079: the narrower cell must collapse to the desert
+    low, high = run_patch_sweep(SweepConfig(
+        L_values=log_spaced_L(50)[5:7], variants=(("nonlocal", "laplace"),)))
+    assert (low.L, high.L) == pytest.approx((1.5999, 1.7575), abs=1e-4)
+    assert low.converged and high.converged
+    assert low.avg_biomass < 0.1 < high.avg_biomass
+
+
 @pytest.fixture(scope="module")
 def tiny_rows():
-    cfg = SweepConfig(L_values=(1.2, 3.0), tol=0.01)
+    cfg = SweepConfig(L_values=(1.2, 3.0))
     return cfg, run_patch_sweep(cfg)
 
 
