@@ -16,8 +16,9 @@ import numpy as np
 
 from .config import Resolver, make_resolver, resolve_output_dir
 from .discretization import DENSE_LIMIT, build_operators, make_grid
-from .dynamics import (STEADY_TOL, State, initial_state, run_to_steady,
-                       simulate_horizon, steady_state_rule)
+from .dynamics import (BLOWUP_LIMIT, RK4_STEP, STEADY_TOL, State,
+                       horizon_rule, initial_state, run_to_steady,
+                       simulate_horizon, stable_step, steady_state_rule)
 from .errors import ConfigError, EigenNotConverged, VegpatchError
 from .experiments import (BifurcationConfig, SweepConfig, builtin_kernel,
                           cosine_perturbed_start, detect_critical_L,
@@ -49,7 +50,7 @@ BIOMASS_FLOOR_CUT = 0.01
 KERNEL_FAMILIES = ("laplace", "super_gaussian")
 MODEL_VARIANTS = ("nonlocal", "local")
 SWEEP_PRESETS = ("full", "fast")
-SIMULATE_STEP_CAP = 10_000_000   # t_final / h_t; about 2 min at 75 nodes
+SIMULATE_STEP_CAP = 10_000_000   # t_final / h_t; 6 min of RK4 at 75 nodes
 
 
 def main(argv=None) -> int:
@@ -161,7 +162,8 @@ def _build_parser() -> argparse.ArgumentParser:
                        help="trajectory sample cadence in steps")
         if name == "simulate":
             p.add_argument("--ht", type=float, default=None,
-                           help="explicit Euler time step")
+                           help="RK4 time step; default 0.01, or the "
+                           "largest stable step if that is smaller")
             p.add_argument("--t-final", type=float, default=None)
         else:
             p.add_argument("--tol", type=float, default=None,
@@ -331,6 +333,11 @@ def _resolve_model(args, res: Resolver):
     except ValueError as exc:
         raise ConfigError(str(exc)) from exc
     grid = make_grid(L, n)
+    # the transport terms of a state inside the blowup guard, in l2
+    coeff = 4.0 * BLOWUP_LIMIT * max(d_v, d_w) / grid.spacing ** 2
+    if not math.isfinite(n * coeff * coeff):
+        raise ConfigError(f"grid spacing {grid.spacing!r} is too fine: "
+                          "d / h^2 would overflow ||F||_2; widen the habitat")
     kernel = builtin_kernel(kernel_family) if variant == "nonlocal" else None
     ops = build_operators(grid, variant, kernel)
     return params, grid, ops
@@ -358,11 +365,13 @@ def _initial_from_flag(spec: str, params, grid, ops) -> State:
 def cmd_simulate(args) -> int:
     res = make_resolver(args.config)
     params, grid, ops = _resolve_model(args, res)
-    h_t = _positive("h_t", res.get("integration", "h_t", float, 1e-4, args.ht))
+    stable = stable_step(ops, params)
+    h_t = _positive("h_t", res.get("integration", "h_t", float,
+                                   min(RK4_STEP, stable), args.ht))
     t_final = _positive("t_final", res.get("integration", "t_final", float,
                                            10.0, args.t_final))
     every = _non_negative("trajectory_every", res.get(
-        "integration", "trajectory_every", int, 100, args.dump_every))
+        "integration", "trajectory_every", int, 1, args.dump_every))
     res.reject_unread("simulate")
     if not t_final / h_t <= SIMULATE_STEP_CAP:
         raise ConfigError(
@@ -380,7 +389,9 @@ def cmd_simulate(args) -> int:
         _write_trajectory(outdir / "trajectory.csv", track)
     write_manifest(outdir / "manifest.json", {
         **_run_config_payload(res, "simulate", outdir), "init": args.init,
-        "wall_time_s": time.time() - t0, "steps": state.step_count})
+        "wall_time_s": time.time() - t0, "steps": state.step_count,
+        "integrator": horizon_rule(h_t, h_t == stable < RK4_STEP,
+                                   state.step_count)})
     print(f"simulated to t={state.t:g} ({state.step_count} steps); "
           f"outputs in {outdir}")
     return 0

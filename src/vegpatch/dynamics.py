@@ -6,7 +6,7 @@ caller and then applies one of two in-place updates.  The linear terms of
 the right-hand side are folded once per run into one action per field: a
 dense matrix for non-local dispersal with mortality, and three-point
 stencils applied by np.correlate for local diffusion and for water.
-Explicit Euler, under explicit stability guards, serves the time-accurate
+Fixed-step RK4, under explicit stability guards, serves the time-accurate
 transients: fixed horizons and the decay checks.  Steady states, from
 run_to_steady and run_to_steady_batch alike, come from one driver taking
 linearly implicit (IMEX) Euler steps: vegetation transport and mortality
@@ -34,6 +34,7 @@ from .tridiag import thomas_solve
 BLOWUP_LIMIT = 1e6
 _GUARD_SQUARE = (BLOWUP_LIMIT / 2) ** 2   # prefilter on ||v||_2^2
 IMEX_STEP = 0.5
+RK4_STEP = 1e-2           # default step of the time-accurate runs
 STEADY_TOL = 0.01         # steady states stop at ||F(v, w)||_2 < STEADY_TOL
 STEADY_STEP_CAP = 5_000   # IMEX steps; the slowest sweep cell needs 275
                           # to reach ||F||_2 < 1e-8
@@ -76,25 +77,30 @@ class DecayReport:
     final_water_gap: float
 
 
+def _step_factors(ops: Operators, params: ModelParams):
+    """(name, f) per explicit bound: a step h_t passes when f * h_t <= 0.5
+    for all, so h_t |lambda| stays near 2 or below, in RK4's [-2.785, 0]."""
+    h2 = ops.grid.spacing ** 2
+    if ops.variant == "local":
+        vegetation = ("vegetation diffusion number", 0.5 * params.d_v / h2)
+    else:
+        norm_k = float(ops.dispersal.row_sums().max())
+        vegetation = ("dispersal step factor", params.d_v * (1.0 + norm_k))
+    return [("water diffusion number", params.d_w / h2), vegetation]
+
+
 def check_timestep(ops: Operators, params: ModelParams, h_t: float) -> None:
     """Reject explicit steps that violate the diffusion stability bounds."""
     if h_t <= 0:
         raise UnstableTimestep("time step must be positive")
-    h2 = ops.grid.spacing ** 2
-    if params.d_w * h_t / h2 > 0.5:
-        raise UnstableTimestep(
-            f"water diffusion number {params.d_w * h_t / h2:.3g} exceeds 0.5")
-    if ops.variant == "local":
-        if 0.5 * params.d_v * h_t / h2 > 0.5:
-            raise UnstableTimestep(
-                f"vegetation diffusion number {0.5 * params.d_v * h_t / h2:.3g} "
-                "exceeds 0.5")
-    else:
-        norm_k = float(ops.dispersal.row_sums().max())
-        if params.d_v * h_t * (1.0 + norm_k) > 0.5:
-            raise UnstableTimestep(
-                f"dispersal step factor {params.d_v * h_t * (1 + norm_k):.3g} "
-                "exceeds 0.5")
+    for name, factor in _step_factors(ops, params):
+        if factor * h_t > 0.5:
+            raise UnstableTimestep(f"{name} {factor * h_t:.3g} exceeds 0.5")
+
+
+def stable_step(ops: Operators, params: ModelParams) -> float:
+    """The largest step check_timestep accepts."""
+    return min(0.5 / factor for _, factor in _step_factors(ops, params))
 
 
 def _make_rhs(ops: Operators, params: ModelParams):
@@ -139,17 +145,14 @@ def _make_rhs(ops: Operators, params: ModelParams):
     return rhs
 
 
-def _march(state: State, ops: Operators, params: ModelParams, n_steps: int,
-           advance):
+def _march(state: State, rhs, n_steps: int, advance):
     """The time loop: yields (n, rhs_v, rhs_w) for the state after n steps.
 
     state.v and state.w are the live fields; after each yield but the last,
     advance(v, w, rhs_v, rhs_w) updates them in place.  A non-finite biomass
-    or one above BLOWUP_LIMIT raises Blowup at step n.  The right-hand side
-    is built once, before the first step.
+    or one above BLOWUP_LIMIT raises Blowup at step n.
     """
     v, w = state.v, state.w
-    rhs = _make_rhs(ops, params)
     for n in range(n_steps + 1):
         # ||v||_2 <= LIMIT / 2 bounds every |v_i| with room for rounding;
         # only a state failing that (or a non-finite one) is scanned.
@@ -164,13 +167,36 @@ def _march(state: State, ops: Operators, params: ModelParams, n_steps: int,
             advance(v, w, rhs_v, rhs_w)
 
 
-def _euler(h_t: float):
-    def advance(v, w, rhs_v, rhs_w):
-        rhs_v *= h_t
-        v += rhs_v
-        rhs_w *= h_t
-        w += rhs_w
+def _rk4(rhs, h_t: float, n: int):
+    """One classical fourth-order Runge-Kutta step: the in-place update.
+
+    k1 is the right-hand side _march hands over; the stages y + c h_t k run
+    through the same folded rhs from preallocated buffers, and the slopes
+    sum as k1 + 2 k2 + 2 k3 + k4.  Pinned rows stay put: F is zero there.
+    """
+    buffers = np.empty((4, n))
+
+    def advance(v, w, k_v, k_w):
+        stage_v, stage_w, sum_v, sum_w = buffers
+        sum_v[:], sum_w[:] = k_v, k_w
+        for c, weight in ((0.5, 2.0), (0.5, 2.0), (1.0, 1.0)):
+            np.add(v, c * h_t * k_v, out=stage_v)
+            np.add(w, c * h_t * k_w, out=stage_w)
+            k_v, k_w = rhs(stage_v, stage_w)
+            sum_v += weight * k_v
+            sum_w += weight * k_w
+        v += h_t / 6.0 * sum_v
+        w += h_t / 6.0 * sum_w
     return advance
+
+
+def _rk4_march(state: State, ops: Operators, params: ModelParams,
+               h_t: float, t_final: float):
+    """RK4 steps of h_t to t_final under check_timestep: (n_steps, loop)."""
+    check_timestep(ops, params, h_t)
+    rhs = _make_rhs(ops, params)
+    n_steps = int(round(t_final / h_t))
+    return n_steps, _march(state, rhs, n_steps, _rk4(rhs, h_t, state.v.size))
 
 
 def _imex(ops: Operators, params: ModelParams):
@@ -228,8 +254,8 @@ def _steady(state: State, ops: Operators, params: ModelParams, tol: float,
     converged, blowup = False, None
     track: list[tuple] = []
     try:
-        for n, rhs_v, rhs_w in _march(state, ops, params, STEADY_STEP_CAP,
-                                      _imex(ops, params)):
+        for n, rhs_v, rhs_w in _march(state, _make_rhs(ops, params),
+                                      STEADY_STEP_CAP, _imex(ops, params)):
             residual = math.sqrt(float(rhs_v.dot(rhs_v) + rhs_w.dot(rhs_w)))
             converged = residual < tol
             cur_max = float(v.max())
@@ -263,6 +289,12 @@ def steady_state_rule(tol: float) -> dict:
             "step_cap": STEADY_STEP_CAP}
 
 
+def horizon_rule(h_t: float, capped: bool, steps: int) -> dict:
+    """How a fixed horizon is integrated, as the manifests record it."""
+    return {"scheme": "classical fourth-order Runge-Kutta", "order": 4,
+            "h_t": h_t, "capped_by_stability": capped, "steps": steps}
+
+
 def initial_state(ops: Operators, v: np.ndarray, w: np.ndarray) -> State:
     """Clamp pinned boundary entries and wrap the arrays as a state."""
     v = np.asarray(v, dtype=float).copy()
@@ -292,15 +324,15 @@ def run_to_steady(initial: State, ops: Operators, params: ModelParams,
 def simulate_horizon(initial: State, ops: Operators, params: ModelParams,
                      h_t: float, t_final: float,
                      trajectory_every: int = 0):
-    """Integrate to a fixed horizon; returns (state, trajectory array)."""
-    check_timestep(ops, params, h_t)
+    """Integrate to a fixed horizon by RK4; returns (state, trajectory)."""
     state = initial_state(ops, initial.v, initial.w)
-    n_steps = int(round(t_final / h_t))
+    n_steps, loop = _rk4_march(state, ops, params, h_t, t_final)
     track: list[tuple] = []
-    for n, _, _ in _march(state, ops, params, n_steps, _euler(h_t)):
-        if trajectory_every > 0 and (n % trajectory_every == 0
-                                     or n == n_steps):
-            track.append(_trajectory_row(n * h_t, state.v, state.w))
+    with np.errstate(over="ignore", invalid="ignore"):   # Blowup reports it
+        for n, _, _ in loop:
+            if trajectory_every > 0 and (n % trajectory_every == 0
+                                         or n == n_steps):
+                track.append(_trajectory_row(n * h_t, state.v, state.w))
     state.t, state.step_count = n_steps * h_t, n_steps
     return state, np.asarray(track)
 
@@ -334,15 +366,15 @@ def decay_envelope(t, b: float, m: float, nu0: float):
 
 
 def extinction_decay_check(params: ModelParams, ops: Operators,
-                           v0_level: float, h_t: float = 1e-3,
+                           v0_level: float, h_t: float = RK4_STEP,
                            t_final: float = 60.0,
-                           sample_every: int = 200) -> DecayReport:
+                           sample_every: int = 20) -> DecayReport:
     """Simulate a sub-threshold uniform biomass and verify its collapse.
 
     Checks that the biomass maximum stays under the closed-form envelope at
     every sample (raising EnvelopeViolated at the first excursion) and tracks
     the sup-norm distance of water from the desert profile W0.  The envelope
-    is allowed a slack of 1e-9 + 0.05 * h_t to absorb the explicit-Euler
+    is allowed a slack of 1e-9 + 0.05 * h_t^4 to absorb the fourth-order
     discretization gap between trajectory and envelope.
     """
     grid = ops.grid
@@ -352,13 +384,11 @@ def extinction_decay_check(params: ModelParams, ops: Operators,
         raise ValueError(
             f"initial level {v0_level} outside the decay interval "
             f"[0, {params.B / m:.6g}]")
-    check_timestep(ops, params, h_t)
-
     state = initial_state(ops, np.full(grid.n_nodes, float(v0_level)), w0)
-    slack = 1e-9 + 0.05 * h_t
-    n_steps = int(round(t_final / h_t))
+    slack = 1e-9 + 0.05 * h_t ** 4
+    n_steps, loop = _rk4_march(state, ops, params, h_t, t_final)
     times, maxima, envs, gaps = [], [], [], []
-    for n, _, _ in _march(state, ops, params, n_steps, _euler(h_t)):
+    for n, _, _ in loop:
         if n % sample_every and n != n_steps:
             continue
         t = n * h_t
@@ -381,8 +411,8 @@ def extinction_decay_check(params: ModelParams, ops: Operators,
 
 def perturbation_decay(ops: Operators, params: ModelParams,
                        v_ref: np.ndarray, w_ref: np.ndarray,
-                       amplitude: float = 0.01, h_t: float = 1e-3,
-                       t_final: float = 30.0, sample_every: int = 100,
+                       amplitude: float = 0.01, h_t: float = RK4_STEP,
+                       t_final: float = 30.0, sample_every: int = 10,
                        norm_floor: float = 1e-9):
     """Perturb a stationary state and fit the l2 decay rate of the gap.
 
@@ -394,10 +424,9 @@ def perturbation_decay(ops: Operators, params: ModelParams,
     grid = ops.grid
     profile = np.cos(np.pi * grid.nodes / (2.0 * grid.half_width))
     state = initial_state(ops, v_ref * (1.0 + amplitude * profile), w_ref)
-    check_timestep(ops, params, h_t)
-    n_steps = int(round(t_final / h_t))
+    _, loop = _rk4_march(state, ops, params, h_t, t_final)
     times, gaps = [], []
-    for n, _, _ in _march(state, ops, params, n_steps, _euler(h_t)):
+    for n, _, _ in loop:
         if n % sample_every == 0:
             times.append(n * h_t)
             gaps.append(float(np.linalg.norm(state.v - v_ref)))

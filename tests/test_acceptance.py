@@ -105,7 +105,7 @@ def test_criterion_05_invariant_region_and_extinction(default_params,
                       "collapses"):
         ops = build_operators(make_grid(25.0, 129), "nonlocal", laplace)
         report = extinction_decay_check(default_params, ops, 0.2,
-                                        h_t=1e-3, t_final=40.0)
+                                        h_t=1e-2, t_final=40.0)
         assert report.threshold == pytest.approx(B_STD / A_STD)
         assert float(report.max_v.max()) <= 0.25
         assert report.final_max_v < 1e-3
@@ -213,7 +213,7 @@ def test_criterion_12_stability_crosscheck(bif_suite, laplace):
         u, _ = solve_stationary(sr, 1.8, seed.snapshot)
         v_ref, w_ref = sr.split(u)
         times, gaps, slope = perturbation_decay(
-            ops, params, v_ref, w_ref, amplitude=0.01, h_t=1e-3,
+            ops, params, v_ref, w_ref, amplitude=0.01, h_t=1e-2,
             t_final=25.0)
         assert slope < -0.05, slope
         assert gaps[-1] < 0.05 * gaps[0]

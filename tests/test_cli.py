@@ -277,7 +277,7 @@ BAD_INPUT_FILES = {
      ["sweep", "A >= 2B", "B = 1.0"]),
     # step counts that would never finish
     (["simulate", "--L", "2", "--nodes", "9", "--t-final", "1e300"],
-     ["t_final / h_t", "1e+304", "10,000,000"]),
+     ["t_final / h_t", "1e+302", "10,000,000"]),
     (["simulate", "--L", "2", "--nodes", "9", "--t-final", "0.05",
       "--ht", "1e-300"], ["t_final / h_t", "5e+298", "10,000,000"]),
     # grid spacings whose square underflows
@@ -291,6 +291,9 @@ BAD_INPUT_FILES = {
      ["[bifurcation] d_w_values = 'abc'"]),
     (["steady", "--L", "5", "--nodes", "21", "--A", "1.8", "--config",
       "{tmp}/rain_x.ini"], ["[model] A = 'x'"]),
+    # grid spacings at which d / h^2 would overflow ||F||_2
+    (["steady", "--L", "1e-150"], ["spacing", "overflow"]),
+    (["simulate", "--L", "1e-150"], ["spacing", "overflow"]),
 ])
 def test_bad_input_exits_2_without_traceback(argv, needles, tmp_path,
                                              monkeypatch, capsys):

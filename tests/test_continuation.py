@@ -391,7 +391,7 @@ class TestStabilityFlag:
         params = ModelParams(1.8, 0.45, 2.0, 0.1)
         state = initial_state(bif_ops_laplace, v * 1.01, w.copy())
         out, _ = simulate_horizon(state, bif_ops_laplace, params,
-                                  h_t=1e-3, t_final=20.0)
+                                  h_t=1e-2, t_final=20.0)
         gap0 = 0.01 * float(np.abs(v).max())
         assert np.max(np.abs(out.v - v)) > 10.0 * gap0
 

@@ -3,11 +3,12 @@ import pytest
 
 from vegpatch.continuation import StationaryResidual, solve_stationary
 from vegpatch.discretization import build_operators, make_grid
-from vegpatch.dynamics import (BLOWUP_LIMIT, IMEX_STEP, STEADY_TOL, BatchCell,
-                               State, _imex, _make_rhs, extinction_decay_check,
-                               initial_state, perturbation_decay,
-                               run_to_steady, run_to_steady_batch,
-                               simulate_horizon)
+from vegpatch.dynamics import (BLOWUP_LIMIT, IMEX_STEP, RK4_STEP, STEADY_TOL,
+                               BatchCell, State, _imex, _make_rhs,
+                               extinction_decay_check, initial_state,
+                               perturbation_decay, run_to_steady,
+                               run_to_steady_batch, simulate_horizon,
+                               stable_step)
 from vegpatch.errors import Blowup, EnvelopeViolated, UnstableTimestep
 from vegpatch.experiments import (cosine_perturbed_start, fast_sweep_config,
                                   sweep_resolution)
@@ -21,12 +22,23 @@ def small_ops(laplace):
 
 
 def test_bare_soil_single_step(small_ops, default_params):
+    # v = 0 stays put and water solves w' = W w + A on the free nodes, with
+    # W = d_w Lap - I and pinned rows zero; one RK4 step from w = 0 is the
+    # Taylor polynomial (h + h^2 W / 2 + h^3 W^2 / 6 + h^4 W^3 / 24) A
     n = small_ops.grid.n_nodes
     state = initial_state(small_ops, np.zeros(n), np.zeros(n))
-    h_t = 1e-3
-    out, _ = simulate_horizon(state, small_ops, default_params, h_t, h_t)
+    h_t, p = 1e-3, default_params
+    out, _ = simulate_horizon(state, small_ops, p, h_t, h_t)
+    water = p.d_w * small_ops.laplacian.dense() - np.eye(n)
+    water[[0, -1]] = 0.0
+    term = np.full(n, h_t * p.A)
+    term[[0, -1]] = 0.0
+    want = np.zeros(n)
+    for k in range(1, 5):
+        want += term
+        term = h_t / (k + 1) * (water @ term)
     assert np.array_equal(out.v, np.zeros(n))
-    assert np.allclose(out.w[1:-1], h_t * default_params.A, atol=1e-16)
+    assert np.allclose(out.w, want, rtol=1e-14, atol=0.0)
     assert out.w[0] == 0.0 and out.w[-1] == 0.0
     assert out.step_count == 1 and out.t == pytest.approx(h_t)
 
@@ -166,7 +178,7 @@ class TestExtinctionDecay:
     def test_subcritical_level_decays(self, default_params, laplace):
         ops = build_operators(make_grid(25.0, 129), "nonlocal", laplace)
         report = extinction_decay_check(default_params, ops, 0.2,
-                                        h_t=1e-3, t_final=40.0)
+                                        h_t=1e-2, t_final=40.0)
         assert report.threshold == pytest.approx(0.25)
         assert np.all(report.max_v <= report.envelope + report.envelope_slack)
         assert report.final_max_v < 1e-3
@@ -182,7 +194,7 @@ class TestExtinctionDecay:
         # at the endpoint the envelope is the constant threshold level
         ops = build_operators(make_grid(25.0, 129), "nonlocal", laplace)
         report = extinction_decay_check(default_params, ops, 0.25,
-                                        h_t=1e-3, t_final=10.0)
+                                        h_t=1e-2, t_final=10.0)
         assert np.all(report.envelope == pytest.approx(0.25))
         assert np.all(report.max_v <= 0.25 + report.envelope_slack)
 
@@ -278,7 +290,7 @@ def test_perturbation_decay_negative_slope(default_params, laplace):
     assert settled.converged
     times, gaps, slope = perturbation_decay(
         ops, default_params, settled.state.v, settled.state.w,
-        amplitude=0.01, h_t=1e-3, t_final=12.0)
+        amplitude=0.01, h_t=1e-2, t_final=12.0)
     assert slope < -0.01
     assert gaps[-1] < gaps[0]
 
@@ -325,17 +337,28 @@ def test_folded_rhs_matches_reference_and_residual(bif_model):
         assert np.abs(got[free] - res[free]).max() <= 1e-12 * scale
 
 
+def _reference_rk4(v, w, ops, params, h_t, n_steps):
+    """Classical RK4 written out stage by stage on _reference_rhs."""
+    for _ in range(n_steps):
+        k1 = _reference_rhs(v, w, ops, params)
+        k2 = _reference_rhs(v + 0.5 * h_t * k1[0], w + 0.5 * h_t * k1[1],
+                            ops, params)
+        k3 = _reference_rhs(v + 0.5 * h_t * k2[0], w + 0.5 * h_t * k2[1],
+                            ops, params)
+        k4 = _reference_rhs(v + h_t * k3[0], w + h_t * k3[1], ops, params)
+        v = v + h_t / 6.0 * (k1[0] + 2.0 * k2[0] + 2.0 * k3[0] + k4[0])
+        w = w + h_t / 6.0 * (k1[1] + 2.0 * k2[1] + 2.0 * k3[1] + k4[1])
+    return State(v, w)
+
+
 def test_simulate_horizon_matches_reference_loop(bif_model):
     ops, params = bif_model
     v0, w0 = cosine_perturbed_start(ops.grid, params.A, params.B)
     h_t, n_steps = 1e-2, 2000
     out, _ = simulate_horizon(initial_state(ops, v0, w0), ops, params, h_t,
                               n_steps * h_t)
-    ref = initial_state(ops, v0, w0)
-    for _ in range(n_steps):
-        rhs_v, rhs_w = _reference_rhs(ref.v, ref.w, ops, params)
-        ref.v += h_t * rhs_v
-        ref.w += h_t * rhs_w
+    start = initial_state(ops, v0, w0)
+    ref = _reference_rk4(start.v, start.w, ops, params, h_t, n_steps)
     assert out.step_count == n_steps
     assert np.abs(out.v - ref.v).max() <= 1e-12 * np.abs(ref.v).max()
     assert np.abs(out.w - ref.w).max() <= 1e-12 * np.abs(ref.w).max()
@@ -374,3 +397,39 @@ def test_blowup_guard_reports_first_bad_node(small_ops, default_params, bad):
         simulate_horizon(state, small_ops, default_params, 1e-3, 1e-3)
     assert err.value.step == 0 and err.value.node == 17
     assert np.array_equal(err.value.value, bad, equal_nan=True)
+
+
+def test_default_horizon_converged_in_the_step(laplace):
+    # simulate's default run (L = 25, N = 75, non-local, t = 10) at its
+    # default step agrees with the same run at a step 20 times smaller
+    ops = build_operators(make_grid(25.0, 75), "nonlocal", laplace)
+    params = ModelParams()
+    assert stable_step(ops, params) > RK4_STEP
+    v0, w0 = cosine_perturbed_start(ops.grid, params.A, params.B)
+    out, _ = simulate_horizon(initial_state(ops, v0, w0), ops, params,
+                              RK4_STEP, 10.0)
+    ref, _ = simulate_horizon(initial_state(ops, v0, w0), ops, params,
+                              RK4_STEP / 20, 10.0)
+    assert out.step_count == 1000 and ref.step_count == 20000
+    assert np.abs(out.v - ref.v).max() <= 1e-10
+    assert np.abs(out.w - ref.w).max() <= 1e-10
+
+
+@pytest.mark.parametrize("variant", ["nonlocal", "local"])
+def test_horizon_error_is_fourth_order(variant, laplace):
+    # halving the step shrinks the error against a fine reference by about
+    # 2^4 = 16; a first-order scheme gives 2
+    ops = build_operators(make_grid(5.0, 21), variant,
+                          laplace if variant == "nonlocal" else None)
+    params = ModelParams()
+    v0, w0 = cosine_perturbed_start(ops.grid, params.A, params.B)
+
+    def final_v(h_t):
+        out, _ = simulate_horizon(initial_state(ops, v0, w0), ops, params,
+                                  h_t, 2.0)
+        return out.v
+
+    ref = final_v(0.1 / 32)
+    coarse = np.abs(final_v(0.1) - ref).max()
+    fine = np.abs(final_v(0.05) - ref).max()
+    assert fine > 0.0 and coarse >= 12.0 * fine, (coarse, fine)
