@@ -267,9 +267,12 @@ def cmd_spectral(args) -> int:
     lines = ["L,beta1,lambda1,extinction_guaranteed"]
     widths = []
     for L, n in zip(args.L, nodes):
+        t0 = time.perf_counter()
         grid = make_grid(L, n)
         ops = build_operators(grid, "nonlocal", kernel)
+        t1 = time.perf_counter()
         beta = principal_eigenvalue_nonlocal(ops.dispersal)
+        t2 = time.perf_counter()
         lam = principal_eigenvalue_laplacian(ops.laplacian)
         for name, eig in (("beta1", beta), ("lambda1", lam)):
             if not eig.converged:
@@ -277,19 +280,23 @@ def cmd_spectral(args) -> int:
                     f"{name} at --L {L!r} ({n} nodes) did not converge: "
                     f"residual {eig.residual:.3e} after {eig.iterations} "
                     "iterations")
+        t3 = time.perf_counter()
         if args.M is not None:
             m_const = args.M
         else:
             v3 = max(s.v_star for s in constant_steady_states(A, B))
             m_const = estimate_lipschitz_M(params, grid,
                                            v_range=max(1.0, v3)).value
+        t4 = time.perf_counter()
         guaranteed, _margin = extinction_criterion(beta.value, d_v, m_const)
         lines.append(f"{L!r},{beta.value!r},{lam.value!r},"
                      f"{'true' if guaranteed else 'false'}")
         widths.append({"L": L, "nodes": n, "M": m_const,
                        "krylov_dim": beta.iterations,
                        "beta1_residual": beta.residual,
-                       "lambda1_residual": lam.residual})
+                       "lambda1_residual": lam.residual,
+                       "assemble_s": t1 - t0, "beta1_s": t2 - t1,
+                       "lipschitz_s": t4 - t3})
     print(f"# d_v = {d_v!r}; M from sampled lower-bound estimator unless "
           "--M given")
     print("\n".join(lines))

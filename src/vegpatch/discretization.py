@@ -2,7 +2,7 @@
 
 The non-local dispersal operator acts as (Kv)_i - v_i where K integrates the
 kernel against the biomass field over the habitat only; mass dispersing past
-the boundary is lost.  K is always held as a dense N x N matrix whose entry
+the boundary is lost.  K is held by its band (see below), and its entry
 K_ij integrates the kernel against the piecewise linear hat of node j with
 per-panel Gauss quadrature.  Row sums then equal the habitat-truncated
 kernel mass at the node to near machine precision, so they never exceed one
@@ -12,10 +12,11 @@ sampling J(x_i - x_j) overshoots by O(h^2) with a large constant (about 7%
 of the mass at h = 0.68); hat integration is immune because all kinks land
 on panel boundaries.  Translation invariance leaves one band of offsets
 plus the two boundary columns to integrate, in three vectorized kernel
-evaluations.
+evaluations; K is applied by FFT and made dense only for dense solvers.
 """
 from __future__ import annotations
 
+import functools
 import math
 import sys
 import warnings
@@ -79,26 +80,45 @@ def _panel_sums(values: np.ndarray, rad: float) -> np.ndarray:
 class DispersalOperator:
     """Discrete non-local dispersal on a grid: apply(v) = K v - v.
 
-    K is always a dense N x N matrix; every command rejects a grid of more
-    than DENSE_LIMIT nodes before assembling one.  Instances are immutable
-    after assembly.
+    K is held as the (band, left, right) of _hat_moments_exact: Toeplitz on
+    the interior columns, K_ij = band[hb + i - j].  apply() is one
+    zero-padded real FFT convolution with the band, whose transform is taken
+    on the first apply; ``matrix``, the dense K, is formed on first access
+    and kept.  Every command rejects a grid of more than DENSE_LIMIT nodes
+    before assembling one.  Instances are immutable after assembly.
     """
 
-    def __init__(self, grid: Grid1D, kernel: Kernel, matrix: np.ndarray):
+    def __init__(self, grid: Grid1D, kernel: Kernel, band: np.ndarray,
+                 left: np.ndarray, right: np.ndarray):
         self.grid = grid
         self.kernel = kernel
-        self.matrix = matrix
+        self.band, self.left, self.right = band, left, right
 
     @property
     def n_nodes(self) -> int:
         return self.grid.n_nodes
 
+    @functools.cached_property
+    def matrix(self) -> np.ndarray:
+        return _densify(self.n_nodes, self.band, self.left, self.right)
+
+    @functools.cached_property
+    def _band_spectrum(self):
+        # longer than the full convolution (n - 3 + len(band)): no wrap-around
+        size = 1 << (self.n_nodes - 3 + len(self.band)).bit_length()
+        return size, np.fft.rfft(self.band, size)
+
     def apply(self, v: np.ndarray) -> np.ndarray:
         """Operator action Kv - v on one node vector v of shape (N,)."""
-        return v @ self.matrix.T - v
+        size, spectrum = self._band_spectrum
+        start = len(self.band) // 2 - 1      # (Kv)_i is conv[hb - 1 + i]
+        conv = np.fft.irfft(np.fft.rfft(v[1:-1], size) * spectrum, size)
+        return (conv[start:start + self.n_nodes] + v[0] * self.left
+                + v[-1] * self.right - v)
 
     def row_sums(self) -> np.ndarray:
-        return self.apply(np.ones(self.n_nodes)) + 1.0
+        """Row sums of the dense K, as (K 1 - 1) + 1 by a dense product."""
+        return (np.ones(self.n_nodes) @ self.matrix.T - 1.0) + 1.0
 
 
 def _densify(n, band, left_col, right_col) -> np.ndarray:
@@ -162,14 +182,12 @@ def _hat_moments_exact(grid: Grid1D, kernel: Kernel):
 
 
 def assemble_nonlocal(grid: Grid1D, kernel: Kernel) -> DispersalOperator:
-    """Assemble the dense dispersal operator for one kernel on one grid."""
+    """Assemble the dispersal operator for one kernel on one grid."""
     if grid.spacing > 0.5:
         warnings.warn(
             f"grid spacing {grid.spacing:.3f} exceeds 0.5; unit-width kernels "
             "are under-resolved", ResolutionWarning, stacklevel=2)
-    band, left, right = _hat_moments_exact(grid, kernel)
-    return DispersalOperator(grid, kernel,
-                             _densify(grid.n_nodes, band, left, right))
+    return DispersalOperator(grid, kernel, *_hat_moments_exact(grid, kernel))
 
 
 class LaplacianOperator:

@@ -117,22 +117,23 @@ def solve_water_stationary(v: np.ndarray, params: ModelParams,
 
 def solve_water_uniform(levels: np.ndarray, params: ModelParams,
                         grid: Grid1D) -> np.ndarray:
-    """Stationary water profiles for constant biomass levels, one row each.
+    """Stationary water at the interior nodes, one column per constant level.
 
-    All levels are solved in one batched Thomas sweep
-    (thomas_solve_columns), which performs the same operations as
-    solve_water_stationary on each level, so every row is bitwise equal to
-    that level's solve_water_stationary(level * ones).  Each row is checked
+    Returns (N - 2, levels) profiles; the boundary nodes hold W = 0.  All
+    levels are solved in one batched Thomas sweep (thomas_solve_columns),
+    which performs the same operations as solve_water_stationary on each
+    level, so every column is bitwise equal to that level's
+    solve_water_stationary(level * ones)[1:-1].  Each column is checked
     against the maximum principle 0 <= W <= A.
     """
     levels = np.asarray(levels, dtype=float)
     if levels.min() < 0:
         raise ValueError("levels must be non-negative")
-    v = np.broadcast_to(levels, (grid.n_nodes, levels.size))
+    v = np.broadcast_to(levels, (3, levels.size))    # one interior row
     lower, diag, upper = water_bands(v, params, grid)
-    w = np.zeros((levels.size, grid.n_nodes))
-    w[:, 1:-1] = thomas_solve_columns(lower, diag, upper, -params.A).T
-    _check_maximum_principle(w, params.A)
+    diag = np.broadcast_to(diag, (lower.size, levels.size))   # all rows alike
+    w = thomas_solve_columns(lower, diag, upper, -params.A)
+    _check_maximum_principle(w.T, params.A)
     return w
 
 

@@ -8,7 +8,8 @@ Lipschitz constant of the reduced nonlinearity, and beta1 shrinks as the
 habitat grows, which is what produces a critical patch size.
 
 beta1 comes from Arnoldi iteration on the weighted symmetrization of K,
-applied through the dispersal operator's action only.  The relative gap
+applied through the dispersal operator's action only, an FFT convolution
+with K's band, so no N x N matrix is formed.  The relative gap
 between the top two eigenvalues closes like 1/L^2; a Krylov method needs
 about the square root of the iterations power iteration would.  The same
 Arnoldi, with another start vector and Ritz selector, gives continuation's
@@ -16,7 +17,7 @@ stability flag.  lambda1,
 the Dirichlet Laplacian's principal eigenvalue, is the Rayleigh quotient of
 its known eigenvector sin(pi k / (m + 1)), checked by one residual against
 the operator norm 4 / h^2.  The Lipschitz estimate scans constant biomass
-levels with one batched water solve.
+levels with one batched water solve and works in place in its result.
 """
 from __future__ import annotations
 
@@ -212,10 +213,13 @@ def estimate_lipschitz_M(params: ModelParams, grid, v_range: float,
         raise ValueError("v_range must be positive")
     levels = np.linspace(0.0, v_range, n_samples + 1)
     f = solve_water_uniform(levels, params, grid)    # f = v^2 W - B v
-    f *= (levels * levels)[:, None]
-    f -= (params.B * levels)[:, None]
-    jumps = f[1:] - f[:-1]
-    jumps = np.abs(jumps, out=jumps).max(axis=1)
+    f *= levels * levels
+    f -= params.B * levels
+    flat = f.reshape(-1)    # in place; row-major, so column k gets f_k+1 - f_k
+    np.subtract(flat[1:], flat[:-1], out=flat[:-1])
+    np.abs(f, out=f)
+    edge = np.abs(np.diff(params.B * levels))    # boundary nodes: W = 0
+    jumps = np.maximum(f[:, :-1].max(axis=0), edge)
     best = float((jumps / np.diff(levels)).max(initial=0.0))
     return LipschitzEstimate(value=best, n_samples=n_samples + 1,
                              v_range=v_range)

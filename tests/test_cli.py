@@ -3,6 +3,7 @@ import io
 import json
 import math
 import tempfile
+import tracemalloc
 from pathlib import Path
 
 import numpy as np
@@ -341,6 +342,20 @@ def test_spectral_manifest_records_each_width(tmp_path, monkeypatch):
     assert all(w["krylov_dim"] >= 1 for w in widths)
     assert all(w["beta1_residual"] <= 1e-9 for w in widths)
     assert all(w["lambda1_residual"] <= 1e-9 for w in widths)
+    for key in ("assemble_s", "beta1_s", "lipschitz_s"):
+        assert all(w[key] >= 0.0 for w in widths)
+
+
+def test_spectral_never_forms_the_dense_matrix(tmp_path, monkeypatch):
+    # spacing 0.05 gives 1281 nodes; a dense K alone would take 13.1 MB
+    tracemalloc.start()
+    try:
+        code = run_cli(["spectral", "--L", "32"], monkeypatch, tmp_path)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert code == 0
+    assert peak < 8 * 1281 ** 2
 
 
 def test_missing_config_file_rejected():

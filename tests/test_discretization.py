@@ -210,6 +210,25 @@ def test_densify_bitwise_matches_reference_loop(family, L, n, laplace,
                           _bits(_reference_densify(n, *moments)))
 
 
+@pytest.mark.parametrize("family", ["laplace", "super_gaussian", "skewed"])
+@pytest.mark.parametrize("L,n", [
+    (1.0, 3),      # every offset in the band
+    (1.0, 4),      # band clipped at n - 1 for every kernel
+    (40.0, 9),     # spacing 10 wider than the super_gaussian cutoff 4
+    (25.0, 75),    # bifurcation grid
+    (32.0, 1281),  # widest spectral_simulate grid
+])
+def test_fft_apply_matches_dense_product(family, L, n, laplace,
+                                         super_gaussian):
+    kernel = {"laplace": laplace, "super_gaussian": super_gaussian,
+              "skewed": custom_kernel(_skewed_density, 6.0)}[family]
+    op = assemble_nonlocal(make_grid(L, n), kernel)
+    v = np.random.default_rng(n).uniform(0.0, 2.0, n)
+    kv = v @ op.matrix.T
+    gap = np.abs(op.apply(v) - (kv - v)).max()
+    assert gap <= 1e-14 * np.abs(kv).max()
+
+
 def test_laplacian_exact_on_quadratics():
     grid = make_grid(10.0, 301)
     lap = assemble_laplacian(grid)

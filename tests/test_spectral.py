@@ -1,4 +1,5 @@
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -171,6 +172,16 @@ class TestLipschitzEstimate:
             prev = cur
         est = estimate_lipschitz_M(default_params, grid, v_range=3.4)
         assert est.value == best
+
+    def test_scan_holds_two_nodes_by_levels_arrays(self, default_params):
+        grid = make_grid(32.0, 1281)    # the widest spectral_simulate grid
+        tracemalloc.start()
+        try:
+            estimate_lipschitz_M(default_params, grid, v_range=3.4)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak <= 2.2 * 8 * (grid.n_nodes - 2) * 401
 
     @pytest.mark.parametrize("level", [-0.01, 2.5, math.nan])
     def test_batched_water_outside_bounds_is_a_typed_error(
