@@ -114,6 +114,28 @@ def _within_dense_limit(n, setting: str, remedy: str):
     return n
 
 
+def _model(args, res: Resolver, **fixed) -> ModelParams:
+    """ModelParams from the [model] keys and the flags that override them;
+    a parameter given in fixed takes that value, and its key is not read."""
+    return ModelParams(**{name: fixed[name] if name in fixed else res.get(
+        "model", name, float, getattr(ModelParams, name),
+        getattr(args, name.replace("_", ""), None))    # --dv sets d_v
+        for name in ("A", "B", "d_v", "d_w")})
+
+
+def _checked_grid(L, n, params: ModelParams, setting: str, remedy: str):
+    """make_grid(L, n) once n is within DENSE_LIMIT and the larger of
+    d_v / h^2 and d_w / h^2 cannot overflow ||F||_2; else a ConfigError."""
+    grid = make_grid(L, _within_dense_limit(n, setting, remedy))
+    d, name = max((params.d_v, "d_v"), (params.d_w, "d_w"))
+    # the transport terms of a state inside the blowup guard, in l2
+    coeff = 4.0 * BLOWUP_LIMIT * d / grid.spacing ** 2
+    if not math.isfinite(n * coeff * coeff):
+        raise ConfigError(f"{name} / h^2 would overflow ||F||_2 at {name} = "
+                          f"{d!r} and grid spacing h = {grid.spacing!r}")
+    return grid
+
+
 def _run_config_payload(res: Resolver, experiment: str, outdir) -> dict:
     return {"experiment": experiment, "output_dir": str(outdir),
             "resolved": res.resolved}
@@ -243,15 +265,9 @@ def cmd_kernels(args) -> int:
 
 def cmd_spectral(args) -> int:
     res = make_resolver(args.config)
-    d_v = res.get("model", "d_v", float, ModelParams.d_v, args.dv)
-    A = res.get("model", "A", float, ModelParams.A)
-    B = res.get("model", "B", float, ModelParams.B)
-    d_w = res.get("model", "d_w", float, ModelParams.d_w)
+    params = _model(args, res)
+    A, B, d_v = params.A, params.B, params.d_v
     res.reject_unread("spectral")
-    try:
-        params = ModelParams(A, B, d_v, d_w)
-    except ValueError as exc:
-        raise ConfigError(str(exc)) from exc
     if args.M is not None:
         _non_negative("--M", args.M)
     kernel = builtin_kernel(args.kernel)
@@ -311,20 +327,8 @@ def cmd_spectral(args) -> int:
     return 0
 
 
-def _grid_nodes(L: float):
-    """floor(nodes_per_L * L) nodes as in the bifurcation suite, at least 3;
-    inf on overflow, and 3 for a non-finite L, which make_grid rejects."""
-    span = BifurcationConfig.nodes_per_L * L
-    if not math.isfinite(span):
-        return math.inf if math.isfinite(L) else 3
-    return max(3, math.floor(span))
-
-
 def _resolve_model(args, res: Resolver):
-    A = res.get("model", "A", float, ModelParams.A, args.A)
-    B = res.get("model", "B", float, ModelParams.B, args.B)
-    d_v = res.get("model", "d_v", float, ModelParams.d_v, args.dv)
-    d_w = res.get("model", "d_w", float, ModelParams.d_w, args.dw)
+    params = _model(args, res)
     variant = _choice("variant", res.get("model", "variant", str,
                                          MODEL_VARIANTS[0], args.variant),
                       MODEL_VARIANTS)
@@ -332,19 +336,8 @@ def _resolve_model(args, res: Resolver):
                                               KERNEL_FAMILIES[0], args.kernel),
                             KERNEL_FAMILIES)
     L = res.get("grid", "L", float, BifurcationConfig.L, args.L)
-    n = _within_dense_limit(res.get("grid", "N", int, _grid_nodes(L),
-                                    args.nodes),
-                            f"the grid L = {L!r}", "lower L or N")
-    try:
-        params = ModelParams(A, B, d_v, d_w)
-    except ValueError as exc:
-        raise ConfigError(str(exc)) from exc
-    grid = make_grid(L, n)
-    # the transport terms of a state inside the blowup guard, in l2
-    coeff = 4.0 * BLOWUP_LIMIT * max(d_v, d_w) / grid.spacing ** 2
-    if not math.isfinite(n * coeff * coeff):
-        raise ConfigError(f"grid spacing {grid.spacing!r} is too fine: "
-                          "d / h^2 would overflow ||F||_2; widen the habitat")
+    n = res.get("grid", "N", int, BifurcationConfig(L=L).n_nodes, args.nodes)
+    grid = _checked_grid(L, n, params, f"the grid L = {L!r}", "lower L or N")
     kernel = builtin_kernel(kernel_family) if variant == "nonlocal" else None
     ops = build_operators(grid, variant, kernel)
     return params, grid, ops
@@ -461,19 +454,13 @@ def _sweep_config_from(args, res: Resolver) -> SweepConfig:
                                     cfg.L_values[-1], args.L_max))
     threshold = _positive("threshold", res.get(
         "sweep", "threshold", float, cfg.threshold, args.threshold))
-    A = _positive("A", res.get("model", "A", float, cfg.A))
-    B = _positive("B", res.get("model", "B", float, cfg.B))
-    d_v = _positive("d_v", res.get("model", "d_v", float, cfg.d_v))
-    d_w = _positive("d_w", res.get("model", "d_w", float, cfg.d_w))
-    _require_vegetated("the sweep's start", A, B)
-    cfg = replace(cfg, L_values=log_spaced_L(points, lo, hi), A=A, B=B,
-                  d_v=d_v, d_w=d_w, threshold=threshold)
-    widest = max(cfg.L_values)
-    _within_dense_limit(sweep_resolution(cfg, widest)
-                        if math.isfinite(cfg.nodes_per_L * widest)
-                        else math.inf,
-                        f"the sweep's widest cell L = {widest!r}",
-                        "lower L_max")
+    params = _model(args, res)
+    _require_vegetated("the sweep's start", params.A, params.B)
+    cfg = replace(cfg, L_values=log_spaced_L(points, lo, hi),
+                  threshold=threshold, **asdict(params))
+    for L in cfg.L_values:
+        _checked_grid(L, sweep_resolution(cfg, L), params,
+                      f"the sweep cell L = {L!r}", "lower L_max")
     return cfg
 
 
@@ -548,17 +535,22 @@ def _check_sweep(crit) -> list[str]:
 def cmd_bifurcate(args) -> int:
     res = make_resolver(args.config)
     base = BifurcationConfig()
-    d_w_values = tuple(_positive("d_w", d_w) for d_w in res.get(
-        "bifurcation", "d_w_values", "floats", base.d_w_values,
-        tuple(args.dw) if args.dw else None))
+    d_w_values = res.get("bifurcation", "d_w_values", "floats",
+                         base.d_w_values, tuple(args.dw) if args.dw else None)
     if args.check and not set(CHECK_D_W) <= set(d_w_values):
         raise ConfigError(
             f"--check tests the fold band at d_w = {CHECK_D_W[0]:g} and the "
             f"sub-threshold patterns at d_w = {CHECK_D_W[1]:g}, so d_w_values "
             f"must hold both, got {', '.join(map(repr, d_w_values)) or 'none'}")
+    if not d_w_values:
+        raise ConfigError("[bifurcation] d_w_values is empty: bifurcate "
+                          "traces its branches at each d_w it holds")
     L = _positive("L", res.get("bifurcation", "L", float, base.L, args.L))
-    B = _positive("B", res.get("model", "B", float, base.B))
-    d_v = _positive("d_v", res.get("model", "d_v", float, base.d_v))
+    for d_w in d_w_values:
+        params = _model(args, res, A=base.A_start, d_w=d_w)
+        _checked_grid(L, replace(base, L=L).n_nodes, params,
+                      f"the grid L = {L!r}", "lower L")
+    _require_vegetated("the bifurcation's start", base.A_start, params.B)
     gallery_A = res.get("bifurcation", "gallery_A", "floats", base.gallery_A)
     stride = _non_negative("stability_stride", res.get(
         "bifurcation", "stability_stride", int, base.stability_stride))
@@ -568,10 +560,9 @@ def cmd_bifurcate(args) -> int:
         name: _positive(name, res.get("continuation", name, type(v), v))
         for name, v in asdict(base.controls).items()
         if name in ("ds0", "ds_min", "ds_max", "point_cap", "newton_tol")})
-    cfg = replace(base, B=B, d_v=d_v, d_w_values=d_w_values, L=L,
-                  controls=controls, stability_stride=stride,
+    cfg = replace(base, B=params.B, d_v=params.d_v, d_w_values=d_w_values,
+                  L=L, controls=controls, stability_stride=stride,
                   gallery_A=gallery_A)
-    _within_dense_limit(_grid_nodes(L), f"the grid L = {L!r}", "lower L")
     res.reject_unread("bifurcate")
     t0 = time.time()
     suite = run_bifurcation_suite(cfg, progress=_report_branch)

@@ -81,13 +81,14 @@ def fast_sweep_config() -> SweepConfig:
     return SweepConfig(L_values=log_spaced_L(20, 1.0, 10.0))
 
 
-def sweep_resolution(cfg: SweepConfig, L: float) -> int:
+def sweep_resolution(cfg: SweepConfig, L: float) -> int | float:
     """Node count for one sweep cell, the same for every variant.
 
-    At least n_min nodes and nodes_per_L per unit half-width; the implicit
-    stepper puts no stability bound on the spacing.
+    At least n_min nodes and nodes_per_L per unit half-width, inf on
+    overflow; the implicit stepper puts no stability bound on the spacing.
     """
-    return max(cfg.n_min, int(math.ceil(cfg.nodes_per_L * L)))
+    span = cfg.nodes_per_L * L
+    return max(cfg.n_min, math.ceil(span)) if math.isfinite(span) else math.inf
 
 
 @dataclass(frozen=True)
@@ -182,6 +183,15 @@ class BifurcationConfig:
     stability_stride: int = 25
     gallery_A: tuple[float, ...] = (1.2, 1.5, 2.0)
     gallery_d_w: float = 80.0
+
+    @property
+    def n_nodes(self):
+        """max(3, floor(nodes_per_L * L)) nodes, the grid of every branch;
+        inf on overflow, and 3 for a non-finite L, which make_grid rejects."""
+        span = self.nodes_per_L * self.L
+        if not math.isfinite(span):
+            return math.inf if math.isfinite(self.L) else 3
+        return max(3, math.floor(span))
 
 
 @dataclass
@@ -296,12 +306,11 @@ def run_bifurcation_suite(cfg: BifurcationConfig,
                           progress=None) -> BifurcationSuite:
     """Trace all branches for every (variant, kernel, d_w) cell.
 
-    Every branch lives on one grid of floor(nodes_per_L * L) nodes, which
-    the suite carries.  ``progress(branch)``, when given, is called as each
-    branch is finished.
+    Every branch lives on one grid of cfg.n_nodes nodes, which the suite
+    carries.  ``progress(branch)``, when given, is called as each branch is
+    finished.
     """
-    suite = BifurcationSuite(
-        make_grid(cfg.L, int(math.floor(cfg.nodes_per_L * cfg.L))))
+    suite = BifurcationSuite(make_grid(cfg.L, cfg.n_nodes))
     for d_w in cfg.d_w_values:
         for variant, kernel_family in cfg.variants:
             _trace_cell(cfg, variant, kernel_family, d_w, suite,

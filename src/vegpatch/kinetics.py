@@ -14,7 +14,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .discretization import Grid1D
-from .errors import WaterBoundViolated
+from .errors import ConfigError, WaterBoundViolated
 from .tridiag import thomas_solve, thomas_solve_columns
 
 EQ_DESERT = 1
@@ -36,8 +36,8 @@ class ModelParams:
         for name in ("A", "B", "d_v", "d_w"):
             value = getattr(self, name)
             if not (math.isfinite(value) and value > 0):
-                raise ValueError(
-                    f"{name} must be finite and strictly positive")
+                raise ConfigError(f"{name} must be finite and strictly "
+                                  f"positive, got {value!r}")
 
 
 @dataclass(frozen=True)

@@ -8,7 +8,7 @@ from pathlib import Path
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from vegpatch.cli import main
@@ -171,6 +171,8 @@ BAD_INPUT_FILES = {
     "variant.ini": "[model]\nvariant = abc\n",
     "dw_abc.ini": "[bifurcation]\nd_w_values = abc\n",
     "rain_x.ini": "[model]\nA = x\n",
+    "arid.ini": "[model]\nB = 1.6\n",
+    "huge_dv.ini": "[model]\nd_v = 1e308\n",
 }
 
 
@@ -295,6 +297,17 @@ BAD_INPUT_FILES = {
     # grid spacings at which d / h^2 would overflow ||F||_2
     (["steady", "--L", "1e-150"], ["spacing", "overflow"]),
     (["simulate", "--L", "1e-150"], ["spacing", "overflow"]),
+    # every command takes its model and grid through the same checks
+    (["bifurcate", "--L", "3", "--dw", "80", "--config", "{tmp}/arid.ini"],
+     ["A >= 2B", "A = 3.0", "B = 1.6"]),
+    (["sweep", "--preset", "fast", "--points", "1", "--config",
+      "{tmp}/huge_dv.ini"], ["d_v / h^2", "overflow", "d_v = 1e+308"]),
+    (["sweep", "--preset", "fast", "--L-min", "1e-140", "--L-max", "1e-139",
+      "--points", "2"], ["spacing", "overflow"]),
+    (["bifurcate", "--L", "3", "--dw", "1e308"],
+     ["d_w / h^2", "overflow", "d_w = 1e+308"]),
+    (["bifurcate", "--config", "{tmp}/no_dw.ini"],
+     ["[bifurcation] d_w_values", "empty"]),
 ])
 def test_bad_input_exits_2_without_traceback(argv, needles, tmp_path,
                                              monkeypatch, capsys):
@@ -308,6 +321,17 @@ def test_bad_input_exits_2_without_traceback(argv, needles, tmp_path,
     assert summary["error"] == "config"
     for needle in needles:
         assert needle in summary["message"]
+
+
+def test_bifurcation_grid_has_at_least_3_nodes(tmp_path, monkeypatch):
+    # floor(3 L) is 1 node at L = 0.5; bifurcate and steady both take 3
+    assert run_cli(["bifurcate", "--L", "0.5", "--dw", "80", "--no-plots",
+                    "--out", "bif"], monkeypatch, tmp_path) == 0
+    assert run_cli(["steady", "--L", "0.5", "--out", "steady"], monkeypatch,
+                   tmp_path) == 0
+    bif = json.loads((tmp_path / "bif" / "manifest.json").read_text())
+    steady = json.loads((tmp_path / "steady" / "manifest.json").read_text())
+    assert bif["grid"]["N"] == steady["resolved"]["grid"]["N"] == 3
 
 
 @pytest.mark.parametrize("family", ["beta1", "lambda1"])
@@ -656,3 +680,26 @@ def test_random_flags_never_end_in_a_traceback(command, variant, L, nodes,
             code = main(argv + ["--out", str(Path(tmp) / "out")])
     assert code in (0, 2, 3, 4), argv
     assert "Traceback" not in err.getvalue(), argv
+
+
+@settings(max_examples=60, deadline=None, derandomize=True)
+@given(st.dictionaries(st.sampled_from(["a", "b", "d_v", "d_w", "aa"]),
+                       st.sampled_from(_INI_VALUES), max_size=2))
+@example({"b": "3"})    # A_start = 3 < 2B
+def test_random_model_sections_never_end_a_bifurcation_in_a_traceback(
+        model):
+    # bifurcate reads [model] B and d_v only; any values end in a run, a
+    # configuration error or a numerical failure.  The point cap bounds a
+    # run: at B = d_v = 1e-3 a branch takes 14,000 points.
+    text = "[continuation]\npoint_cap = 200\n[model]\n" + "".join(
+        f"{key} = {value}\n" for key, value in model.items())
+    with tempfile.TemporaryDirectory() as tmp:
+        ini = Path(tmp) / "model.ini"
+        ini.write_text(text)
+        err = io.StringIO()
+        with contextlib.redirect_stdout(io.StringIO()), \
+                contextlib.redirect_stderr(err):
+            code = main(["bifurcate", "--L", "2", "--dw", "80", "--config",
+                         str(ini), "--out", str(Path(tmp) / "out")])
+    assert code in (0, 2, 3), text
+    assert "Traceback" not in err.getvalue(), text
