@@ -5,14 +5,15 @@ tangent predictor and a bordered Newton corrector, so branches are traced
 through folds.  Arclength mixes the state and the parameter with the state
 scaled by 1/sqrt(2N), making both contribute comparably to step lengths.
 Folds are detected from sign changes of dA/ds between accepted points and
-refined with a local quadratic model of A(s).
+refined by Illinois regula falsi on dA/ds, each corrector warm-started from
+the last converged evaluation (``_locate_fold``).
 
 Every Newton and continuation solve, those of ``solve_stationary``
 included, goes through ``StationaryResidual.bordered_solve``.  It eliminates
 the free water unknowns: their block T is symmetric tridiagonal and the
 couplings between v and w are diagonal, so only the (N+1)-order Schur
-complement in v and the border is factorized densely.  T's inverse comes from a closed form (see
-``water_block_inverse``).
+complement in v and the border is factorized densely.  T's inverse comes
+from a closed form (see ``water_block_inverse``).
 
 The stability flag uses the same Schur complement (``_schur``): inverted
 once on the free vegetation nodes, it applies the free Jacobian's inverse,
@@ -109,8 +110,10 @@ def water_block_inverse(off: float, diag: np.ndarray) -> np.ndarray:
         rho[i] = r
     c = np.zeros(k)
     np.cumsum(math.log(off) - np.log(np.negative(pivots[:-1])), out=c[1:])
-    return (np.exp(-np.abs(c[:, None] - c[None, :]))
-            * np.array(rho)[_max_index(k)])
+    e = np.subtract.outer(c, c)     # in place from here on
+    np.exp(np.negative(np.abs(e, out=e), out=e), out=e)
+    e *= np.array(rho)[_max_index(k)]
+    return e
 
 
 class StationaryResidual:
@@ -148,6 +151,7 @@ class StationaryResidual:
         self._v_pinned = np.zeros(n, dtype=bool)
         if ops.variant == "local":
             self._v_pinned[[0, -1]] = True
+        self._fv = slice(1, n - 1) if ops.variant == "local" else slice(0, n)
         self._w_pinned = np.zeros(n, dtype=bool)
         self._w_pinned[[0, -1]] = True
         # Jacobian template: transport blocks on the free rows, identity on
@@ -160,10 +164,15 @@ class StationaryResidual:
         pinned = np.flatnonzero(~self.free_mask())
         t[pinned, pinned] = 1.0
         self._jac_template = t
+        self._schur_template = np.zeros((n + 1, n + 1))   # _schur's start
+        self._schur_template[:n, :n] = t[:n, :n]
         # Free water block T on the interior nodes: constant off-diagonal,
         # and the transport part of its diagonal.
         self._t_off = float(self._mw[1, 0])
         self._t_diag = self._mw.diagonal()[1:-1].copy()
+        self._d_dA = np.zeros(2 * n)
+        self._d_dA[n + 1:-1] = 1.0     # the interior water rows
+        self._d_dA.setflags(write=False)
 
     def split(self, u: np.ndarray):
         n = self.n_nodes
@@ -192,26 +201,27 @@ class StationaryResidual:
         j[n + fw, n + fw] -= v[fw] * v[fw] + 1.0
         return j
 
-    def _schur(self, v: np.ndarray, w: np.ndarray, out: np.ndarray):
-        """Write the Schur complement S = J_vv - diag(v^2) T^-1 diag(-2 v w)
-        into ``out`` (n x n; identity rows at pinned vegetation nodes).
-
-        Returns (T^-1, s, g): the free water block's inverse, the diagonal
-        of J_vw (zero on pinned vegetation rows) and the diagonal of J_wv on
-        the free water rows.
-        """
-        f = slice(1, self.n_nodes - 1)
+    def _schur(self, v: np.ndarray, w: np.ndarray):
+        """A new (n + 1) x (n + 1) matrix holding the Schur complement
+        S = J_vv - diag(v^2) T^-1 diag(-2 v w) in its leading n x n block
+        (identity rows at pinned vegetation nodes), T^-1, the diagonal s of
+        J_vw (zero on pinned vegetation rows) and the diagonal g of J_wv on
+        the free water rows."""
+        n = self.n_nodes
+        f = slice(1, n - 1)
+        fv = self._fv
         vf = v[f]
         tinv = water_block_inverse(self._t_off,
                                    self._t_diag - (vf * vf + 1.0))
         s = v * v
-        s[self._v_pinned] = 0.0
+        s[:fv.start] = s[fv.stop:] = 0.0
         g = -2.0 * vf * w[f]
-        out[...] = self._jac_template[:self.n_nodes, :self.n_nodes]
-        fv = self._free_v
-        out[fv, fv] += 2.0 * v[fv] * w[fv] - self.params.B
-        out[f, f] -= (s[f, None] * tinv) * g
-        return tinv, s, g
+        m = self._schur_template.copy()
+        m.reshape(-1)[::n + 2][fv] += 2.0 * v[fv] * w[fv] - self.params.B
+        sts = np.multiply(tinv, s[f, None])
+        sts *= g
+        m[f, f] -= sts
+        return m, tinv, s, g
 
     def free_inverse(self, u: np.ndarray, A: float):
         """The action x -> J_free^-1 x, with J_free the Jacobian on the free
@@ -226,16 +236,15 @@ class StationaryResidual:
         """
         n = self.n_nodes
         v, w = self.split(u)
-        schur = np.empty((n, n))
-        tinv, s, g = self._schur(v, w, schur)
-        fv = self._free_v
+        schur, tinv, s, g = self._schur(v, w)
+        fv = self._fv
         try:
-            sinv = np.linalg.inv(schur[np.ix_(fv, fv)])
+            sinv = np.linalg.inv(schur[fv, fv])
         except np.linalg.LinAlgError as exc:
             raise SingularJacobian(f"Schur complement singular: {exc}") \
                 from exc
-        nv = len(fv)
-        lo = 0 if self._v_pinned[0] else 1
+        nv = fv.stop - fv.start
+        lo = 1 - fv.start
         inner = slice(lo, lo + n - 2)   # interior nodes among the free v
         s_inner = s[1:n - 1]            # J_vw on the interior nodes
 
@@ -256,53 +265,41 @@ class StationaryResidual:
         SingularJacobian when the bordered Schur complement is singular.
         """
         n = self.n_nodes
+        e = n - 1                    # pinned water nodes are 0 and e
+        f = slice(1, e)              # free water nodes
         v, w = self.split(u)
-        f = slice(1, n - 1)          # free water nodes; pinned are 0, n - 1
-        m = np.empty((n + 1, n + 1))
-        tinv, s, g = self._schur(v, w, m[:n, :n])
-        col_v, col_w = col[:n], col[n:]
-        row_v, row_w = row[:n], row[n:]
-        rhs_v, rhs_w = rhs[:n], rhs[n:2 * n]
-        # A pinned water row reads w_p + col_p x_A = rhs_p; its value enters
-        # the neighbouring free row through the off-diagonal a.
-        ends = [0, n - 1]
-        known = np.zeros((n - 2, 3))
-        known[:, 0] = rhs_w[f]
-        known[:, 1] = col_w[f]
-        known[:, 2] = row_w[f]
-        known[0, :2] -= self._t_off * np.array([rhs_w[0], col_w[0]])
-        known[-1, :2] -= self._t_off * np.array([rhs_w[n - 1],
-                                                  col_w[n - 1]])
-        z = tinv @ known             # T^-1 applied to rhs, col and row parts
+        m, tinv, s, g = self._schur(v, w)
+        col_w, row_w, rhs_w = col[n:], row[n:], rhs[n:2 * n]
+        # The water parts of rhs, col and row.  A pinned water row reads
+        # w_p + col_p x_A = rhs_p: its value enters the neighbouring free
+        # row through the off-diagonal a, and T^-1 acts on the free rows.
+        z = np.empty((n, 3))
+        z[:, 0] = rhs_w
+        z[:, 1] = col_w
+        z[:, 2] = row_w
+        z[1, :2] -= self._t_off * z[0, :2]
+        z[e - 1, :2] -= self._t_off * z[e, :2]
+        z[f] = tinv @ z[f]
+        m[:n, n] = col[:n] - s * z[:, 1]
+        m[n, :n] = row[:n]
+        m[n, f] -= g * z[f, 2]
+        # [::e] views the pinned ends 0 and e without an index array
+        m[n, n] = corner - row_w[f] @ z[f, 1] - row_w[::e] @ col_w[::e]
         b = np.empty(n + 1)
-        m[:n, n] = col_v
-        m[f, n] -= s[f] * z[:, 1]
-        m[ends, n] -= s[ends] * col_w[ends]
-        b[:n] = rhs_v
-        b[f] -= s[f] * z[:, 0]
-        b[ends] -= s[ends] * rhs_w[ends]
-        m[n, :n] = row_v
-        m[n, f] -= g * z[:, 2]
-        m[n, n] = (corner - row_w[f] @ z[:, 1]
-                   - row_w[ends] @ col_w[ends])
-        b[n] = (rhs[2 * n] - row_w[f] @ z[:, 0]
-                - row_w[ends] @ rhs_w[ends])
+        b[:n] = rhs[:n] - s * z[:, 0]
+        b[n] = rhs[2 * n] - row_w[f] @ z[f, 0] - row_w[::e] @ rhs_w[::e]
         try:
             y = np.linalg.solve(m, b)
         except np.linalg.LinAlgError as exc:
             raise SingularJacobian(f"bordered system singular: {exc}") \
                 from exc
-        x_v, x_a = y[:n], y[n]
-        x_w = np.empty(n)
-        x_w[ends] = rhs_w[ends] - col_w[ends] * x_a
-        x_w[f] = z[:, 0] - z[:, 1] * x_a - tinv @ (g * x_v[f])
-        return np.concatenate([x_v, x_w, [x_a]])
+        x = np.concatenate((y[:n], z[:, 0] - z[:, 1] * y[n], y[n:]))
+        x[n + 1:n + e] -= tinv @ (g * y[f])
+        return x
 
     def d_dA(self, u: np.ndarray, A: float) -> np.ndarray:
-        out = np.zeros(self.n_unknowns)
-        out[self.n_nodes:] = 1.0
-        out[self.n_nodes:][self._w_pinned] = 0.0
-        return out
+        """dF/dA: one on the interior water rows; constant, so read-only."""
+        return self._d_dA
 
     def free_mask(self) -> np.ndarray:
         return ~np.concatenate([self._v_pinned, self._w_pinned])
@@ -399,11 +396,11 @@ def _tangent(solve, u, A, prev_u, prev_a, scale):
     return t[:n] / norm, t[n] / norm
 
 
-def _corrector(sr, solve, u0, a0, tu, ta, ds, scale, tol, cap):
-    """Newton on the bordered system; returns (u, A, iterations) or None."""
+def _corrector(sr, solve, u0, a0, tu, ta, ds, scale, tol, cap, u, a):
+    """Newton on the bordered system from the guess (u, a); returns
+    (u, A, iterations) or None."""
     n = sr.n_unknowns
-    u = u0 + ds * tu
-    a = a0 + ds * ta
+    rhs = np.empty(n + 1)
     for it in range(cap + 1):
         r = sr.residual(u, a)
         g = _scaled_dot(u - u0, a - a0, tu, ta, scale) - ds
@@ -414,8 +411,10 @@ def _corrector(sr, solve, u0, a0, tu, ta, ds, scale, tol, cap):
             return u, a, it
         if it == cap:
             return None
+        np.negative(r, out=rhs[:n])
+        rhs[n] = -g
         try:
-            step = solve(u, a, tu, ta, -np.concatenate([r, [g]]))
+            step = solve(u, a, tu, ta, rhs)
         except SingularJacobian:
             return None
         u = u + step[:n]
@@ -430,7 +429,7 @@ def _accepted_step(sr, solve, u, a, tu, ta, ds, scale, tol):
     must be retried with a smaller ds.
     """
     result = _corrector(sr, solve, u, a, tu, ta, ds, scale, tol,
-                        CORRECTOR_CAP)
+                        CORRECTOR_CAP, u + ds * tu, a + ds * ta)
     if result is None:
         return None
     u_new, a_new, iters = result
@@ -441,51 +440,56 @@ def _accepted_step(sr, solve, u, a, tu, ta, ds, scale, tol):
     return u_new, a_new, iters, tu_new, ta_new
 
 
-def _fold_quadratic(a0, ta0, a1, ta1, s0, s1):
-    """Fold location from a quadratic model of A(s) between two points."""
-    ds = s1 - s0
-    if ds <= 0 or ta0 == ta1:
-        return 0.5 * (a0 + a1)
-    kappa = (ta1 - ta0) / ds
-    delta = -ta0 / kappa
-    return a0 + ta0 * delta + 0.5 * kappa * delta * delta
-
-
 def _locate_fold(sr, solve, u0, a0, tu, ta, ds_full, ta_end, scale, tol):
     """Refine a fold bracketed between arclength offsets 0 and ds_full.
 
-    Secant iteration on dA/ds as a function of the arclength offset from the
-    last pre-fold point, each evaluation being an actual corrector step plus
-    a tangent solve.  Falls back to the quadratic estimate if a corrector
-    refuses to converge inside the bracket.
+    Illinois regula falsi (Dowell & Jarratt, BIT 11, 1971) on dA/ds as a
+    function of the arclength offset from the last pre-fold point (u0, a0),
+    each evaluation being an actual corrector step plus a tangent solve.
+    The false-position point replaces the bracket end of its sign; an end
+    kept twice in a row has its dA/ds halved, so both ends close in.  Each
+    corrector is warm-started by the tangent predictor from the last
+    converged evaluation, (u0, a0) with its tangent for the first one.
+    If no corrector converges inside the bracket, returns the vertex of
+    the quadratic A(s) whose slope runs linearly from ta to ta_end.
     """
     d_lo, f_lo = 0.0, ta
     d_hi, f_hi = ds_full, ta_end
+    last = (u0, a0, tu, ta, 0.0)   # converged point, its tangent, offset
+    kept = 0              # +1 (-1) when the last step kept the high (low) end
     best = None
     for _ in range(16):
-        denom = f_hi - f_lo
-        d_mid = (d_hi - f_hi * (d_hi - d_lo) / denom) if denom != 0.0 else None
-        if d_mid is None or not (d_lo < d_mid < d_hi):
+        d_mid = d_hi - f_hi * (d_hi - d_lo) / (f_hi - f_lo)
+        if not d_lo < d_mid < d_hi:
             d_mid = 0.5 * (d_lo + d_hi)
-        res = _corrector(sr, solve, u0, a0, tu, ta, d_mid, scale, tol,
-                         cap=12)
+        u_l, a_l, tu_l, ta_l, d_l = last
+        step = d_mid - d_l
+        res = _corrector(sr, solve, u0, a0, tu, ta, d_mid, scale, tol, 12,
+                         u_l + step * tu_l, a_l + step * ta_l)
         if res is None:
             break
         u_m, a_m, _ = res
         try:
-            _, ta_m = _tangent(solve, u_m, a_m, tu, ta, scale)
+            tu_m, ta_m = _tangent(solve, u_m, a_m, tu, ta, scale)
         except SingularJacobian:
             return float(a_m)
         best = float(a_m)
         if abs(ta_m) < 1e-10 or (d_hi - d_lo) < 1e-14:
             return best
+        last = (u_m, a_m, tu_m, ta_m, d_mid)
         if (ta_m > 0) == (f_lo > 0):
             d_lo, f_lo = d_mid, ta_m
+            if kept == 1:
+                f_hi *= 0.5
+            kept = 1
         else:
             d_hi, f_hi = d_mid, ta_m
+            if kept == -1:
+                f_lo *= 0.5
+            kept = -1
     if best is not None:
         return best
-    return _fold_quadratic(a0, ta, a0, ta_end, 0.0, ds_full)
+    return a0 + 0.5 * ta * ds_full * ta / (ta - ta_end)
 
 
 def palc_continue(sr: StationaryResidual, A_start: float,
@@ -512,10 +516,11 @@ def palc_continue(sr: StationaryResidual, A_start: float,
             f"{controls.newton_tol:.1e}; solve it first")
 
     branch = Branch(label=label)
+    d_da = sr.d_dA(u, A_start)
 
     def solve(u, a, tu, ta, rhs):
         branch.bordered_solves += 1
-        return sr.bordered_solve(u, a, sr.d_dA(u, a), tu * scale, ta, rhs)
+        return sr.bordered_solve(u, a, d_da, tu * scale, ta, rhs)
 
     def record(u, a, s, ta) -> BranchPoint:
         mx, avg, avg_nodes = sr.summarize(u)

@@ -18,6 +18,8 @@ from .experiments import (BifurcationSuite, CriticalPatchResult, SweepRow)
 
 
 def _fmt(x) -> str:
+    if type(x) is float:          # most cells: one test, then repr
+        return repr(x)
     if isinstance(x, (bool, np.bool_)):
         return "true" if x else "false"
     if isinstance(x, (float, np.floating)):
@@ -32,7 +34,7 @@ def _write_csv(path: Path, header: list[str], rows) -> None:
     with open(path, "w") as fh:
         fh.write(",".join(header) + "\n")
         for row in rows:
-            fh.write(",".join(_fmt(x) for x in row) + "\n")
+            fh.write(",".join(map(_fmt, row)) + "\n")
 
 
 def write_sweep_csv(path, rows: list[SweepRow]) -> None:
@@ -93,9 +95,10 @@ def write_folds_csv(path, suite: BifurcationSuite) -> None:
 def write_profile_csv(path, x: np.ndarray, v: np.ndarray,
                       w: np.ndarray | None = None) -> None:
     if w is None:
-        _write_csv(Path(path), ["x", "v"], zip(x, v))
+        _write_csv(Path(path), ["x", "v"], zip(x.tolist(), v.tolist()))
     else:
-        _write_csv(Path(path), ["x", "v", "w"], zip(x, v, w))
+        _write_csv(Path(path), ["x", "v", "w"],
+                   zip(x.tolist(), v.tolist(), w.tolist()))
 
 
 def write_gallery_profiles(directory, suite: BifurcationSuite) -> list[str]:

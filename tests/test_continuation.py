@@ -71,6 +71,18 @@ class TestToyContinuation:
         assert len(branch.folds) == 1
         assert abs(branch.folds[0].A - 1.0) <= 1e-6
 
+    @pytest.mark.parametrize("ds0", [0.003, 0.01, 0.05])
+    def test_fold_refined_to_rounding_in_few_solves(self, ds0):
+        branch = palc_continue(ToyFold(), 0.0, (-0.5, 1.5), np.array([1.0]),
+                               PalcControls(ds0=ds0, direction=1.0))
+        assert len(branch.folds) == 1 and branch.halvings == 0
+        assert abs(branch.folds[0].A - 1.0) <= 1e-12
+        # each accepted point costs one tangent plus its corrector
+        # iterations; the rest of the solves refined the fold
+        refine = (branch.bordered_solves - len(branch.points)
+                  - branch.corrector_iterations)
+        assert 0 < refine <= 10
+
     def test_tangent_sign_changes_only_at_folds(self):
         branch = palc_continue(ToyFold(), 0.0, (-0.5, 1.5), np.array([1.0]),
                                PalcControls(ds0=0.01, direction=1.0))
@@ -242,6 +254,30 @@ class TestBorderedSolve:
             assert got.shape == ref.shape
             assert (np.linalg.norm(got - ref)
                     <= 1e-10 * np.linalg.norm(ref))
+
+    @pytest.mark.parametrize("variant", ["nonlocal", "local"])
+    def test_inputs_untouched_and_result_fresh(self, variant, laplace):
+        sr = _random_sr(variant, 80.0, 9, laplace)
+        rng = np.random.default_rng(5)
+        u = np.concatenate([rng.uniform(0.0, 4.0, 9),
+                            rng.uniform(0.0, 1.8, 9)])
+        col, row = rng.normal(size=18), rng.normal(size=18)
+        rhs = rng.normal(size=19)
+        inputs = [x.copy() for x in (u, col, row, rhs)]
+        first = sr.bordered_solve(u, 1.8, col, row, 0.5, rhs)
+        second = sr.bordered_solve(u, 1.8, col, row, 0.5, rhs)
+        for before, after in zip(inputs, (u, col, row, rhs)):
+            assert np.array_equal(before, after)
+        assert np.array_equal(first, second)
+        assert first is not second and not np.shares_memory(first, second)
+
+    def test_d_dA_is_constant_and_read_only(self, laplace):
+        sr = _random_sr("nonlocal", 0.1, 9, laplace)
+        d = sr.d_dA(np.zeros(18), 1.8)
+        assert d is sr.d_dA(np.ones(18), 0.5)
+        assert np.array_equal(d, np.r_[np.zeros(10), np.ones(7), 0.0])
+        with pytest.raises(ValueError):
+            d[0] = 1.0
 
     def test_zero_border_is_the_newton_step(self, laplace):
         sr = _random_sr("nonlocal", 0.1, 75, laplace)

@@ -126,6 +126,14 @@ def test_gallery_has_every_requested_profile(bif_suite):
     assert got == {(v, k, a) for v, k in cfg.variants for a in cfg.gallery_A}
 
 
+def test_default_suite_bordered_solve_budget(bif_suite):
+    # the per-branch counter the bifurcate manifest records, summed; fold
+    # refinement by Illinois regula falsi with warm-started correctors
+    # holds the default suite near 2,584
+    total = sum(run.branch.bordered_solves for run in bif_suite.runs)
+    assert total <= 2650
+
+
 @pytest.mark.slow
 class TestSweepShapeProperties:
     def test_threshold_robustness(self, fast_sweep_rows):
