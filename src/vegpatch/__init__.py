@@ -11,8 +11,7 @@ from .kernels import (Kernel, KernelMoments, check_assumptions, custom_kernel,
                       kernel_eval, kernel_from_table, kernel_moments,
                       laplace_kernel, super_gaussian_kernel)
 from .kinetics import (KineticEquilibrium, ModelParams, constant_steady_states,
-                       reaction_rhs, scalar_f, solve_water_stationary,
-                       vegetated_equilibrium)
+                       scalar_f, solve_water_stationary, vegetated_equilibrium)
 from .spectral import (EigResult, estimate_lipschitz_M, extinction_criterion,
                        principal_eigenvalue_laplacian,
                        principal_eigenvalue_nonlocal)

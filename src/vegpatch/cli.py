@@ -377,6 +377,10 @@ def cmd_simulate(args) -> int:
         raise ConfigError(
             f"t_final / h_t = {t_final / h_t:.3g} steps exceeds the cap of "
             f"{SIMULATE_STEP_CAP:,}; raise h_t or lower t_final")
+    if round(t_final / h_t) == 0:
+        raise ConfigError(
+            f"t_final = {t_final!r} rounds to 0 steps of h_t = {h_t!r}; "
+            "raise t_final or lower h_t")
     state0 = _initial_from_flag(args.init, params, grid, ops)
     t0 = time.time()
     state, track = simulate_horizon(state0, ops, params, h_t, t_final,

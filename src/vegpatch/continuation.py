@@ -119,10 +119,10 @@ def water_block_inverse(off: float, diag: np.ndarray) -> np.ndarray:
 class StationaryResidual:
     """Residual and analytic Jacobian of the stationary coupled system.
 
-    Unknowns are the concatenated node vectors u = (v, w).  Water boundary
-    values are enforced as explicit constraint rows (and vegetation boundary
-    values too in the local variant); the rainfall rate enters only the
-    interior water rows.
+    Unknowns are the concatenated node vectors u = (v, w).  The biomass
+    outside ``ops.free_v`` and the water at both ends are pinned to zero by
+    explicit constraint rows; the rainfall rate enters only the interior
+    water rows.
 
     ``bordered_solve`` solves the Jacobian bordered by one column and one
     row without forming it.  In J the couplings J_vw = diag(v^2) and
@@ -141,26 +141,14 @@ class StationaryResidual:
         n = ops.grid.n_nodes
         self.n_nodes = n
         self.n_unknowns = 2 * n
-        lap = ops.laplacian.dense()
-        if ops.variant == "local":
-            self._mv = 0.5 * params.d_v * lap
-        else:
-            self._mv = params.d_v * (ops.dispersal.matrix - np.eye(n))
-        self._mw = params.d_w * lap
-        # Constraint rows: value pinned to zero there.
-        self._v_pinned = np.zeros(n, dtype=bool)
-        if ops.variant == "local":
-            self._v_pinned[[0, -1]] = True
-        self._fv = slice(1, n - 1) if ops.variant == "local" else slice(0, n)
-        self._w_pinned = np.zeros(n, dtype=bool)
-        self._w_pinned[[0, -1]] = True
+        self._fv = fv = ops.free_v     # free biomass; water is free on 1..n-2
+        self._mv = ops.vegetation_transport(params.d_v)
+        self._mw = params.d_w * ops.laplacian.dense()
         # Jacobian template: transport blocks on the free rows, identity on
         # the pinned ones; jacobian() adds the reaction diagonals.
-        self._free_v = np.flatnonzero(~self._v_pinned)
-        self._free_w = np.flatnonzero(~self._w_pinned)
         t = np.zeros((2 * n, 2 * n))
-        t[self._free_v, :n] = self._mv[self._free_v]
-        t[n + self._free_w, n:] = self._mw[self._free_w]
+        t[fv, :n] = self._mv[fv]
+        t[n + 1:2 * n - 1, n:] = self._mw[1:-1]
         pinned = np.flatnonzero(~self.free_mask())
         t[pinned, pinned] = 1.0
         self._jac_template = t
@@ -186,14 +174,15 @@ class StationaryResidual:
         growth = v * v * w
         rv = self._mv @ v + growth - self.params.B * v
         rw = self._mw @ w - growth - w + A
-        rv[self._v_pinned] = v[self._v_pinned]
-        rw[self._w_pinned] = w[self._w_pinned]
+        fv = self._fv
+        rv[:fv.start], rv[fv.stop:] = v[:fv.start], v[fv.stop:]
+        rw[0], rw[-1] = w[0], w[-1]
         return np.concatenate([rv, rw])
 
     def jacobian(self, u: np.ndarray, A: float) -> np.ndarray:
         n = self.n_nodes
         v, w = self.split(u)
-        fv, fw = self._free_v, self._free_w
+        fv, fw = np.arange(n)[self._fv], np.arange(1, n - 1)
         j = self._jac_template.copy()
         j[fv, fv] += 2.0 * v[fv] * w[fv] - self.params.B
         j[fv, n + fv] = v[fv] * v[fv]
@@ -302,7 +291,12 @@ class StationaryResidual:
         return self._d_dA
 
     def free_mask(self) -> np.ndarray:
-        return ~np.concatenate([self._v_pinned, self._w_pinned])
+        """The unknowns of u that are not pinned, as a boolean mask."""
+        n = self.n_nodes
+        mask = np.zeros(2 * n, dtype=bool)
+        mask[self._fv] = True
+        mask[n + 1:2 * n - 1] = True
+        return mask
 
     def summarize(self, u: np.ndarray):
         """(max, integral mean, node mean) of the biomass component."""

@@ -233,12 +233,31 @@ def assemble_laplacian(grid: Grid1D) -> LaplacianOperator:
 
 @dataclass(frozen=True, eq=False)
 class Operators:
-    """Transport operators for one model variant on one grid."""
+    """Transport operators and boundary closure for one model variant.
+
+    The variants differ only in how biomass moves and how the habitat edge
+    closes.  Non-local dispersal d_v (K - I) acts on every node, and seeds
+    landing outside the habitat are lost; local diffusion (d_v / 2) Lap
+    acts on the interior nodes, and v is pinned to 0 at +-L.  ``free_v``
+    and ``vegetation_transport`` decide this for every solver.
+    """
 
     grid: Grid1D
     variant: str                      # "nonlocal" | "local"
     dispersal: DispersalOperator | None
     laplacian: LaplacianOperator
+
+    @property
+    def free_v(self) -> slice:
+        """The biomass nodes that evolve; the others hold v = 0."""
+        n = self.grid.n_nodes
+        return slice(1, n - 1) if self.variant == "local" else slice(0, n)
+
+    def vegetation_transport(self, d_v: float) -> np.ndarray:
+        """A new dense matrix: d_v (K - I), or (d_v / 2) Lap."""
+        if self.variant == "local":
+            return 0.5 * d_v * self.laplacian.dense()
+        return d_v * (self.dispersal.matrix - np.eye(self.grid.n_nodes))
 
 
 def build_operators(grid: Grid1D, variant: str,

@@ -2,10 +2,12 @@
 
 Every integrator drives one time loop, _march: each step it rejects a
 non-finite or huge biomass, evaluates the right-hand side, hands it to the
-caller and then applies one of two in-place updates.  The linear terms of
-the right-hand side are folded once per run into one action per field: a
-dense matrix for non-local dispersal with mortality, and three-point
-stencils applied by np.correlate for local diffusion and for water.
+caller and then applies one of two in-place updates.  The variant's
+boundary closure comes from the operators alone: the biomass evolves on
+``ops.free_v`` under ``ops.vegetation_transport`` and stays 0 elsewhere.
+The linear terms of the right-hand side are folded once per run into one
+action per field: a dense matrix for vegetation transport with mortality,
+and a three-point stencil applied by np.correlate for water.
 Fixed-step RK4, under explicit stability guards, serves the time-accurate
 transients: fixed horizons and the decay checks.  Steady states, from
 run_to_steady and run_to_steady_batch alike, come from one driver taking
@@ -106,41 +108,31 @@ def stable_step(ops: Operators, params: ModelParams) -> float:
 def _make_rhs(ops: Operators, params: ModelParams):
     """F(v, w) with its linear part folded once: returns rhs(v, w).
 
-    Each field takes one linear action: vegetation M v with
-    M = d_v (K - I) - B I, dense, in the non-local variant, or the stencil
-    (b, -2b - B, b) with b = d_v / 2h^2 in the local one; water the stencil
-    (a, -2a - 1, a) with a = d_w / h^2.  Stencils run through np.correlate
-    with zero ghost values.  Then g = v^2 w is added to the vegetation part,
-    subtracted from the water part and the rainfall A added.  Pinned rows
-    are zero: water always, vegetation only in the local variant (the
-    non-local closure tracks v at all nodes).
+    Each field takes one linear action: vegetation the dense M v with
+    M = T - B I on the free rows (T = ops.vegetation_transport(d_v)) and
+    zero rows at the pinned nodes; water the stencil (a, -2a - 1, a) with
+    a = d_w / h^2, through np.correlate with zero ghost values.  Then
+    g = v^2 w is added to the vegetation part, subtracted from the water
+    part and the rainfall A added, and the pinned water rows are zeroed.
+    A pinned biomass node holds v = 0, so its row of F stays 0 as well.
     """
     h2 = ops.grid.spacing ** 2
     a = params.d_w / h2
     water = np.array([a, -2.0 * a - 1.0, a])
-    local = ops.variant == "local"
-    if local:
-        b = 0.5 * params.d_v / h2
-        stencil_v = np.array([b, -2.0 * b - params.B, b])
-
-        def linear_v(v):
-            return np.correlate(v, stencil_v, "same")
-    else:
-        mat = params.d_v * ops.dispersal.matrix
-        mat.flat[::mat.shape[0] + 1] -= params.d_v + params.B
-        linear_v = mat.dot
+    free = ops.free_v
+    mat = ops.vegetation_transport(params.d_v)
+    mat.flat[::mat.shape[0] + 1] -= params.B
+    mat[:free.start] = mat[free.stop:] = 0.0
 
     def rhs(v: np.ndarray, w: np.ndarray):
         growth = v * v
         growth *= w
-        rhs_v = linear_v(v)
+        rhs_v = mat.dot(v)
         rhs_v += growth
         rhs_w = np.correlate(w, water, "same")
         rhs_w -= growth
         rhs_w += params.A
         rhs_w[0] = rhs_w[-1] = 0.0
-        if local:
-            rhs_v[0] = rhs_v[-1] = 0.0
         return rhs_v, rhs_w
     return rhs
 
@@ -203,21 +195,14 @@ def _imex(ops: Operators, params: ModelParams):
     """Linearly implicit Euler at IMEX_STEP: returns the in-place update.
 
     Vegetation transport and mortality are implicit and the growth v^2 w
-    explicit: with T_v = d_v (K - I) on all nodes (non-local) or
-    (d_v / 2) Lap on the interior nodes (local), one step is
-    v <- P^-1 (v + h v^2 w) with P = (1 + h B) I - h T_v, whose inverse is
-    formed once.  Water then takes d_w Lap - (v^2 + 1) implicitly with the
-    new v frozen (one Thomas solve).
+    explicit: with T = ops.vegetation_transport(d_v) restricted to the free
+    nodes ops.free_v, one step is v <- P^-1 (v + h v^2 w) there, with
+    P = (1 + h B) I - h T, whose inverse is formed once.  Water then takes
+    d_w Lap - (v^2 + 1) implicitly with the new v frozen (one Thomas solve).
     """
     h = IMEX_STEP
-    if ops.variant == "local":
-        free = slice(1, -1)
-        transport = 0.5 * params.d_v * ops.laplacian.dense()[free, free]
-    else:
-        free = slice(None)
-        transport = params.d_v * ops.dispersal.matrix
-        transport.flat[::transport.shape[0] + 1] -= params.d_v
-    step_v = -h * transport
+    free = ops.free_v
+    step_v = -h * ops.vegetation_transport(params.d_v)[free, free]
     step_v.flat[::step_v.shape[0] + 1] += 1.0 + h * params.B
     step_v = np.linalg.inv(step_v)
 
@@ -234,6 +219,7 @@ def _trajectory_row(t: float, v: np.ndarray, w: np.ndarray) -> tuple:
             float(w.max()))
 
 
+@np.errstate(over="ignore", invalid="ignore")   # Blowup reports it
 def _steady(state: State, ops: Operators, params: ModelParams, tol: float,
             trajectory_every: int = 0) -> SteadyResult:
     """IMEX steps until ||F(v, w)||_2 < tol or STEADY_STEP_CAP runs out.
@@ -299,9 +285,9 @@ def initial_state(ops: Operators, v: np.ndarray, w: np.ndarray) -> State:
     """Clamp pinned boundary entries and wrap the arrays as a state."""
     v = np.asarray(v, dtype=float).copy()
     w = np.asarray(w, dtype=float).copy()
+    free = ops.free_v
+    v[:free.start] = v[free.stop:] = 0.0
     w[0] = w[-1] = 0.0
-    if ops.variant == "local":
-        v[0] = v[-1] = 0.0
     return State(v, w)
 
 

@@ -1,4 +1,4 @@
-"""Reaction terms, spatially uniform equilibria, and the stationary water solve.
+"""Model constants, uniform equilibria, and the stationary water solve.
 
 The kinetic (space-free) system has a desert equilibrium (0, A) for all
 parameters, two vegetated equilibria when rainfall exceeds twice the
@@ -143,12 +143,6 @@ def _check_maximum_principle(w: np.ndarray, A: float) -> None:
     bad = np.flatnonzero(~((lo >= -1e-10) & (hi <= A + 1e-10)))
     if bad.size:
         raise WaterBoundViolated(float(lo[bad[0]]), float(hi[bad[0]]), A)
-
-
-def reaction_rhs(v: np.ndarray, w: np.ndarray, params: ModelParams):
-    """Pointwise reaction terms (v^2 w - B v, -v^2 w - w + A)."""
-    growth = v * v * w
-    return growth - params.B * v, -growth - w + params.A
 
 
 def scalar_f(v: np.ndarray, params: ModelParams, grid: Grid1D) -> np.ndarray:

@@ -4,6 +4,7 @@ import json
 import math
 import tempfile
 import tracemalloc
+import warnings
 from pathlib import Path
 
 import numpy as np
@@ -99,6 +100,21 @@ def test_steady_blowup_exits_3_naming_step_and_node(tmp_path, monkeypatch,
     assert summary["type"] == "Blowup"
     assert "step 1, node " in summary["message"]
     assert not (tmp_path / "blow" / "final_profile.csv").exists()
+
+
+def test_steady_overflowing_start_exits_3_without_runtime_warning(
+        tmp_path, monkeypatch, capsys):
+    # ||v||_2^2 of a 1e200 biomass overflows in the blowup guard
+    with warnings.catch_warnings(record=True) as caught:
+        warnings.simplefilter("always")
+        code = run_cli(["steady", "--L", "25", "--nodes", "75", "--init",
+                        "uniform:1e200", "--out", "huge"], monkeypatch,
+                       tmp_path)
+    assert code == 3
+    assert not [w for w in caught if issubclass(w.category, RuntimeWarning)]
+    err = capsys.readouterr().err
+    assert "RuntimeWarning" not in err
+    assert json.loads(err)["type"] == "Blowup"
 
 
 def test_simulate_dumps_trajectory(tmp_path, monkeypatch):
@@ -308,6 +324,9 @@ BAD_INPUT_FILES = {
      ["d_w / h^2", "overflow", "d_w = 1e+308"]),
     (["bifurcate", "--config", "{tmp}/no_dw.ini"],
      ["[bifurcation] d_w_values", "empty"]),
+    # 0.004 / 0.01 rounds to no step at all
+    (["simulate", "--L", "25", "--nodes", "75", "--t-final", "0.004"],
+     ["t_final = 0.004", "0 steps", "h_t = 0.01"]),
 ])
 def test_bad_input_exits_2_without_traceback(argv, needles, tmp_path,
                                              monkeypatch, capsys):

@@ -226,6 +226,15 @@ def _random_sr(variant, d_w, n, laplace):
     return StationaryResidual(ops, ModelParams(1.8, 0.45, 2.0, d_w))
 
 
+@pytest.mark.parametrize("variant", ["nonlocal", "local"])
+def test_free_biomass_unknowns_are_the_operators_free_nodes(variant,
+                                                            laplace):
+    sr = _random_sr(variant, 0.1, 9, laplace)
+    free = np.zeros(9, dtype=bool)
+    free[sr.ops.free_v] = True
+    assert np.array_equal(sr.free_mask()[:9], free)
+
+
 class TestBorderedSolve:
     """The Schur-complement solve against a dense solve of the assembled
     bordered Jacobian."""

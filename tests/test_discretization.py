@@ -5,8 +5,8 @@ import pytest
 
 from vegpatch.discretization import (_densify,
                                      _hat_moments_exact, assemble_laplacian,
-                                     assemble_nonlocal, make_grid,
-                                     taylor_consistency)
+                                     assemble_nonlocal, build_operators,
+                                     make_grid, taylor_consistency)
 from vegpatch.errors import BadGrid, DomainTooSmall, ResolutionWarning
 from vegpatch.kernels import custom_kernel, kernel_eval
 
@@ -227,6 +227,27 @@ def test_fft_apply_matches_dense_product(family, L, n, laplace,
     kv = v @ op.matrix.T
     gap = np.abs(op.apply(v) - (kv - v)).max()
     assert gap <= 1e-14 * np.abs(kv).max()
+
+
+def test_nonlocal_transport_at_default_rate_is_bitwise_2K_minus_2I(laplace):
+    # 2 (K - I) == 2K - 2I to the bit, since scaling by 2 is exact: the
+    # default rate's steady states do not depend on which form is used
+    ops = build_operators(make_grid(25.0, 75), "nonlocal", laplace)
+    k = ops.dispersal.matrix.copy()
+    want = 2 * k - 2 * np.eye(75)
+    got = ops.vegetation_transport(2.0)
+    assert np.array_equal(_bits(got), _bits(want))
+    assert ops.free_v == slice(0, 75)
+    got[:] = 0.0                        # a new matrix each call
+    assert np.array_equal(_bits(ops.dispersal.matrix), _bits(k))
+
+
+@pytest.mark.parametrize("d_v", [2.0, 1.5])
+def test_local_transport_is_half_rate_laplacian(d_v):
+    ops = build_operators(make_grid(5.0, 41), "local")
+    want = (d_v / 2) * ops.laplacian.dense()
+    assert np.array_equal(_bits(ops.vegetation_transport(d_v)), _bits(want))
+    assert ops.free_v == slice(1, 40)
 
 
 def test_laplacian_exact_on_quadratics():

@@ -21,6 +21,17 @@ def small_ops(laplace):
     return build_operators(make_grid(10.0, 129), "nonlocal", laplace)
 
 
+@pytest.mark.parametrize("variant", ["nonlocal", "local"])
+def test_initial_state_zeroes_biomass_outside_free_nodes(variant, laplace):
+    ops = build_operators(make_grid(10.0, 41), variant,
+                          laplace if variant == "nonlocal" else None)
+    state = initial_state(ops, np.full(41, 2.0), np.full(41, 1.0))
+    free = np.zeros(41, dtype=bool)
+    free[ops.free_v] = True
+    assert np.array_equal(state.v != 0.0, free)
+    assert np.array_equal(state.w[[0, -1]], [0.0, 0.0])
+
+
 def test_bare_soil_single_step(small_ops, default_params):
     # v = 0 stays put and water solves w' = W w + A on the free nodes, with
     # W = d_w Lap - I and pinned rows zero; one RK4 step from w = 0 is the

@@ -11,7 +11,7 @@ from vegpatch.cli import main
 from vegpatch.discretization import make_grid
 from vegpatch.errors import WaterBoundViolated
 from vegpatch.kinetics import (EQ_DESERT, EQ_MERGED, EQ_UPPER, ModelParams,
-                               constant_steady_states, reaction_rhs, scalar_f,
+                               constant_steady_states, scalar_f,
                                solve_water_stationary, vegetated_equilibrium)
 
 
@@ -148,26 +148,19 @@ class TestWaterSolve:
 
 
 class TestReactionAndScalarF:
-    def test_bare_soil_forcing(self, default_params):
-        v = np.zeros(5)
-        w = np.zeros(5)
-        rv, rw = reaction_rhs(v, w, default_params)
-        assert np.array_equal(rv, np.zeros(5))
-        assert np.array_equal(rw, np.full(5, default_params.A))
-
     def test_equilibrium_annihilates_reactions(self, default_params):
         eq = vegetated_equilibrium(1.8, 0.45)
-        v = np.full(4, eq.v_star)
-        w = np.full(4, eq.w_star)
-        rv, rw = reaction_rhs(v, w, default_params)
-        assert np.max(np.abs(rv)) <= 1e-12
-        assert np.max(np.abs(rw)) <= 1e-12
+        v, w = eq.v_star, eq.w_star
+        assert abs(v * v * w - default_params.B * v) <= 1e-12
+        assert abs(default_params.A - w - v * v * w) <= 1e-12
 
     def test_merged_state_is_equilibrium(self):
-        params = ModelParams(0.9, 0.45, 2.0, 0.1)
-        rv, rw = reaction_rhs(np.ones(3), np.full(3, 0.45), params)
-        assert np.max(np.abs(rv)) <= 1e-15
-        assert np.max(np.abs(rw)) <= 1e-15
+        A, B = 0.9, 0.45
+        merged = constant_steady_states(A, B)[-1]
+        assert merged.index == EQ_MERGED
+        v, w = merged.v_star, merged.w_star
+        assert abs(v * v * w - B * v) <= 1e-15
+        assert abs(A - w - v * v * w) <= 1e-15
 
     def test_scalar_f_vanishes_on_bare_soil(self, default_params):
         grid = make_grid(10.0, 101)
