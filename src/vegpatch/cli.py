@@ -564,6 +564,14 @@ def cmd_bifurcate(args) -> int:
         name: _positive(name, res.get("continuation", name, type(v), v))
         for name, v in asdict(base.controls).items()
         if name in ("ds0", "ds_min", "ds_max", "point_cap", "newton_tol")})
+    if not controls.ds_min <= controls.ds0 <= controls.ds_max:
+        raise ConfigError("[continuation] needs ds_min <= ds0 <= ds_max, got "
+                          + ", ".join(f"{k} = {getattr(controls, k)!r}"
+                                      for k in ("ds_min", "ds0", "ds_max")))
+    for a in gallery_A:
+        if not base.A_range[0] <= a <= base.A_range[1]:   # refuses nan too
+            raise ConfigError(f"[bifurcation] gallery_A = {a!r} lies outside "
+                              f"the traced rainfall range {list(base.A_range)}")
     cfg = replace(base, B=params.B, d_v=params.d_v, d_w_values=d_w_values,
                   L=L, controls=controls, stability_stride=stride,
                   gallery_A=gallery_A)

@@ -9,17 +9,17 @@ refined by Illinois regula falsi on dA/ds, each corrector warm-started from
 the last converged evaluation (``_locate_fold``).
 
 Every Newton and continuation solve, those of ``solve_stationary``
-included, goes through ``StationaryResidual.bordered_solve``.  It eliminates
-the free water unknowns: their block T is symmetric tridiagonal and the
-couplings between v and w are diagonal, so only the (N+1)-order Schur
-complement in v and the border is factorized densely.  T's inverse comes
-from a closed form (see ``water_block_inverse``).
+included, goes through ``StationaryResidual.bordered_solve``: one dense LU
+of the bordered Jacobian.  The suite's branches are even under x -> -x,
+so they are traced on the half grid x >= 0 (``Operators.reflection``),
+where the bordered order is 2m + 1 with m = ceil(N / 2), and rounding
+cannot push a trace off the symmetric branch.
 
-The stability flag uses the same Schur complement (``_schur``): inverted
-once on the free vegetation nodes, it applies the free Jacobian's inverse,
-and shift-invert Arnoldi at sigma = 0 (``spectral.arnoldi_rightmost``) finds
-the rightmost eigenvalue.  The full Jacobian is built only for the dense
-eigensolve that serves as the test oracle.
+The stability flag inverts the free Jacobian of each parity block, the
+even one and the odd one at the same state, and shift-invert Arnoldi at
+sigma = 0 (``spectral.arnoldi_rightmost``) finds each block's rightmost
+eigenvalue.  The dense eigensolve of the full grid's free Jacobian serves
+as the test oracle.
 """
 from __future__ import annotations
 
@@ -42,6 +42,7 @@ STEP_GROWTH = 1.3      # arclength step growth after an easy step
 GROW_BELOW = 4         # an easy step took at most this many iterations
 FLAG_RES_TOL = 1e-8    # Ritz residual, relative to the largest |mu|
 FLAG_MIN_DIM = 30      # Arnoldi basis size before the first Ritz check
+FOLD_ROUNDING = 4 * 2.0 ** -52   # relative change of A below rounding
 
 
 def newton(fun, solve, x0: np.ndarray, tol: float = 1e-10,
@@ -70,237 +71,160 @@ def newton(fun, solve, x0: np.ndarray, tol: float = 1e-10,
         f"no convergence in {max_iter} iterations (residual {nr:.3e})")
 
 
-@functools.lru_cache(maxsize=8)
-def _max_index(k: int) -> np.ndarray:
-    """max(i, j) for i, j < k; the block size is fixed for one grid."""
-    idx = np.arange(k)
-    return np.maximum.outer(idx, idx)
-
-
-def water_block_inverse(off: float, diag: np.ndarray) -> np.ndarray:
-    """Inverse of the symmetric tridiagonal matrix with diagonal ``diag``
-    and constant off-diagonal ``off`` > 0, for diag[k] < -2 * off.
-
-    With the pivots d_0 = diag[0], d_k = diag[k] - off^2 / d_(k-1) (all
-    below -off), the ratios m_k = off / |d_(k-1)| in (0, 1), their log sums
-    C_k = log m_1 + ... + log m_k (C_0 = 0) and the diagonal of the inverse
-    rho_(K-1) = 1 / d_(K-1), rho_k = 1 / d_k + m_(k+1)^2 rho_(k+1), the
-    inverse is
-
-        (T^-1)_ij = exp(-|C_i - C_j|) * rho_max(i, j)
-
-    (Meurant, SIAM J. Matrix Anal. Appl. 13, 1992).  The exponent is never
-    positive, so no entry overflows.  The recurrences run on Python floats.
-    """
-    delta = diag.tolist()
-    k = len(delta)
-    off2 = off * off
-    pivots = [0.0] * k
-    piv = delta[0]
-    pivots[0] = piv
-    for i in range(1, k):
-        piv = delta[i] - off2 / piv
-        pivots[i] = piv
-    rho = [0.0] * k
-    r = 1.0 / piv
-    rho[-1] = r
-    for i in range(k - 2, -1, -1):
-        piv = pivots[i]
-        r = 1.0 / piv + (off2 / (piv * piv)) * r
-        rho[i] = r
-    c = np.zeros(k)
-    np.cumsum(math.log(off) - np.log(np.negative(pivots[:-1])), out=c[1:])
-    e = np.subtract.outer(c, c)     # in place from here on
-    np.exp(np.negative(np.abs(e, out=e), out=e), out=e)
-    e *= np.array(rho)[_max_index(k)]
-    return e
-
-
 class StationaryResidual:
-    """Residual and analytic Jacobian of the stationary coupled system.
+    """Residual and analytic Jacobian of the stationary coupled system on
+    the node vectors of one parity: 0 keeps the full grid, 1 the even
+    states on the half grid x >= 0 (``Operators.reflection``).
 
-    Unknowns are the concatenated node vectors u = (v, w).  The biomass
-    outside ``ops.free_v`` and the water at both ends are pinned to zero by
-    explicit constraint rows; the rainfall rate enters only the interior
-    water rows.
-
-    ``bordered_solve`` solves the Jacobian bordered by one column and one
-    row without forming it.  In J the couplings J_vw = diag(v^2) and
-    J_wv = diag(-2 v w) are diagonal, and the free water block T, on the
-    interior nodes, is symmetric tridiagonal with off-diagonal a = d_w/h^2
-    and diagonal -(2a + 1 + v^2).  The pinned water values follow from the
-    right-hand side, and the free ones are eliminated through T^-1, so the
-    one dense factorization is of the Schur complement
-    S = J_vv - diag(v^2) T^-1 diag(-2 v w), bordered: order N + 1 instead
-    of 2N + 1.
+    The unknowns u = (v, w) are the kept nodes' values scaled by the square
+    roots of their multiplicities, so every Euclidean norm and dot product
+    equals the full grid's; ``n_unknowns`` is the full grid's 2N.  The
+    biomass outside ``ops.free_v`` and the water at the habitat ends are
+    pinned to zero by constraint rows; the rainfall rate enters only the
+    interior water rows.  ``bordered_solve`` fills a template of the
+    bordered Jacobian, order 2m + 1 on m kept nodes, and makes one LU.
     """
 
-    def __init__(self, ops: Operators, params: ModelParams):
+    def __init__(self, ops: Operators, params: ModelParams, parity: int = 0):
         self.ops = ops
         self.params = params
-        n = ops.grid.n_nodes
-        self.n_nodes = n
-        self.n_unknowns = 2 * n
-        self._fv = fv = ops.free_v     # free biomass; water is free on 1..n-2
-        self._mv = ops.vegetation_transport(params.d_v)
-        self._mw = params.d_w * ops.laplacian.dense()
-        # Jacobian template: transport blocks on the free rows, identity on
-        # the pinned ones; jacobian() adds the reaction diagonals.
-        t = np.zeros((2 * n, 2 * n))
-        t[fv, :n] = self._mv[fv]
-        t[n + 1:2 * n - 1, n:] = self._mw[1:-1]
+        red, mv, mw = ops.reflection(parity, params.d_v, params.d_w)
+        self.reduction = red
+        self.n_nodes = m = red.size
+        self.n_unknowns = 2 * ops.grid.n_nodes
+        self._fv = fv = red.kept(ops.free_v)
+        self._fw = fw = red.kept(slice(1, ops.grid.n_nodes - 1))
+        self._mv, self._mw = mv, mw
+        root = np.sqrt(red.weights)
+        self._root = np.concatenate([root, root])
+        # Bordered Jacobian template: the transport blocks, scaled like the
+        # unknowns, on the free rows and identity on the pinned ones; the
+        # reaction diagonals and the border are added per solve.
+        k = 2 * m + 1
+        t = np.zeros((k, k))
+        ratio = root[:, None] / root
+        t[fv, :m] = (mv * ratio)[fv]
+        t[m + fw.start:m + fw.stop, m:2 * m] = (mw * ratio)[fw]
         pinned = np.flatnonzero(~self.free_mask())
         t[pinned, pinned] = 1.0
-        self._jac_template = t
-        self._schur_template = np.zeros((n + 1, n + 1))   # _schur's start
-        self._schur_template[:n, :n] = t[:n, :n]
-        # Free water block T on the interior nodes: constant off-diagonal,
-        # and the transport part of its diagonal.
-        self._t_off = float(self._mw[1, 0])
-        self._t_diag = self._mw.diagonal()[1:-1].copy()
-        self._d_dA = np.zeros(2 * n)
-        self._d_dA[n + 1:-1] = 1.0     # the interior water rows
+        self._template = t
+        # flat positions of the diagonals (r, r + shift) of the four blocks
+        self._diagonals = [slice(r.start * (k + 1) + shift,
+                                 r.stop * (k + 1) + shift, k + 1)
+                           for r, shift in ((fv, 0), (fv, m), (fw, m * k),
+                                            (fw, m * (k + 1)))]
+        self._d_dA = np.zeros(2 * m)
+        self._d_dA[m + fw.start:m + fw.stop] = root[fw]
         self._d_dA.setflags(write=False)
 
     def split(self, u: np.ndarray):
-        n = self.n_nodes
-        return u[:n], u[n:]
+        m = self.n_nodes
+        return u[:m], u[m:]
 
     def join(self, v: np.ndarray, w: np.ndarray) -> np.ndarray:
         return np.concatenate([v, w])
 
+    def restrict(self, u: np.ndarray) -> np.ndarray:
+        """The unknowns of the full-grid state u = (v, w)."""
+        halves = self.reduction.restrict(np.reshape(u, (2, -1)))
+        return halves.reshape(-1) * self._root
+
+    def expand(self, u: np.ndarray) -> np.ndarray:
+        """A new full-grid state (v, w) from the unknowns u."""
+        values = (u / self._root).reshape(2, -1)
+        return self.reduction.expand(values).reshape(-1)
+
     def residual(self, u: np.ndarray, A: float) -> np.ndarray:
-        v, w = self.split(u)
+        v, w = self.split(u / self._root)
         growth = v * v * w
         rv = self._mv @ v + growth - self.params.B * v
         rw = self._mw @ w - growth - w + A
-        fv = self._fv
+        fv, fw = self._fv, self._fw
         rv[:fv.start], rv[fv.stop:] = v[:fv.start], v[fv.stop:]
-        rw[0], rw[-1] = w[0], w[-1]
-        return np.concatenate([rv, rw])
+        rw[:fw.start], rw[fw.stop:] = w[:fw.start], w[fw.stop:]
+        r = np.concatenate([rv, rw])
+        r *= self._root
+        return r
 
-    def jacobian(self, u: np.ndarray, A: float) -> np.ndarray:
-        n = self.n_nodes
-        v, w = self.split(u)
-        fv, fw = np.arange(n)[self._fv], np.arange(1, n - 1)
-        j = self._jac_template.copy()
-        j[fv, fv] += 2.0 * v[fv] * w[fv] - self.params.B
-        j[fv, n + fv] = v[fv] * v[fv]
-        j[n + fw, fw] = -2.0 * v[fw] * w[fw]
-        j[n + fw, n + fw] -= v[fw] * v[fw] + 1.0
+    def _bordered_jacobian(self, u: np.ndarray) -> np.ndarray:
+        """A new order-(2m + 1) matrix: the Jacobian at u bordered by a
+        zero column and row."""
+        v, w = self.split(u / self._root)
+        fv, fw = self._fv, self._fw
+        j = self._template.copy()
+        flat = j.reshape(-1)
+        vv, vw, wv, ww = self._diagonals
+        flat[vv] += 2.0 * v[fv] * w[fv] - self.params.B
+        flat[vw] = v[fv] * v[fv]
+        flat[wv] = -2.0 * v[fw] * w[fw]
+        flat[ww] -= v[fw] * v[fw] + 1.0
         return j
 
-    def _schur(self, v: np.ndarray, w: np.ndarray):
-        """A new (n + 1) x (n + 1) matrix holding the Schur complement
-        S = J_vv - diag(v^2) T^-1 diag(-2 v w) in its leading n x n block
-        (identity rows at pinned vegetation nodes), T^-1, the diagonal s of
-        J_vw (zero on pinned vegetation rows) and the diagonal g of J_wv on
-        the free water rows."""
-        n = self.n_nodes
-        f = slice(1, n - 1)
-        fv = self._fv
-        vf = v[f]
-        tinv = water_block_inverse(self._t_off,
-                                   self._t_diag - (vf * vf + 1.0))
-        s = v * v
-        s[:fv.start] = s[fv.stop:] = 0.0
-        g = -2.0 * vf * w[f]
-        m = self._schur_template.copy()
-        m.reshape(-1)[::n + 2][fv] += 2.0 * v[fv] * w[fv] - self.params.B
-        sts = np.multiply(tinv, s[f, None])
-        sts *= g
-        m[f, f] -= sts
-        return m, tinv, s, g
+    def jacobian(self, u: np.ndarray, A: float) -> np.ndarray:
+        k = u.size
+        return self._bordered_jacobian(u)[:k, :k].copy()
 
     def free_inverse(self, u: np.ndarray, A: float):
         """The action x -> J_free^-1 x, with J_free the Jacobian on the free
         unknowns (free vegetation nodes, then interior water nodes), as in
-        ``rightmost_eigenvalue_dense``.
-
-        The Schur complement is restricted to the free vegetation nodes and
-        inverted once, so each action costs three matrix-vector products:
-        y_v = S^-1 (x_v - D_s T^-1 x_w) and y_w = T^-1 (x_w - D_g y_v).
-        Returns (action, order).  Raises SingularJacobian when S is
-        singular.
+        ``rightmost_eigenvalue_dense``.  Returns (action, order).  Raises
+        SingularJacobian when J_free is singular.
         """
-        n = self.n_nodes
-        v, w = self.split(u)
-        schur, tinv, s, g = self._schur(v, w)
-        fv = self._fv
+        free = self.free_mask()
         try:
-            sinv = np.linalg.inv(schur[fv, fv])
+            inv = np.linalg.inv(self.jacobian(u, A)[np.ix_(free, free)])
         except np.linalg.LinAlgError as exc:
-            raise SingularJacobian(f"Schur complement singular: {exc}") \
-                from exc
-        nv = fv.stop - fv.start
-        lo = 1 - fv.start
-        inner = slice(lo, lo + n - 2)   # interior nodes among the free v
-        s_inner = s[1:n - 1]            # J_vw on the interior nodes
+            raise SingularJacobian(f"free Jacobian singular: {exc}") from exc
+        return inv.dot, len(inv)
 
-        def action(x: np.ndarray) -> np.ndarray:
-            x_v = x[:nv].copy()
-            x_v[inner] -= s_inner * (tinv @ x[nv:])
-            y_v = sinv @ x_v
-            y_w = tinv @ (x[nv:] - g * y_v[inner])
-            return np.concatenate([y_v, y_w])
-        return action, nv + n - 2
+    @functools.cached_property
+    def _odd(self) -> StationaryResidual:
+        return StationaryResidual(self.ops, self.params, -1)
+
+    def parity_blocks(self, u: np.ndarray):
+        """(residual, unknowns) pairs whose free Jacobians together hold
+        the spectrum of the full grid's free Jacobian at the state u: this
+        residual alone, and on the even half grid also the odd reduction
+        linearized at the same state, when it has free unknowns."""
+        blocks = [(self, u)]
+        if self.reduction.parity == 1 and self._odd.free_mask().any():
+            blocks.append((self._odd, self._odd.restrict(self.expand(u))))
+        return blocks
 
     def bordered_solve(self, u: np.ndarray, A: float, col: np.ndarray,
                        row: np.ndarray, corner: float,
                        rhs: np.ndarray) -> np.ndarray:
-        """Solve [[J(u), col], [row, corner]] x = rhs by the Schur complement.
+        """Solve [[J(u), col], [row, corner]] x = rhs by one dense LU.
 
         A zero border with corner 1 gives the plain Newton solve.  Raises
-        SingularJacobian when the bordered Schur complement is singular.
+        SingularJacobian when the bordered Jacobian is singular.
         """
-        n = self.n_nodes
-        e = n - 1                    # pinned water nodes are 0 and e
-        f = slice(1, e)              # free water nodes
-        v, w = self.split(u)
-        m, tinv, s, g = self._schur(v, w)
-        col_w, row_w, rhs_w = col[n:], row[n:], rhs[n:2 * n]
-        # The water parts of rhs, col and row.  A pinned water row reads
-        # w_p + col_p x_A = rhs_p: its value enters the neighbouring free
-        # row through the off-diagonal a, and T^-1 acts on the free rows.
-        z = np.empty((n, 3))
-        z[:, 0] = rhs_w
-        z[:, 1] = col_w
-        z[:, 2] = row_w
-        z[1, :2] -= self._t_off * z[0, :2]
-        z[e - 1, :2] -= self._t_off * z[e, :2]
-        z[f] = tinv @ z[f]
-        m[:n, n] = col[:n] - s * z[:, 1]
-        m[n, :n] = row[:n]
-        m[n, f] -= g * z[f, 2]
-        # [::e] views the pinned ends 0 and e without an index array
-        m[n, n] = corner - row_w[f] @ z[f, 1] - row_w[::e] @ col_w[::e]
-        b = np.empty(n + 1)
-        b[:n] = rhs[:n] - s * z[:, 0]
-        b[n] = rhs[2 * n] - row_w[f] @ z[f, 0] - row_w[::e] @ rhs_w[::e]
+        k = u.size
+        j = self._bordered_jacobian(u)
+        j[:k, k] = col
+        j[k, :k] = row
+        j[k, k] = corner
         try:
-            y = np.linalg.solve(m, b)
+            return np.linalg.solve(j, rhs)
         except np.linalg.LinAlgError as exc:
             raise SingularJacobian(f"bordered system singular: {exc}") \
                 from exc
-        x = np.concatenate((y[:n], z[:, 0] - z[:, 1] * y[n], y[n:]))
-        x[n + 1:n + e] -= tinv @ (g * y[f])
-        return x
 
     def d_dA(self, u: np.ndarray, A: float) -> np.ndarray:
-        """dF/dA: one on the interior water rows; constant, so read-only."""
+        """dF/dA: the interior water rows' scales; constant, so read-only."""
         return self._d_dA
 
     def free_mask(self) -> np.ndarray:
         """The unknowns of u that are not pinned, as a boolean mask."""
-        n = self.n_nodes
-        mask = np.zeros(2 * n, dtype=bool)
+        m = self.n_nodes
+        mask = np.zeros(2 * m, dtype=bool)
         mask[self._fv] = True
-        mask[n + 1:2 * n - 1] = True
+        mask[m:][self._fw] = True
         return mask
 
     def summarize(self, u: np.ndarray):
-        """(max, integral mean, node mean) of the biomass component."""
-        v = u[:self.n_nodes]
+        """(max, integral mean, node mean) of the full-grid biomass."""
+        v = self.expand(u)[:self.ops.grid.n_nodes]
         weights = self.ops.grid.quad_weights
         return (float(v.max()),
                 float(weights @ v) / (2.0 * self.ops.grid.half_width),
@@ -310,7 +234,7 @@ class StationaryResidual:
 def solve_stationary(sr: StationaryResidual, A: float, guess: np.ndarray,
                      tol: float = 1e-10, max_iter: int = 50):
     """Newton-solve the stationary system at fixed rainfall."""
-    zero = np.zeros(sr.n_unknowns)
+    zero = np.zeros(np.size(guess))
 
     def solve(u, r):
         return sr.bordered_solve(u, A, zero, zero, 1.0,
@@ -334,7 +258,8 @@ class PalcControls:
 class Stability:
     stable: bool
     rightmost: float      # real part of the rightmost eigenvalue
-    krylov_dim: int       # Arnoldi basis size that certified it
+    krylov_dim: int       # Arnoldi basis sizes that certified it, summed
+    parts: tuple[float, ...] = ()   # rightmost per parity block, even first
 
 
 @dataclass
@@ -393,7 +318,7 @@ def _tangent(solve, u, A, prev_u, prev_a, scale):
 def _corrector(sr, solve, u0, a0, tu, ta, ds, scale, tol, cap, u, a):
     """Newton on the bordered system from the guess (u, a); returns
     (u, A, iterations) or None."""
-    n = sr.n_unknowns
+    n = u0.size
     rhs = np.empty(n + 1)
     for it in range(cap + 1):
         r = sr.residual(u, a)
@@ -444,6 +369,8 @@ def _locate_fold(sr, solve, u0, a0, tu, ta, ds_full, ta_end, scale, tol):
     kept twice in a row has its dA/ds halved, so both ends close in.  Each
     corrector is warm-started by the tangent predictor from the last
     converged evaluation, (u0, a0) with its tangent for the first one.
+    Refinement stops, returning the last converged A, once that predictor
+    would change A by less than rounding.
     If no corrector converges inside the bracket, returns the vertex of
     the quadratic A(s) whose slope runs linearly from ta to ta_end.
     """
@@ -458,6 +385,8 @@ def _locate_fold(sr, solve, u0, a0, tu, ta, ds_full, ta_end, scale, tol):
             d_mid = 0.5 * (d_lo + d_hi)
         u_l, a_l, tu_l, ta_l, d_l = last
         step = d_mid - d_l
+        if abs(step * ta_l) <= FOLD_ROUNDING * abs(a_l):
+            return float(a_l)    # the predictor would not move A
         res = _corrector(sr, solve, u0, a0, tu, ta, d_mid, scale, tol, 12,
                          u_l + step * tu_l, a_l + step * ta_l)
         if res is None:
@@ -526,7 +455,7 @@ def palc_continue(sr: StationaryResidual, A_start: float,
         branch.points.append(point)
         return point
 
-    tu, ta = _tangent(solve, u, A_start, np.zeros(sr.n_unknowns),
+    tu, ta = _tangent(solve, u, A_start, np.zeros(u.size),
                       controls.direction, scale)
     a = A_start
     s = 0.0
@@ -603,28 +532,33 @@ def stability_flag(sr: StationaryResidual, A: float,
     """Linear stability of the stationary state (u, A).
 
     Stable when the rightmost eigenvalue of the free-unknown Jacobian lies
-    below STABLE_BELOW.  The eigenvalue comes from shift-invert Arnoldi at
-    sigma = 0: x -> J_free^-1 x through ``sr.free_inverse`` (one inverse of
-    the order-N Schur complement), eigenvalues lambda = 1 / mu.  The rightmost
-    lambda among the Ritz pairs whose residual passes is taken once its true
-    residual does too.  Checks start at FLAG_MIN_DIM basis vectors: fewer
-    certify the eigenvalue nearest zero before a rightmost one further out
-    has converged.  The dimension grows up to the free order, where Arnoldi
-    is exact, so every call decides.  The start vector sin(k) has even and
-    odd parts under reflection; a constant start cannot see the odd modes of
-    the reflection-symmetric branch states.  ``rightmost_eigenvalue_dense``
-    is the dense oracle for this route.  A singular Jacobian has the
-    eigenvalue 0, so it is flagged unstable with the rightmost left as nan.
-    Returns the flag with the rightmost real part and the Krylov dimension.
+    below STABLE_BELOW; on the even half grid it is the larger of the even
+    and odd blocks' (``sr.parity_blocks``).  Each block's comes from
+    shift-invert Arnoldi at sigma = 0, x -> J_free^-1 x by one dense
+    inverse (``free_inverse``), eigenvalues lambda = 1 / mu.  The rightmost
+    lambda among the Ritz pairs whose residual passes is taken once its
+    true residual does too.  Checks start at FLAG_MIN_DIM basis vectors:
+    fewer certify the eigenvalue nearest zero before a rightmost one
+    further out has converged.  The dimension grows up to the block's
+    order, where Arnoldi is exact, so every call decides.  The start vector
+    sin(k) has even and odd parts, which on the full grid a constant start
+    lacks.  ``rightmost_eigenvalue_dense`` is the dense oracle.  A singular
+    Jacobian has the eigenvalue 0: flagged unstable, rightmost nan.
+    Returns the flag, the rightmost real part, the Krylov dimensions summed
+    over the blocks and each block's rightmost real part.
     """
-    try:
-        action, order = sr.free_inverse(u, A)
-    except SingularJacobian:
-        return Stability(False, math.nan, 0)
-    start = np.sin(np.arange(1.0, order + 1.0))
-    mu, _, dim, _ = arnoldi_rightmost(action, order, FLAG_RES_TOL, order,
-                                      start=start,
-                                      select=_rightmost_inverse(order),
-                                      min_dim=FLAG_MIN_DIM)
-    lam = float((1.0 / mu).real)
-    return Stability(lam < STABLE_BELOW, lam, dim)
+    parts, dim = [], 0
+    for block, state in sr.parity_blocks(u):
+        try:
+            action, order = block.free_inverse(state, A)
+        except SingularJacobian:
+            return Stability(False, math.nan, 0)
+        start = np.sin(np.arange(1.0, order + 1.0))
+        mu, _, used, _ = arnoldi_rightmost(action, order, FLAG_RES_TOL, order,
+                                           start=start,
+                                           select=_rightmost_inverse(order),
+                                           min_dim=FLAG_MIN_DIM)
+        parts.append(float((1.0 / mu).real))
+        dim += used
+    lam = max(parts)
+    return Stability(lam < STABLE_BELOW, lam, dim, tuple(parts))

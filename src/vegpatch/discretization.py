@@ -231,6 +231,50 @@ def assemble_laplacian(grid: Grid1D) -> LaplacianOperator:
     return LaplacianOperator(grid)
 
 
+class Reduction:
+    """Node vectors of one parity under the reflection x -> -x.
+
+    Node j mirrors node N - 1 - j.  A vector of parity +1 (even) or -1
+    (odd) is held by its values on the half grid x >= 0, less the centre
+    node for parity -1, where it vanishes.  An operator that commutes with
+    the reflection acts on such vectors as ``fold(M)``: its kept rows, with
+    the mirrored nodes' columns added with the parity's sign.  The
+    multiplicities ``weights`` are 1 for a centre node and 2 otherwise, so
+    sum(weights * a * b) is the full grid's dot product.  Parity 0 is the
+    identity: every node kept, with weight 1.
+    """
+
+    def __init__(self, n_full: int, parity: int = 0):
+        self.n_full, self.parity = n_full, parity
+        self.start = (n_full + (parity < 0)) // 2 if parity else 0
+        self.size = n_full - self.start
+        self.paired = n_full // 2 if parity else 0   # the last kept nodes
+        self.weights = np.ones(self.size)
+        self.weights[self.size - self.paired:] = 2.0
+
+    def kept(self, full: slice) -> slice:
+        """The positions of the kept nodes inside the full-grid range."""
+        return slice(max(full.start - self.start, 0), full.stop - self.start)
+
+    def restrict(self, u: np.ndarray) -> np.ndarray:
+        """The kept nodes' values, along the last axis."""
+        return u[..., self.start:]
+
+    def expand(self, r: np.ndarray) -> np.ndarray:
+        """A new full-grid vector of the parity, along the last axis."""
+        u = np.zeros(r.shape[:-1] + (self.n_full,))
+        u[..., self.start:] = r
+        u[..., :self.paired] = self.parity * r[..., ::-1][..., :self.paired]
+        return u
+
+    def fold(self, mat: np.ndarray) -> np.ndarray:
+        """A new dense matrix: mat acting on the vectors of the parity."""
+        out = mat[self.start:, self.start:].copy()
+        out[:, self.size - self.paired:] += (
+            self.parity * mat[self.start:, :self.paired][:, ::-1])
+        return out
+
+
 @dataclass(frozen=True, eq=False)
 class Operators:
     """Transport operators and boundary closure for one model variant.
@@ -258,6 +302,14 @@ class Operators:
         if self.variant == "local":
             return 0.5 * d_v * self.laplacian.dense()
         return d_v * (self.dispersal.matrix - np.eye(self.grid.n_nodes))
+
+    def reflection(self, parity: int, d_v: float, d_w: float):
+        """(reduction, vegetation transport, water operator d_w Lap) on the
+        node vectors of the given parity (0: the full grid); the habitat,
+        kernels and closures are all symmetric under x -> -x."""
+        red = Reduction(self.grid.n_nodes, parity)
+        return (red, red.fold(self.vegetation_transport(d_v)),
+                red.fold(d_w * self.laplacian.dense()))
 
 
 def build_operators(grid: Grid1D, variant: str,

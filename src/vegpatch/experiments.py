@@ -237,12 +237,14 @@ def _flag_selected(sr: StationaryResidual, branch: Branch, stride: int):
 def _trace_cell(cfg: BifurcationConfig, variant: str, kernel_family: str,
                 d_w: float, suite: BifurcationSuite, progress) -> None:
     """Vegetated branch from the cosine-perturbed uniform state, then the
-    desert branch from zero biomass with its stationary water profile."""
+    desert branch from zero biomass with its stationary water profile.
+    Both seeds are even under x -> -x, so everything runs on the even half
+    grid; the snapshots are then expanded to the full grid for output."""
     grid = suite.grid
     kernel = builtin_kernel(kernel_family) if kernel_family else None
     ops = build_operators(grid, variant, kernel)
     params = ModelParams(cfg.A_start, cfg.B, cfg.d_v, d_w)
-    sr = StationaryResidual(ops, params)
+    sr = StationaryResidual(ops, params, parity=1)
     tag = f"{variant}-{kernel_family or 'none'}-dw{d_w:g}"
     for seed, suffix in (("vegetated", "veg"), ("desert", "desert")):
         try:
@@ -254,17 +256,19 @@ def _trace_cell(cfg: BifurcationConfig, variant: str, kernel_family: str,
                 w0 = solve_water_stationary(v0, params, grid)
             start = initial_state(ops, v0, w0)
             u0, _ = solve_stationary(sr, cfg.A_start,
-                                     sr.join(start.v, start.w),
+                                     sr.restrict(np.r_[start.v, start.w]),
                                      tol=cfg.controls.newton_tol)
             branch = palc_continue(sr, cfg.A_start, cfg.A_range, u0,
                                    cfg.controls, label=f"{tag}-{suffix}")
             _flag_selected(sr, branch, cfg.stability_stride)
-            suite.runs.append(BranchRun(variant, kernel_family, d_w, seed,
-                                        branch))
-            progress(branch)
             if seed == "vegetated" and d_w == cfg.gallery_d_w:
                 _collect_gallery(cfg, sr, branch, variant, kernel_family,
                                  d_w, suite)
+            for pt in branch.points:
+                pt.snapshot = sr.expand(pt.snapshot)
+            suite.runs.append(BranchRun(variant, kernel_family, d_w, seed,
+                                        branch))
+            progress(branch)
         except (NewtonDiverged, SingularJacobian) as exc:
             suite.errors.append(f"{tag} {seed}: {exc}")
 
@@ -296,9 +300,9 @@ def _collect_gallery(cfg, sr, branch, variant, kernel_family, d_w, suite):
                 f"{tag}: gallery profile at A={a_req:g} from "
                 f"{seed.snapshot_id} did not converge: {exc}")
             continue
-        v, w = sr.split(u)
+        v, w = np.split(sr.expand(u), 2)
         suite.galleries.append(GalleryProfile(
-            variant, kernel_family, d_w, a_req, v.copy(), w.copy(),
+            variant, kernel_family, d_w, a_req, v, w,
             source_id=seed.snapshot_id))
 
 

@@ -70,15 +70,17 @@ def write_branch_csv(path, suite: BifurcationSuite) -> None:
 
 def write_branch_diagnostics_csv(path, suite: BifurcationSuite) -> None:
     """One row per flagged branch point: the real part of the rightmost
-    eigenvalue and the Krylov dimension that certified it."""
+    eigenvalue, the Krylov dimension that certified it, and the rightmost
+    real parts of the even and the odd block (empty where a block was
+    not solved)."""
     rows = [(run.branch.label, pt.index, pt.A, pt.stability.rightmost,
-             pt.stability.krylov_dim)
+             pt.stability.krylov_dim, *(pt.stability.parts + (None,) * 2)[:2])
             for run in suite.runs for pt in run.branch.points
             if pt.stability is not None]
     rows.sort(key=lambda r: (r[0], r[1]))
     _write_csv(Path(path),
-               ["branch", "point_index", "A", "rightmost_real", "krylov_dim"],
-               rows)
+               ["branch", "point_index", "A", "rightmost_real", "krylov_dim",
+                "rightmost_even", "rightmost_odd"], rows)
 
 
 def write_folds_csv(path, suite: BifurcationSuite) -> None:

@@ -188,6 +188,11 @@ BAD_INPUT_FILES = {
     "dw_abc.ini": "[bifurcation]\nd_w_values = abc\n",
     "rain_x.ini": "[model]\nA = x\n",
     "arid.ini": "[model]\nB = 1.6\n",
+    "ds_max_tiny.ini": "[continuation]\nds_max = 1e-300\n",
+    "ds0_big.ini": "[continuation]\nds0 = 10\n",
+    "ds_min_big.ini": "[continuation]\nds_min = 0.05\nds0 = 0.01\n",
+    "gallery_nan.ini": "[bifurcation]\ngallery_A = nan, 5.0\n",
+    "gallery_wet.ini": "[bifurcation]\ngallery_A = 1.5, 5.0\n",
     "huge_dv.ini": "[model]\nd_v = 1e308\n",
 }
 
@@ -324,6 +329,17 @@ BAD_INPUT_FILES = {
      ["d_w / h^2", "overflow", "d_w = 1e+308"]),
     (["bifurcate", "--config", "{tmp}/no_dw.ini"],
      ["[bifurcation] d_w_values", "empty"]),
+    # continuation steps out of order, and gallery rainfalls never traced
+    (["bifurcate", "--L", "5", "--config", "{tmp}/ds_max_tiny.ini"],
+     ["ds_min <= ds0 <= ds_max", "ds_max = 1e-300"]),
+    (["bifurcate", "--L", "5", "--config", "{tmp}/ds0_big.ini"],
+     ["ds_min <= ds0 <= ds_max", "ds0 = 10.0"]),
+    (["bifurcate", "--L", "5", "--config", "{tmp}/ds_min_big.ini"],
+     ["ds_min <= ds0 <= ds_max", "ds_min = 0.05"]),
+    (["bifurcate", "--L", "5", "--config", "{tmp}/gallery_nan.ini"],
+     ["gallery_A = nan", "[0.1, 3.0]"]),
+    (["bifurcate", "--L", "5", "--config", "{tmp}/gallery_wet.ini"],
+     ["gallery_A = 5.0", "[0.1, 3.0]"]),
     # 0.004 / 0.01 rounds to no step at all
     (["simulate", "--L", "25", "--nodes", "75", "--t-final", "0.004"],
      ["t_final = 0.004", "0 steps", "h_t = 0.01"]),
@@ -615,7 +631,8 @@ def test_bifurcate_defaults_and_outputs(tmp_path, monkeypatch, capsys):
     assert (outdir / "folds.csv").exists()
     # one diagnostics row per flagged point, its flag in branch.csv
     diag = (outdir / "branch_diagnostics.csv").read_text().splitlines()
-    assert diag[0] == "branch,point_index,A,rightmost_real,krylov_dim"
+    assert diag[0] == ("branch,point_index,A,rightmost_real,krylov_dim,"
+                       "rightmost_even,rightmost_odd")
     assert len(diag) - 1 == sum(r["eigen_solves"] for r in branches.values())
     flagged = sum(ln.endswith((",true", ",false")) for ln in branch_lines)
     assert flagged == len(diag) - 1

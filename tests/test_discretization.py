@@ -3,7 +3,7 @@ import math
 import numpy as np
 import pytest
 
-from vegpatch.discretization import (_densify,
+from vegpatch.discretization import (Reduction, _densify,
                                      _hat_moments_exact, assemble_laplacian,
                                      assemble_nonlocal, build_operators,
                                      make_grid, taylor_consistency)
@@ -248,6 +248,43 @@ def test_local_transport_is_half_rate_laplacian(d_v):
     want = (d_v / 2) * ops.laplacian.dense()
     assert np.array_equal(_bits(ops.vegetation_transport(d_v)), _bits(want))
     assert ops.free_v == slice(1, 40)
+
+
+@pytest.mark.parametrize("parity", [1, -1])
+@pytest.mark.parametrize("n", [3, 4, 12, 15, 75])
+def test_reflection_restricts_and_expands_vectors_of_its_parity(n, parity):
+    red = Reduction(n, parity)
+    assert red.size == ((n + 1) // 2 if parity > 0 else n // 2)
+    kept = np.arange(n)[red.start:]
+    assert np.array_equal(red.weights,
+                          np.where(kept == n - 1 - kept, 1.0, 2.0))
+    rng = np.random.default_rng(n)
+    x = rng.normal(size=(2, n))
+    u = x + parity * x[:, ::-1]         # both rows of the parity
+    assert np.array_equal(red.expand(red.restrict(u)), u)
+    a, b = red.restrict(u)
+    assert math.isclose(red.weights @ (a * b), u[0] @ u[1], rel_tol=1e-13)
+    assert np.array_equal(Reduction(n).expand(x), x)
+
+
+@pytest.mark.parametrize("parity", [1, -1, 0])
+@pytest.mark.parametrize("n", [12, 15, 75])
+@pytest.mark.parametrize("variant, family", [("nonlocal", "laplace"),
+                                             ("nonlocal", "super_gaussian"),
+                                             ("local", None)])
+def test_reflection_folds_the_operators(variant, family, n, parity, laplace,
+                                        super_gaussian):
+    kernel = {"laplace": laplace, "super_gaussian": super_gaussian}.get(family)
+    ops = build_operators(make_grid(n / 3.0, n), variant, kernel)
+    red, mv, mw = ops.reflection(parity, 2.0, 0.1)
+    rng = np.random.default_rng(n)
+    half = rng.normal(size=red.size)
+    u = red.expand(half)
+    for full, folded in ((ops.vegetation_transport(2.0), mv),
+                         (0.1 * ops.laplacian.dense(), mw)):
+        want = red.restrict(full @ u)
+        assert np.abs(folded @ half - want).max() <= (
+            1e-13 * np.abs(full).max() * np.abs(u).max())
 
 
 def test_laplacian_exact_on_quadratics():
