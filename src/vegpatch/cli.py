@@ -612,6 +612,8 @@ def cmd_bifurcate(args) -> int:
         print(f"{run.variant}{'-' + run.kernel if run.kernel else ''} "
               f"d_w={run.d_w:g} {run.seed}: {len(run.branch.points)} points, "
               f"folds at [{folds}], {run.branch.termination}")
+    for error in suite.errors:
+        print(f"suite error: {error}", file=sys.stderr)
     print(f"bifurcation outputs in {outdir} ({time.time() - t0:.1f} s)")
     if args.check:
         failures = _check_bifurcation(suite, cfg)

@@ -4,7 +4,10 @@ The kinetic (space-free) system has a desert equilibrium (0, A) for all
 parameters, two vegetated equilibria when rainfall exceeds twice the
 mortality, and a single merged state (1, B) exactly at that threshold.  The
 stationary water profile W(v) solves a linear elliptic problem and obeys the
-maximum principle 0 <= W <= A, which is checked on every solve.
+maximum principle 0 <= W <= A, which is checked on every solve.  For a
+constant biomass level the discrete profile is known in closed form
+(uniform_water_layer), and only its boundary layer differs from the plateau
+A / (1 + v^2).
 """
 from __future__ import annotations
 
@@ -15,7 +18,7 @@ import numpy as np
 
 from .discretization import Grid1D
 from .errors import ConfigError, WaterBoundViolated
-from .tridiag import thomas_solve, thomas_solve_columns
+from .tridiag import thomas_solve
 
 EQ_DESERT = 1
 EQ_LOWER = 2
@@ -111,33 +114,44 @@ def solve_water_stationary(v: np.ndarray, params: ModelParams,
     w = np.zeros(grid.n_nodes)
     w[1:-1] = thomas_solve(lower, diag, upper,
                            np.full(grid.n_nodes - 2, -params.A))
-    _check_maximum_principle(w[None, :], params.A)
+    check_maximum_principle(w[None, :], params.A)
     return w
 
 
-def solve_water_uniform(levels: np.ndarray, params: ModelParams,
+def uniform_water_layer(levels: np.ndarray, params: ModelParams,
                         grid: Grid1D) -> np.ndarray:
-    """Stationary water at the interior nodes, one column per constant level.
+    """Stationary water of constant biomass levels, on the rows that differ.
 
-    Returns (N - 2, levels) profiles; the boundary nodes hold W = 0.  All
-    levels are solved in one batched Thomas sweep (thomas_solve_columns),
-    which performs the same operations as solve_water_stationary on each
-    level, so every column is bitwise equal to that level's
-    solve_water_stationary(level * ones)[1:-1].  Each column is checked
-    against the maximum principle 0 <= W <= A.
+    For a level v, solve_water_stationary's rows are d_w / h^2 (W[i-1] -
+    2 W[i] + W[i+1]) - c W[i] = -A, c = 1 + v^2, W[0] = W[n] = 0, n = N - 1,
+    solved exactly by W[i] = (A / c) expm1(-theta i) expm1(-theta (n - i))
+    / (1 + e^(-theta n)) with cosh(theta) = 1 + q / 2, q = c h^2 / d_w.
+    The expm1 factors keep full relative accuracy as theta -> 0 (large d_w),
+    where 1 - (r^i + r^(n-i)) / (1 + r^n), r = e^(-theta), cancels.  Rows
+    i = 1 .. min(n // 2, k), k = ceil(60 ln 2 / theta_min), are returned,
+    one column per level: row j stands for nodes j and n - j, and from depth
+    k on every exponential is below 2^-60, so the last row is then the
+    plateau A / c of every deeper node.  Agrees with solve_water_stationary
+    to rounding, not bitwise.
     """
     levels = np.asarray(levels, dtype=float)
     if levels.min() < 0:
         raise ValueError("levels must be non-negative")
-    v = np.broadcast_to(levels, (3, levels.size))    # one interior row
-    lower, diag, upper = water_bands(v, params, grid)
-    diag = np.broadcast_to(diag, (lower.size, levels.size))   # all rows alike
-    w = thomas_solve_columns(lower, diag, upper, -params.A)
-    _check_maximum_principle(w.T, params.A)
+    n = grid.n_nodes - 1
+    c = levels * levels + 1.0
+    q = c * (grid.spacing ** 2 / params.d_w)
+    theta = np.log1p(q / 2.0 + np.sqrt(q + q * q / 4.0))
+    depth = math.ceil(60.0 * math.log(2.0) / float(theta.min()))
+    rows = np.arange(1, min(n // 2, depth) + 1)
+    w = np.multiply.outer(rows, -theta)
+    np.expm1(w, out=w)
+    far = np.multiply.outer(n - rows, -theta)
+    w *= np.expm1(far, out=far)
+    w *= params.A / c / (1.0 + np.exp(-n * theta))
     return w
 
 
-def _check_maximum_principle(w: np.ndarray, A: float) -> None:
+def check_maximum_principle(w: np.ndarray, A: float) -> None:
     """Raise WaterBoundViolated for the first row of w outside [0, A]."""
     lo, hi = w.min(axis=1), w.max(axis=1)
     bad = np.flatnonzero(~((lo >= -1e-10) & (hi <= A + 1e-10)))

@@ -17,7 +17,10 @@ stability flag.  lambda1,
 the Dirichlet Laplacian's principal eigenvalue, is the Rayleigh quotient of
 its known eigenvector sin(pi k / (m + 1)), checked by one residual against
 the operator norm 4 / h^2.  The Lipschitz estimate scans constant biomass
-levels with one batched water solve and works in place in its result.
+levels.  Their water profiles are known in closed form, and it evaluates
+them only on the boundary layer, where they differ from the plateau: about
+60 ln 2 / theta rows, theta = arccosh(1 + h^2 / (2 d_w)), whatever the
+width.  It works in place in that (rows, levels) array.
 """
 from __future__ import annotations
 
@@ -26,7 +29,8 @@ from dataclasses import dataclass
 import numpy as np
 
 from .discretization import DispersalOperator, LaplacianOperator
-from .kinetics import ModelParams, solve_water_uniform
+from .kinetics import (ModelParams, check_maximum_principle,
+                       uniform_water_layer)
 
 
 @dataclass(frozen=True)
@@ -205,14 +209,22 @@ def estimate_lipschitz_M(params: ModelParams, grid, v_range: float,
     """Max finite-difference slope of f over uniform biomass levels.
 
     Scans constant profiles v in [0, v_range] and returns the largest
-    sup-norm quotient |f(v_k+1) - f(v_k)| / (v_k+1 - v_k).  The water
-    profiles of all levels come from one batched solve
-    (solve_water_uniform), bitwise equal to solving level by level.
+    sup-norm quotient |f(v_k+1) - f(v_k)| / (v_k+1 - v_k).  The water of
+    each level is the exact solution of the discrete stationary system,
+    W[i] = (A / c) expm1(-theta i) expm1(-theta (n - i)) / (1 + e^(-theta n))
+    with c = 1 + v^2, cosh(theta) = 1 + c h^2 / (2 d_w) and n = N - 1
+    (kinetics.uniform_water_layer).  The expm1 factors keep full relative
+    accuracy at large d_w, where 1 - (r^i + r^(n-i)) / (1 + r^n) cancels.
+    The profile is symmetric, and from depth ceil(60 ln 2 / theta) on every
+    level rounds to its plateau A / c, so only the rows up to the centre or
+    that depth are evaluated; they hold every distinct node value.  Each
+    level is checked against the maximum principle 0 <= W <= A.
     """
     if v_range <= 0:
         raise ValueError("v_range must be positive")
     levels = np.linspace(0.0, v_range, n_samples + 1)
-    f = solve_water_uniform(levels, params, grid)    # f = v^2 W - B v
+    f = uniform_water_layer(levels, params, grid)    # f = v^2 W - B v
+    check_maximum_principle(f.T, params.A)
     f *= levels * levels
     f -= params.B * levels
     flat = f.reshape(-1)    # in place; row-major, so column k gets f_k+1 - f_k

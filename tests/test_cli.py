@@ -369,6 +369,19 @@ def test_bifurcation_grid_has_at_least_3_nodes(tmp_path, monkeypatch):
     assert bif["grid"]["N"] == steady["resolved"]["grid"]["N"] == 3
 
 
+def test_bifurcate_prints_its_suite_errors(tmp_path, monkeypatch, capsys):
+    # at L = 4 the d_w = 80 vegetated branches collapse to bare soil, so no
+    # gallery rainfall finds a vegetated point; the run still exits 0
+    assert run_cli(["bifurcate", "--L", "4", "--dw", "80", "--no-plots",
+                    "--out", "bif"], monkeypatch, tmp_path) == 0
+    out, err = capsys.readouterr()
+    manifest = json.loads((tmp_path / "bif" / "manifest.json").read_text())
+    errors = manifest["suite_errors"]
+    assert len(errors) == 9
+    assert [ln for ln in err.splitlines() if ln.startswith("suite error: ")] \
+        == [f"suite error: {e}" for e in errors]
+    assert "suite error" not in out
+
 @pytest.mark.parametrize("family", ["beta1", "lambda1"])
 def test_unconverged_spectrum_exits_3_naming_the_width(family, tmp_path,
                                                        monkeypatch, capsys):

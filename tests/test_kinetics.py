@@ -12,7 +12,8 @@ from vegpatch.discretization import make_grid
 from vegpatch.errors import WaterBoundViolated
 from vegpatch.kinetics import (EQ_DESERT, EQ_MERGED, EQ_UPPER, ModelParams,
                                constant_steady_states, scalar_f,
-                               solve_water_stationary, vegetated_equilibrium)
+                               solve_water_stationary, uniform_water_layer,
+                               vegetated_equilibrium)
 
 
 def cubic_residual(v, A, B):
@@ -145,6 +146,73 @@ class TestWaterSolve:
                                    grid)
         monkeypatch.setenv("VEGPATCH_OUT", str(tmp_path))
         assert main(["steady", "--init", "desert", "--L", "5"]) == 3
+
+
+def node_profiles(layer, n_nodes):
+    """(N, levels) profiles from uniform_water_layer's rows.
+
+    Row j stands for nodes j and n - j; nodes deeper than the last row take
+    the last row, the plateau; the boundary nodes hold 0.
+    """
+    n = n_nodes - 1
+    depth = np.minimum(np.arange(n + 1), n - np.arange(n + 1))
+    w = layer[np.minimum(depth, len(layer)) - 1]
+    w[0] = w[-1] = 0.0
+    return w
+
+
+LAYER_LEVELS = np.linspace(0.0, 3.4, 9)
+
+
+@pytest.mark.parametrize("d_w", [1e-4, 0.1, 80.0, 1e6])
+@pytest.mark.parametrize("n_nodes", [3, 4, 41, 1281])   # n even and odd
+class TestUniformWaterLayer:
+    def test_matches_thomas_level_by_level(self, n_nodes, d_w):
+        params = ModelParams(1.8, 0.45, 2.0, d_w)
+        grid = make_grid(10.0, n_nodes)
+        w = node_profiles(uniform_water_layer(LAYER_LEVELS, params, grid),
+                          n_nodes)
+        # Thomas elimination's own rounding grows with the condition number
+        # 1 + 4 d_w / h^2; at d_w = 80 on 1,281 nodes it reaches 5e-12 * A
+        kappa = 1.0 + 4.0 * d_w / grid.spacing ** 2
+        tol = max(1e-13, np.finfo(float).eps * kappa) * params.A
+        for k, level in enumerate(LAYER_LEVELS):
+            ref = solve_water_stationary(np.full(n_nodes, level), params, grid)
+            assert np.abs(w[:, k] - ref).max() <= tol
+
+    def test_discrete_residual_is_a_few_ulp(self, n_nodes, d_w):
+        params = ModelParams(1.8, 0.45, 2.0, d_w)
+        grid = make_grid(10.0, n_nodes)
+        w = node_profiles(uniform_water_layer(LAYER_LEVELS, params, grid),
+                          n_nodes)
+        c = LAYER_LEVELS ** 2 + 1.0
+        a = d_w / grid.spacing ** 2
+        resid = a * (w[:-2] - 2.0 * w[1:-1] + w[2:]) - c * w[1:-1] + params.A
+        scale = (4.0 * a + c) * params.A / c
+        assert np.all(np.abs(resid) <= 4.0 * np.finfo(float).eps * scale)
+
+
+def test_uniform_water_layer_plateau_is_bitwise_the_full_closed_form(
+        default_params):
+    grid = make_grid(32.0, 1281)    # the widest spectral_simulate grid
+    levels = np.linspace(0.0, 3.4, 401)
+    layer = uniform_water_layer(levels, default_params, grid)
+    n = grid.n_nodes - 1
+    assert len(layer) < n // 2    # the layer is truncated at this width
+    c = levels * levels + 1.0
+    q = c * (grid.spacing ** 2 / default_params.d_w)
+    theta = np.log1p(q / 2.0 + np.sqrt(q + q * q / 4.0))
+    rows = np.arange(n + 1)
+    full = (np.expm1(np.multiply.outer(rows, -theta))
+            * np.expm1(np.multiply.outer(n - rows, -theta))
+            * (default_params.A / c / (1.0 + np.exp(-n * theta))))
+    assert np.array_equal(node_profiles(layer, grid.n_nodes), full)
+
+
+def test_uniform_water_layer_rejects_negative_levels(default_params):
+    with pytest.raises(ValueError):
+        uniform_water_layer(np.array([0.0, -0.1]), default_params,
+                            make_grid(5.0, 51))
 
 
 class TestReactionAndScalarF:

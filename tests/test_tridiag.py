@@ -4,7 +4,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from vegpatch.errors import SingularSystem
-from vegpatch.tridiag import thomas_solve, thomas_solve_columns
+from vegpatch.tridiag import thomas_solve
 
 
 def _dense(lower, diag, upper):
@@ -77,26 +77,3 @@ def test_zero_pivot_reports_its_row():
 def test_length_mismatch_rejected():
     with pytest.raises(ValueError):
         thomas_solve(np.zeros(3), np.ones(4), np.zeros(4), np.ones(4))
-
-
-@pytest.mark.parametrize("n", [1, 2, 126])
-def test_columns_bitwise_equal_to_one_solve_per_column(n):
-    rng = np.random.default_rng(n)
-    lower = rng.normal(size=n)
-    upper = rng.normal(size=n)
-    diag = 4.0 + np.abs(rng.normal(size=(n, 7)))
-    rhs = rng.normal(size=(n, 7))
-    x = thomas_solve_columns(lower, diag, upper, rhs)
-    assert x.shape == (n, 7)
-    for j in range(7):
-        assert np.array_equal(
-            x[:, j], thomas_solve(lower, diag[:, j], upper, rhs[:, j]))
-
-
-def test_columns_zero_pivot_reports_its_row():
-    # column 1 eliminates to 1 - 1 * 1 = 0 in row 2; column 0 does not
-    lower = np.array([0.0, 0.0, 1.0, 0.0])
-    upper = np.array([0.0, 1.0, 0.0, 0.0])
-    diag = np.array([[1.0, 1.0], [1.0, 1.0], [2.0, 1.0], [1.0, 1.0]])
-    with pytest.raises(SingularSystem, match="row 2"):
-        thomas_solve_columns(lower, diag, upper, 1.0)
