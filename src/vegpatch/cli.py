@@ -605,6 +605,7 @@ def cmd_bifurcate(args) -> int:
             "halvings": r.branch.halvings,
             "eigen_solves": r.branch.eigen_solves,
             "krylov_dim_total": r.branch.krylov_dim,
+            "closed_form": r.branch.closed_form,
             "wall_s": r.branch.wall_s} for r in suite.runs},
         "wall_time_s": time.time() - t0})
     for run in suite.runs:

@@ -295,6 +295,38 @@ class Branch:
     eigen_solves: int = 0           # stability flags computed
     krylov_dim: int = 0             # summed over the eigen-solves
     wall_s: float = 0.0
+    closed_form: bool = False       # rows written, not continued
+
+    def record(self, sr: StationaryResidual, u: np.ndarray, a: float,
+               s: float, ta: float) -> None:
+        """Append the point (u, A = a) at arclength s, summarized by sr."""
+        mx, avg, avg_nodes = sr.summarize(u)
+        index = len(self.points)
+        self.points.append(BranchPoint(
+            index=index, A=float(a), s=float(s),
+            max_v=mx, avg_v=avg, avg_v_nodes=avg_nodes,
+            tangent_A=float(ta), snapshot=u.copy(),
+            snapshot_id=f"{self.label}-p{index:05d}"))
+
+
+def grown_step(ds: float, iterations: int, controls: PalcControls) -> float:
+    """The arclength step after an accepted step whose corrector took
+    ``iterations``: STEP_GROWTH times longer, up to ds_max, after an easy
+    one (at most GROW_BELOW iterations), otherwise unchanged."""
+    if iterations <= GROW_BELOW:
+        return min(ds * STEP_GROWTH, controls.ds_max)
+    return ds
+
+
+def require_solution(sr: StationaryResidual, u: np.ndarray, A: float,
+                     tol: float) -> None:
+    """Raise NewtonDiverged unless ||F(u, A)||_2 <= tol: a branch starts
+    only on a solution."""
+    r0 = float(np.linalg.norm(sr.residual(u, A)))
+    if r0 > tol:
+        raise NewtonDiverged(
+            f"initial point residual {r0:.3e} exceeds tolerance "
+            f"{tol:.1e}; solve it first")
 
 
 def _scaled_dot(du1, da1, du2, da2, scale):
@@ -323,7 +355,7 @@ def _corrector(sr, solve, u0, a0, tu, ta, ds, scale, tol, cap, u, a):
     for it in range(cap + 1):
         r = sr.residual(u, a)
         g = _scaled_dot(u - u0, a - a0, tu, ta, scale) - ds
-        nr = float(np.linalg.norm(r))
+        nr = math.sqrt(float(r.dot(r)))
         if not math.isfinite(nr) or float(np.abs(u).max()) > NEWTON_BLOWUP:
             return None
         if nr <= tol and abs(g) <= tol * max(1.0, abs(ds)):
@@ -432,11 +464,7 @@ def palc_continue(sr: StationaryResidual, A_start: float,
     scale = 1.0 / sr.n_unknowns   # state inner-product weight 1/(2N)
     a_lo, a_hi = min(A_range), max(A_range)
     u = np.asarray(initial, dtype=float).copy()
-    r0 = float(np.linalg.norm(sr.residual(u, A_start)))
-    if r0 > controls.newton_tol:
-        raise NewtonDiverged(
-            f"initial point residual {r0:.3e} exceeds tolerance "
-            f"{controls.newton_tol:.1e}; solve it first")
+    require_solution(sr, u, A_start, controls.newton_tol)
 
     branch = Branch(label=label)
     d_da = sr.d_dA(u, A_start)
@@ -445,21 +473,11 @@ def palc_continue(sr: StationaryResidual, A_start: float,
         branch.bordered_solves += 1
         return sr.bordered_solve(u, a, d_da, tu * scale, ta, rhs)
 
-    def record(u, a, s, ta) -> BranchPoint:
-        mx, avg, avg_nodes = sr.summarize(u)
-        point = BranchPoint(
-            index=len(branch.points), A=float(a), s=float(s),
-            max_v=mx, avg_v=avg, avg_v_nodes=avg_nodes,
-            tangent_A=float(ta), snapshot=u.copy(),
-            snapshot_id=f"{label}-p{len(branch.points):05d}")
-        branch.points.append(point)
-        return point
-
     tu, ta = _tangent(solve, u, A_start, np.zeros(u.size),
                       controls.direction, scale)
     a = A_start
     s = 0.0
-    record(u, a, s, ta)
+    branch.record(sr, u, a, s, ta)
     ds = controls.ds0
 
     while True:
@@ -484,7 +502,7 @@ def palc_continue(sr: StationaryResidual, A_start: float,
             branch.folds.append(Fold(s=s + 0.5 * ds, A=float(fold_a),
                                      after_index=len(branch.points) - 1))
         u, a, s, tu, ta = u_new, a_new, s_new, tu_new, ta_new
-        record(u, a, s, ta)
+        branch.record(sr, u, a, s, ta)
         if (controls.fold_cap is not None
                 and len(branch.folds) >= controls.fold_cap):
             branch.termination = "fold_count_cap"
@@ -492,8 +510,7 @@ def palc_continue(sr: StationaryResidual, A_start: float,
         if not (a_lo <= a <= a_hi):
             branch.termination = "parameter_exit"
             break
-        if iters <= GROW_BELOW:
-            ds = min(ds * STEP_GROWTH, controls.ds_max)
+        ds = grown_step(ds, iters, controls)
     branch.wall_s = time.perf_counter() - t0
     return branch
 

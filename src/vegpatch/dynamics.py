@@ -209,8 +209,8 @@ def _imex(ops: Operators, params: ModelParams):
     def advance(v, w, rhs_v, rhs_w):
         v_free = v[free]
         v[free] = step_v @ (v_free + h * v_free * v_free * w[free])
-        lower, diag, upper = water_bands(v, params, ops.grid, 1.0 / h)
-        w[1:-1] = thomas_solve(lower, diag, upper, -params.A - w[1:-1] / h)
+        off, diag = water_bands(v, params, ops.grid, 1.0 / h)
+        w[1:-1] = thomas_solve(off, diag, -params.A - w[1:-1] / h)
     return advance
 
 

@@ -4,9 +4,12 @@ The sweep integrates all three model variants (non-local with fat and thin
 tails, local diffusion) to steady state over a logarithmic ladder of habitat
 half-widths and extracts the critical patch size per variant as the largest
 half-width whose average stationary biomass stays below a collapse threshold.
-The bifurcation suite traces desert and vegetated stationary branches in the
+The bifurcation suite continues the vegetated stationary branches in the
 rainfall rate for slow and fast water diffusion and collects fold locations
-plus a gallery of upper-branch profiles.
+plus a gallery of upper-branch profiles.  The desert branches, straight
+lines in (state, rainfall) with one Jacobian, are written in closed form
+on the continuation's step schedule, with one water solve and one
+stability flag each.
 
 Average biomass is reported both as the trapezoid (integral) mean over the
 habitat and as the arithmetic node mean; detection and acceptance checks use
@@ -15,12 +18,14 @@ the integral mean.
 from __future__ import annotations
 
 import math
+import time
 from dataclasses import dataclass, field
 
 import numpy as np
 
 from .continuation import (Branch, PalcControls, StationaryResidual,
-                           palc_continue, solve_stationary, stability_flag)
+                           grown_step, palc_continue, require_solution,
+                           solve_stationary, stability_flag)
 from .discretization import Grid1D, build_operators, make_grid
 from .dynamics import BatchCell, initial_state, run_to_steady_batch
 from .errors import NewtonDiverged, SingularJacobian
@@ -222,24 +227,80 @@ class BifurcationSuite:
     errors: list[str] = field(default_factory=list)
 
 
-def _flag_selected(sr: StationaryResidual, branch: Branch, stride: int):
+def _flagged_indices(n_points: int, stride: int) -> list[int]:
+    """The points a branch flags: every stride-th and the last one, none
+    when stride <= 0."""
     if stride <= 0:
-        return
-    chosen = set(range(0, len(branch.points), stride))
-    chosen.add(len(branch.points) - 1)
-    for i in chosen:
+        return []
+    return sorted({*range(0, n_points, stride), n_points - 1})
+
+
+def _flag_selected(sr: StationaryResidual, branch: Branch, stride: int):
+    for i in _flagged_indices(len(branch.points), stride):
         pt = branch.points[i]
         pt.stability = stability_flag(sr, pt.A, pt.snapshot)
         branch.eigen_solves += 1
         branch.krylov_dim += pt.stability.krylov_dim
 
 
+def _desert_branch(cfg: BifurcationConfig, sr: StationaryResidual,
+                   label: str) -> Branch:
+    """The desert branch v = 0, written in closed form.
+
+    At v = 0 the water solves d_w W'' - W + A = 0, so W(A) = (A / A_start)
+    W(A_start): the branch is a straight line through u0 = (0, W(A_start))
+    and the origin, with one unit tangent, and the Jacobian, which involves
+    neither A nor W there, is the same at every point.  palc_continue from
+    u0 would accept each tangent predictor without a corrector iteration;
+    the rows follow the steps it takes then (ds0, grown by ``grown_step``
+    up to ds_max) and end where it would, on the point cap or on leaving
+    A_range, so they match its trace to rounding without a bordered solve.
+    One stability flag serves every point ``_flag_selected`` would pick.
+    Raises NewtonDiverged, as palc_continue does, when u0 does not meet
+    newton_tol.
+    """
+    t0 = time.perf_counter()
+    controls, a_start = cfg.controls, cfg.A_start
+    grid = sr.ops.grid
+    zero = np.zeros(grid.n_nodes)
+    u0 = sr.restrict(np.r_[zero, solve_water_stationary(zero, sr.params,
+                                                        grid)])
+    require_solution(sr, u0, a_start, controls.newton_tol)
+    slope = u0 / a_start
+    ta = math.copysign(
+        1.0 / math.sqrt(float(slope @ slope) / sr.n_unknowns + 1.0),
+        controls.direction)
+    a_lo, a_hi = min(cfg.A_range), max(cfg.A_range)
+    branch = Branch(label=label, closed_form=True)
+    a, s, ds = a_start, 0.0, controls.ds0
+    branch.record(sr, u0, a, s, ta)
+    while True:
+        if len(branch.points) >= controls.point_cap:
+            branch.termination = "point_cap"
+            break
+        a, s = a + ds * ta, s + ds
+        branch.record(sr, (a / a_start) * u0, a, s, ta)
+        if not a_lo <= a <= a_hi:
+            branch.termination = "parameter_exit"
+            break
+        ds = grown_step(ds, 0, controls)
+    branch.wall_s = time.perf_counter() - t0
+    chosen = _flagged_indices(len(branch.points), cfg.stability_stride)
+    if chosen:
+        flag = stability_flag(sr, a_start, u0)
+        branch.eigen_solves, branch.krylov_dim = 1, flag.krylov_dim
+        for i in chosen:
+            branch.points[i].stability = flag
+    return branch
+
+
 def _trace_cell(cfg: BifurcationConfig, variant: str, kernel_family: str,
                 d_w: float, suite: BifurcationSuite, progress) -> None:
-    """Vegetated branch from the cosine-perturbed uniform state, then the
-    desert branch from zero biomass with its stationary water profile.
-    Both seeds are even under x -> -x, so everything runs on the even half
-    grid; the snapshots are then expanded to the full grid for output."""
+    """Vegetated branch from the cosine-perturbed uniform state, continued
+    by palc_continue and flagged at every stability_stride-th point, then
+    the desert branch in closed form (``_desert_branch``).  Both are even
+    under x -> -x, so everything runs on the even half grid; the snapshots
+    are then expanded to the full grid for output."""
     grid = suite.grid
     kernel = builtin_kernel(kernel_family) if kernel_family else None
     ops = build_operators(grid, variant, kernel)
@@ -247,23 +308,23 @@ def _trace_cell(cfg: BifurcationConfig, variant: str, kernel_family: str,
     sr = StationaryResidual(ops, params, parity=1)
     tag = f"{variant}-{kernel_family or 'none'}-dw{d_w:g}"
     for seed, suffix in (("vegetated", "veg"), ("desert", "desert")):
+        label = f"{tag}-{suffix}"
         try:
-            if seed == "vegetated":
+            if seed == "desert":
+                branch = _desert_branch(cfg, sr, label)
+            else:
                 v0, w0 = cosine_perturbed_start(grid, cfg.A_start, cfg.B,
                                                 cfg.perturbation)
-            else:
-                v0 = np.zeros(grid.n_nodes)
-                w0 = solve_water_stationary(v0, params, grid)
-            start = initial_state(ops, v0, w0)
-            u0, _ = solve_stationary(sr, cfg.A_start,
-                                     sr.restrict(np.r_[start.v, start.w]),
-                                     tol=cfg.controls.newton_tol)
-            branch = palc_continue(sr, cfg.A_start, cfg.A_range, u0,
-                                   cfg.controls, label=f"{tag}-{suffix}")
-            _flag_selected(sr, branch, cfg.stability_stride)
-            if seed == "vegetated" and d_w == cfg.gallery_d_w:
-                _collect_gallery(cfg, sr, branch, variant, kernel_family,
-                                 d_w, suite)
+                start = initial_state(ops, v0, w0)
+                u0, _ = solve_stationary(sr, cfg.A_start,
+                                         sr.restrict(np.r_[start.v, start.w]),
+                                         tol=cfg.controls.newton_tol)
+                branch = palc_continue(sr, cfg.A_start, cfg.A_range, u0,
+                                       cfg.controls, label=label)
+                _flag_selected(sr, branch, cfg.stability_stride)
+                if d_w == cfg.gallery_d_w:
+                    _collect_gallery(cfg, sr, branch, variant, kernel_family,
+                                     d_w, suite)
             for pt in branch.points:
                 pt.snapshot = sr.expand(pt.snapshot)
             suite.runs.append(BranchRun(variant, kernel_family, d_w, seed,

@@ -81,19 +81,15 @@ def vegetated_equilibrium(A: float, B: float) -> KineticEquilibrium:
 
 def water_bands(v: np.ndarray, params: ModelParams, grid: Grid1D,
                 shift: float = 0.0):
-    """Interior bands of d_w W'' - (v^2 + 1 + shift) W with W(+-L) = 0.
+    """Interior bands of d_w W'' - (v^2 + 1 + shift) W with W(+-L) = 0:
+    (off, diag), the constant off-diagonal d_w / h^2 and the diagonal.
 
     shift = 0 gives the stationary water operator; shift = 1/h gives the
     matrix of one implicit Euler step of length h with v frozen.
     """
     h2 = grid.spacing ** 2
-    m = grid.n_nodes - 2
-    lower = np.full(m, params.d_w / h2)
-    upper = np.full(m, params.d_w / h2)
-    lower[0] = 0.0
-    upper[-1] = 0.0
     diag = -2.0 * params.d_w / h2 - (v[1:-1] ** 2 + 1.0 + shift)
-    return lower, diag, upper
+    return params.d_w / h2, diag
 
 
 def solve_water_stationary(v: np.ndarray, params: ModelParams,
@@ -110,10 +106,9 @@ def solve_water_stationary(v: np.ndarray, params: ModelParams,
         raise ValueError("v must be a node vector")
     if v.min() < 0:
         raise ValueError("v must be non-negative")
-    lower, diag, upper = water_bands(v, params, grid)
+    off, diag = water_bands(v, params, grid)
     w = np.zeros(grid.n_nodes)
-    w[1:-1] = thomas_solve(lower, diag, upper,
-                           np.full(grid.n_nodes - 2, -params.A))
+    w[1:-1] = thomas_solve(off, diag, np.full(grid.n_nodes - 2, -params.A))
     check_maximum_principle(w[None, :], params.A)
     return w
 

@@ -24,6 +24,7 @@ width.  It works in place in that (rows, levels) array.
 """
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -103,6 +104,7 @@ def arnoldi_rightmost(action, n: int, res_tol: float, max_dim: int,
     else:
         basis[0] = start / np.linalg.norm(start)
     rho, resid = 0.0, np.inf
+    h_max = 0.0       # running max |h_ij| of hess[:k, :k]
     for j in range(m):
         if j + 1 == len(basis):
             grow = min(len(basis), m + 1 - len(basis))
@@ -113,9 +115,10 @@ def arnoldi_rightmost(action, n: int, res_tol: float, max_dim: int,
             coef = basis[:j + 1] @ w
             w -= coef @ basis[:j + 1]
             hess[:j + 1, j] += coef
-        hess[j + 1, j] = h_next = float(np.linalg.norm(w))
+        hess[j + 1, j] = h_next = math.sqrt(float(w.dot(w)))
+        h_max = max(h_max, float(np.abs(hess[:j + 1, j]).max()))
         k = j + 1
-        exhausted = k == m or h_next <= 1e-14 * np.abs(hess[:k, :k]).max()
+        exhausted = k == m or h_next <= 1e-14 * h_max
         if (k >= min_dim and k % RITZ_EVERY == 0) or exhausted:
             values, vectors = np.linalg.eig(hess[:k, :k])
             top = select(values, h_next * np.abs(vectors[-1]))
@@ -133,6 +136,7 @@ def arnoldi_rightmost(action, n: int, res_tol: float, max_dim: int,
             if exhausted:
                 return rho, resid, k, False
         basis[k] = w / h_next
+        h_max = max(h_max, h_next)
     return rho, resid, m, False
 
 

@@ -4,7 +4,8 @@ The water equation, stationary or one implicit step, only ever produces
 strictly diagonally dominant systems, so no pivoting is performed; a zero
 pivot is reported as SingularSystem instead of being repaired.
 ``thomas_solve`` is the one solver: it solves one system with the row
-recurrence on Python floats.
+recurrence on Python floats.  Every water system has the constant
+off-diagonal d_w / h^2, so the solver takes that one value.
 """
 from __future__ import annotations
 
@@ -13,33 +14,33 @@ import numpy as np
 from .errors import SingularSystem
 
 
-def thomas_solve(lower: np.ndarray, diag: np.ndarray, upper: np.ndarray,
+def thomas_solve(off: float, diag: np.ndarray,
                  rhs: np.ndarray) -> np.ndarray:
-    """Solve the tridiagonal system with the given bands.
+    """Solve the tridiagonal system with diagonal ``diag`` and the constant
+    ``off`` on both off-diagonals.
 
-    ``lower[k]`` multiplies x[k-1] in row k (lower[0] ignored), ``upper[k]``
-    multiplies x[k+1] in row k (upper[-1] ignored).  The recurrences run on
-    Python floats, which is several times faster than indexing numpy scalars
-    and performs the same operations in the same order.
+    Row k is off * x[k-1] + diag[k] * x[k] + off * x[k+1] = rhs[k], without
+    x[-1] and x[n].  The recurrences run on Python floats, which is several
+    times faster than indexing numpy scalars and performs the same
+    operations in the same order.
     """
     n = diag.shape[0]
-    if not (lower.shape[0] == upper.shape[0] == rhs.shape[0] == n):
-        raise ValueError("band and rhs lengths must match")
-    a, b, c, d = lower.tolist(), diag.tolist(), upper.tolist(), rhs.tolist()
+    if rhs.shape[0] != n:
+        raise ValueError("diagonal and rhs lengths must match")
+    off = float(off)
+    b, x = diag.tolist(), rhs.tolist()
     cp = [0.0] * n
-    dp = [0.0] * n
     piv = b[0]
     if piv == 0.0:
         raise SingularSystem("zero pivot in row 0")
-    cp[0] = c[0] / piv
-    dp[0] = d[0] / piv
+    c = cp[0] = off / piv
+    x[0] = xk = x[0] / piv
     for k in range(1, n):
-        piv = b[k] - a[k] * cp[k - 1]
+        piv = b[k] - off * c
         if piv == 0.0:
             raise SingularSystem(f"zero pivot in row {k}")
-        cp[k] = c[k] / piv
-        dp[k] = (d[k] - a[k] * dp[k - 1]) / piv
-    x = dp
+        c = cp[k] = off / piv
+        x[k] = xk = (x[k] - off * xk) / piv
     for k in range(n - 2, -1, -1):
-        x[k] = dp[k] - cp[k] * x[k + 1]
+        x[k] = xk = x[k] - cp[k] * xk
     return np.array(x)

@@ -625,14 +625,24 @@ def test_bifurcate_defaults_and_outputs(tmp_path, monkeypatch, capsys):
     progress = [ln for ln in capsys.readouterr().err.splitlines()
                 if ln.startswith("branch ")]
     assert len(progress) == 6
+    flags = {label: len(range(0, row["points"] - 1, 25)) + 1
+             for label, row in branches.items()}
     for label, row in branches.items():
         assert row["termination"] == "parameter_exit"
-        # a tangent per point, plus each accepted corrector iteration
-        assert row["bordered_solves"] >= (row["points"]
-                                          + row["corrector_iterations"])
         assert row["halvings"] >= 0 and row["wall_s"] > 0
-        # stride-25 flags plus the last point, one eigen-solve each
-        assert row["eigen_solves"] == len(range(0, row["points"] - 1, 25)) + 1
+        # desert branches are written in closed form: no bordered solve,
+        # and one eigen-solve shared by their stride-25 points and the last
+        assert row["closed_form"] == label.endswith("-desert")
+        if row["closed_form"]:
+            assert row["bordered_solves"] == 0
+            assert row["corrector_iterations"] == row["halvings"] == 0
+            assert row["eigen_solves"] == 1
+        else:
+            # a tangent per point, plus each accepted corrector iteration
+            assert row["bordered_solves"] >= (row["points"]
+                                              + row["corrector_iterations"])
+            # stride-25 flags plus the last point, one eigen-solve each
+            assert row["eigen_solves"] == flags[label]
         assert row["krylov_dim_total"] >= row["eigen_solves"]
         assert any(ln.startswith(f"branch {label}: {row['points']} points, "
                                  f"{row['halvings']} halvings, ")
@@ -646,12 +656,18 @@ def test_bifurcate_defaults_and_outputs(tmp_path, monkeypatch, capsys):
     diag = (outdir / "branch_diagnostics.csv").read_text().splitlines()
     assert diag[0] == ("branch,point_index,A,rightmost_real,krylov_dim,"
                        "rightmost_even,rightmost_odd")
-    assert len(diag) - 1 == sum(r["eigen_solves"] for r in branches.values())
+    assert len(diag) - 1 == sum(flags.values())
     flagged = sum(ln.endswith((",true", ",false")) for ln in branch_lines)
     assert flagged == len(diag) - 1
     for label, row in branches.items():
         rows = [ln.split(",") for ln in diag[1:] if ln.startswith(label + ",")]
-        assert sum(int(r[4]) for r in rows) == row["krylov_dim_total"]
+        assert len(rows) == flags[label]
+        if row["closed_form"]:
+            # every row carries the one shared flag
+            assert {tuple(r[3:]) for r in rows} == {tuple(rows[0][3:])}
+            assert int(rows[0][4]) == row["krylov_dim_total"]
+        else:
+            assert sum(int(r[4]) for r in rows) == row["krylov_dim_total"]
     profiles = list((outdir / "profiles").glob("gallery-*.csv"))
     assert profiles
 

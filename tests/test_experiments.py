@@ -1,18 +1,23 @@
 import math
+from dataclasses import replace
 
 import numpy as np
 import pytest
 
-from vegpatch.continuation import StationaryResidual, solve_stationary
+from vegpatch.continuation import (PalcControls, StationaryResidual,
+                                   palc_continue, solve_stationary)
 from vegpatch.discretization import build_operators, make_grid
 from vegpatch.dynamics import initial_state, run_to_steady
-from vegpatch.experiments import (BifurcationConfig, SweepConfig, SweepRow,
+from vegpatch.errors import NewtonDiverged
+from vegpatch.experiments import (VARIANTS, BifurcationConfig, SweepConfig,
+                                  SweepRow, _desert_branch, _flag_selected,
                                   boundary_sharpness, builtin_kernel,
                                   cosine_perturbed_start, detect_critical_L,
                                   fast_sweep_config, log_spaced_L,
                                   run_bifurcation_suite, run_patch_sweep,
                                   sweep_resolution)
-from vegpatch.kinetics import ModelParams, vegetated_equilibrium
+from vegpatch.kinetics import (ModelParams, solve_water_stationary,
+                               vegetated_equilibrium)
 
 
 def test_log_ladder_endpoints():
@@ -128,10 +133,79 @@ def test_gallery_has_every_requested_profile(bif_suite):
 
 def test_default_suite_bordered_solve_budget(bif_suite):
     # the per-branch counter the bifurcate manifest records, summed; fold
-    # refinement by Illinois regula falsi with warm-started correctors
-    # holds the default suite near 2,584
+    # refinement by Illinois regula falsi with warm-started correctors and
+    # desert branches written in closed form hold the default suite near
+    # 2,247
     total = sum(run.branch.bordered_solves for run in bif_suite.runs)
-    assert total <= 2650
+    assert total <= 2300
+    desert = [run.branch for run in bif_suite.runs if run.seed == "desert"]
+    assert len(desert) == 6
+    assert all(b.closed_form and b.bordered_solves == 0 for b in desert)
+
+
+def _desert_pair(variant, kernel_family, d_w, n_nodes, cfg):
+    """The closed-form desert branch and palc_continue's trace from the
+    desert seed (the water solve, Newton-polished), each with its flags."""
+    grid = make_grid(n_nodes / 3.0, n_nodes)
+    kernel = builtin_kernel(kernel_family) if kernel_family else None
+    ops = build_operators(grid, variant, kernel)
+    sr = StationaryResidual(ops, ModelParams(cfg.A_start, cfg.B, cfg.d_v,
+                                             d_w), parity=1)
+    got = _desert_branch(cfg, sr, "desert")
+    zero = np.zeros(grid.n_nodes)
+    w0 = solve_water_stationary(zero, sr.params, grid)
+    u0, _ = solve_stationary(sr, cfg.A_start, sr.restrict(np.r_[zero, w0]),
+                             tol=cfg.controls.newton_tol)
+    ref = palc_continue(sr, cfg.A_start, cfg.A_range, u0, cfg.controls,
+                        label="desert")
+    _flag_selected(sr, ref, cfg.stability_stride)
+    return sr, got, ref
+
+
+@pytest.mark.parametrize("n_nodes", [12, 15, 75])
+@pytest.mark.parametrize("d_w", [0.1, 80.0])
+@pytest.mark.parametrize("variant, kernel_family", VARIANTS)
+def test_desert_branch_matches_its_continuation(variant, kernel_family, d_w,
+                                                n_nodes):
+    # the continuation's own trace is the oracle: same rows, arclength and
+    # termination, A to rounding, and the same flags at the same points
+    for controls in (PalcControls(), PalcControls(point_cap=5),
+                     PalcControls(ds0=0.05, ds_max=0.3)):
+        cfg = BifurcationConfig(controls=controls, stability_stride=10)
+        sr, got, ref = _desert_pair(variant, kernel_family, d_w, n_nodes,
+                                    cfg)
+        assert got.termination == ref.termination
+        assert len(got.points) == len(ref.points)
+        assert got.folds == ref.folds == []
+        assert ref.halvings == 0 and ref.corrector_iterations == 0
+        for p, q in zip(got.points, ref.points):
+            assert (p.index, p.s, p.snapshot_id) == (q.index, q.s,
+                                                     q.snapshot_id)
+            assert abs(p.A - q.A) <= 4e-15
+            assert (p.max_v, p.avg_v, p.avg_v_nodes) == (0.0, 0.0, 0.0)
+            assert (q.max_v, q.avg_v, q.avg_v_nodes) == (0.0, 0.0, 0.0)
+            assert p.stability == q.stability
+            assert np.allclose(p.snapshot, q.snapshot, rtol=0.0,
+                               atol=1e-12 * cfg.A_start)
+            assert np.linalg.norm(sr.residual(p.snapshot, p.A)) <= 1e-10
+        flagged = [p.index for p in got.points if p.stability is not None]
+        assert flagged == [p.index for p in ref.points
+                           if p.stability is not None]
+        assert (got.closed_form, ref.closed_form) == (True, False)
+        assert got.bordered_solves == 0 < ref.bordered_solves
+        assert got.eigen_solves == 1 < ref.eigen_solves == len(flagged)
+        assert got.krylov_dim == got.points[0].stability.krylov_dim
+
+
+def test_desert_branch_without_flags_and_off_tolerance():
+    cfg = BifurcationConfig(stability_stride=0)
+    sr, got, ref = _desert_pair("local", "", 80.0, 12, cfg)
+    assert got.eigen_solves == 0
+    assert all(p.stability is None for p in got.points)
+    # a seed that misses newton_tol is refused, as palc_continue refuses it
+    strict = replace(cfg, controls=PalcControls(newton_tol=1e-30))
+    with pytest.raises(NewtonDiverged, match="exceeds tolerance"):
+        _desert_branch(strict, sr, "desert")
 
 
 @pytest.mark.slow

@@ -138,7 +138,7 @@ class TestWaterSolve:
                                                    tmp_path, default_params):
         # the bound check must survive python -O, and the CLI maps it to 3
         monkeypatch.setattr(kinetics, "thomas_solve",
-                            lambda lower, diag, upper, rhs:
+                            lambda off, diag, rhs:
                             np.full(diag.shape[0], level))
         grid = make_grid(5.0, 51)
         with pytest.raises(WaterBoundViolated):

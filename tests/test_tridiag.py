@@ -7,30 +7,26 @@ from vegpatch.errors import SingularSystem
 from vegpatch.tridiag import thomas_solve
 
 
-def _dense(lower, diag, upper):
+def _dense(off, diag):
     n = diag.size
-    mat = np.diag(diag)
-    mat += np.diag(upper[:-1], 1)
-    mat += np.diag(lower[1:], -1)
-    return mat
+    return np.diag(diag) + off * (np.eye(n, k=1) + np.eye(n, k=-1))
 
 
 @settings(max_examples=40, deadline=None)
 @given(st.integers(2, 60), st.integers(0, 2**32 - 1))
 def test_matches_dense_solve_on_dominant_systems(n, seed):
     rng = np.random.default_rng(seed)
-    lower = rng.uniform(-1.0, 1.0, n)
-    upper = rng.uniform(-1.0, 1.0, n)
-    lower[0] = upper[-1] = 0.0
-    diag = np.abs(lower) + np.abs(upper) + rng.uniform(1.0, 3.0, n)
+    off = rng.uniform(-1.0, 1.0)
+    diag = 2.0 * abs(off) + rng.uniform(1.0, 3.0, n)
     rhs = rng.uniform(-5.0, 5.0, n)
-    x = thomas_solve(lower, diag, upper, rhs)
-    oracle = np.linalg.solve(_dense(lower, diag, upper), rhs)
+    x = thomas_solve(off, diag, rhs)
+    oracle = np.linalg.solve(_dense(off, diag), rhs)
     assert np.allclose(x, oracle, rtol=1e-12, atol=1e-12)
 
 
 def _thomas_reference(lower, diag, upper, rhs):
-    """Elimination on numpy scalars, in the solver's order of operations."""
+    """Elimination on numpy scalars with general bands, in the solver's
+    order of operations."""
     n = diag.size
     cp = np.empty(n)
     dp = np.empty(n)
@@ -49,31 +45,30 @@ def _thomas_reference(lower, diag, upper, rhs):
 
 @pytest.mark.parametrize("n", [1, 2, 126, 1279])
 def test_bitwise_equal_to_numpy_scalar_elimination(n):
+    # the constant off-diagonal is the general elimination with both bands
+    # set to it (lower[0] and upper[-1] zero), bit for bit
     rng = np.random.default_rng(n)
-    lower = rng.normal(size=n)
-    upper = rng.normal(size=n)
+    off = float(rng.normal())
     diag = 4.0 + np.abs(rng.normal(size=n))
     rhs = rng.normal(size=n)
-    x = thomas_solve(lower, diag, upper, rhs)
+    lower, upper = np.full(n, off), np.full(n, off)
+    lower[0] = upper[-1] = 0.0
+    x = thomas_solve(off, diag, rhs)
     assert x.dtype == np.float64 and x.shape == (n,)
     assert np.array_equal(x, _thomas_reference(lower, diag, upper, rhs))
 
 
 def test_zero_pivot_raises():
-    n = 4
     with pytest.raises(SingularSystem, match="row 0"):
-        thomas_solve(np.zeros(n), np.zeros(n), np.zeros(n), np.ones(n))
+        thomas_solve(0.0, np.zeros(4), np.ones(4))
 
 
 def test_zero_pivot_reports_its_row():
-    # row 2 eliminates to 1 - 1 * 1 = 0
-    lower = np.array([0.0, 0.0, 1.0, 0.0])
-    diag = np.array([1.0, 1.0, 1.0, 1.0])
-    upper = np.array([0.0, 1.0, 0.0, 0.0])
+    # with off = 1: row 1 eliminates to 2 - 1 = 1, row 2 to 1 - 1 = 0
     with pytest.raises(SingularSystem, match="row 2"):
-        thomas_solve(lower, diag, upper, np.ones(4))
+        thomas_solve(1.0, np.array([1.0, 2.0, 1.0, 1.0]), np.ones(4))
 
 
 def test_length_mismatch_rejected():
     with pytest.raises(ValueError):
-        thomas_solve(np.zeros(3), np.ones(4), np.zeros(4), np.ones(4))
+        thomas_solve(0.0, np.ones(4), np.ones(3))
