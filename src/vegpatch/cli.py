@@ -157,7 +157,8 @@ def _build_parser() -> argparse.ArgumentParser:
     pk.add_argument("--family", choices=KERNEL_FAMILIES,
                     help="built-in kernel family")
     pk.add_argument("--table", help="two-column text table (z, J(z)) for a "
-                    "custom kernel, linearly interpolated")
+                    "custom kernel, linearly interpolated; offsets must be "
+                    "distinct")
     pk.set_defaults(handler=cmd_kernels)
 
     ps = sub.add_parser("spectral", help="principal eigenvalues vs habitat size")
@@ -235,6 +236,8 @@ def _add_model_flags(p) -> None:
 
 
 def cmd_kernels(args) -> int:
+    if args.table is not None and args.family is not None:
+        raise ConfigError("kernels check takes --family or --table, not both")
     if args.table:
         kernel = kernel_from_table(args.table)
         label = f"custom table {args.table}"

@@ -24,7 +24,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import BadGrid, DomainTooSmall, ResolutionWarning
+from .errors import BadGrid, ResolutionWarning
 from .kernels import Kernel, kernel_eval
 
 DENSE_LIMIT = 4096
@@ -215,21 +215,6 @@ class LaplacianOperator:
                + np.diag(np.ones(n - 1), -1)) / h2
         return mat
 
-    def interior_bands(self):
-        """(lower, diag, upper) for the N-2 interior rows with zero boundary."""
-        m = self.n_nodes - 2
-        h2 = self.grid.spacing ** 2
-        lower = np.full(m, 1.0 / h2)
-        diag = np.full(m, -2.0 / h2)
-        upper = np.full(m, 1.0 / h2)
-        lower[0] = 0.0
-        upper[-1] = 0.0
-        return lower, diag, upper
-
-
-def assemble_laplacian(grid: Grid1D) -> LaplacianOperator:
-    return LaplacianOperator(grid)
-
 
 class Reduction:
     """Node vectors of one parity under the reflection x -> -x.
@@ -314,7 +299,7 @@ class Operators:
 
 def build_operators(grid: Grid1D, variant: str,
                     kernel: Kernel | None = None) -> Operators:
-    lap = assemble_laplacian(grid)
+    lap = LaplacianOperator(grid)
     if variant == "local":
         return Operators(grid, "local", None, lap)
     if variant != "nonlocal":
@@ -323,22 +308,3 @@ def build_operators(grid: Grid1D, variant: str,
         raise ValueError("nonlocal variant needs a kernel")
     disp = assemble_nonlocal(grid, kernel)
     return Operators(grid, "nonlocal", disp, lap)
-
-
-def taylor_consistency(op: DispersalOperator, profile: np.ndarray) -> float:
-    """Sup-norm gap between dispersal and half-Laplacian on deep-interior nodes.
-
-    For unit-variance kernels the dispersal of a smooth profile equals half
-    its Laplacian up to a fourth-moment correction; this diagnostic measures
-    that gap on nodes at least a cutoff-distance from the boundary, where no
-    kernel mass is lost.
-    """
-    grid = op.grid
-    interior = np.abs(grid.nodes) <= grid.half_width - op.kernel.support_cutoff
-    if not interior.any():
-        raise DomainTooSmall(
-            f"no node is {op.kernel.support_cutoff:g} away from the boundary "
-            f"of (-{grid.half_width:g}, {grid.half_width:g})")
-    lap = assemble_laplacian(grid)
-    gap = op.apply(profile) - 0.5 * lap.apply(profile)
-    return float(np.max(np.abs(gap[interior])))

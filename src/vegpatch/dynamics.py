@@ -1,4 +1,4 @@
-"""Time integration with steady-state and decay diagnostics.
+"""Time integration: fixed horizons and steady states.
 
 Every integrator drives one time loop, _march: each step it rejects a
 non-finite or huge biomass, evaluates the right-hand side, hands it to the
@@ -9,12 +9,12 @@ The linear terms of the right-hand side are folded once per run into one
 action per field: a dense matrix for vegetation transport with mortality,
 and a three-point stencil applied by np.correlate for water.
 Fixed-step RK4, under explicit stability guards, serves the time-accurate
-transients: fixed horizons and the decay checks.  Steady states, from
-run_to_steady and run_to_steady_batch alike, come from one driver taking
-linearly implicit (IMEX) Euler steps: vegetation transport and mortality
-implicit through one inverse formed per run, growth explicit, then water
-implicit with the new biomass frozen (Ascher, Ruuth & Wetton, SIAM J.
-Numer. Anal. 32, 1995).  Its fixed points are exactly the discrete
+transients of simulate_horizon.  Steady states, from run_to_steady and
+run_to_steady_batch alike, come from one driver taking linearly implicit
+(IMEX) Euler steps: vegetation transport and mortality implicit through
+one inverse formed per run, growth explicit, then water implicit with the
+new biomass frozen (Ascher, Ruuth & Wetton, SIAM J. Numer. Anal. 32,
+1995).  Its fixed points are exactly the discrete
 stationary states.  The driver stops when the l2 norm of the right-hand
 side (vegetation and water concatenated) drops below the tolerance,
 STEADY_TOL for every sweep cell, or after STEADY_STEP_CAP steps.  A state
@@ -29,8 +29,8 @@ from dataclasses import dataclass
 import numpy as np
 
 from .discretization import Operators
-from .errors import Blowup, EnvelopeViolated, UnstableTimestep
-from .kinetics import ModelParams, solve_water_stationary, water_bands
+from .errors import Blowup, UnstableTimestep
+from .kinetics import ModelParams, water_bands
 from .tridiag import thomas_solve
 
 BLOWUP_LIMIT = 1e6
@@ -56,27 +56,10 @@ class SteadyResult:
     converged: bool
     steps: int
     residual: float                         # ||F(v, w)||_2 at the end
-    min_v: float
-    max_v: float
-    max_w: float
     region_bound: float | None = None
     region_violations: int = 0
     blowup: Blowup | None = None           # the error that ended the run
     trajectory: np.ndarray | None = None   # rows (t, min v, max v, avg v, max w)
-
-
-@dataclass
-class DecayReport:
-    """Sampled extinction trajectory checked against the decay envelope."""
-
-    times: np.ndarray
-    max_v: np.ndarray
-    envelope: np.ndarray
-    water_gap: np.ndarray       # sup norm of w - W0 at the sample times
-    threshold: float            # B / M
-    envelope_slack: float
-    final_max_v: float
-    final_water_gap: float
 
 
 def _step_factors(ops: Operators, params: ModelParams):
@@ -224,8 +207,7 @@ def _steady(state: State, ops: Operators, params: ModelParams, tol: float,
             trajectory_every: int = 0) -> SteadyResult:
     """IMEX steps until ||F(v, w)||_2 < tol or STEADY_STEP_CAP runs out.
 
-    The running extremes of both fields are taken at every step, and
-    excursions of the biomass above B / max(sup w0, A) counted when the
+    Excursions of the biomass above B / max(sup w0, A) are counted when the
     initial biomass starts inside that invariant interval.  A blowup ends
     the run with the Blowup in the result and the state at the failing
     step.  The trajectory, when sampled, ends with the returned state.
@@ -235,7 +217,6 @@ def _steady(state: State, ops: Operators, params: ModelParams, tol: float,
     v, w = state.v, state.w
     r1 = max(float(w.max()), params.A)
     bound = params.B / r1 if float(v.max()) <= params.B / r1 + 1e-12 else None
-    min_v, max_v, max_w = float(v.min()), float(v.max()), float(w.max())
     violations, n, residual = 0, 0, math.inf
     converged, blowup = False, None
     track: list[tuple] = []
@@ -244,11 +225,7 @@ def _steady(state: State, ops: Operators, params: ModelParams, tol: float,
                                       STEADY_STEP_CAP, _imex(ops, params)):
             residual = math.sqrt(float(rhs_v.dot(rhs_v) + rhs_w.dot(rhs_w)))
             converged = residual < tol
-            cur_max = float(v.max())
-            min_v = min(min_v, float(v.min()))
-            max_v = max(max_v, cur_max)
-            max_w = max(max_w, float(w.max()))
-            if bound is not None and cur_max > bound + 1e-8:
+            if bound is not None and float(v.max()) > bound + 1e-8:
                 violations += 1
             if trajectory_every > 0 and (n % trajectory_every == 0
                                          or converged
@@ -260,8 +237,8 @@ def _steady(state: State, ops: Operators, params: ModelParams, tol: float,
         n, residual, blowup = err.step, math.inf, err
     state.t, state.step_count = n * IMEX_STEP, n
     traj = np.asarray(track) if trajectory_every > 0 else None
-    return SteadyResult(state, converged, n, residual, min_v, max_v, max_w,
-                        bound, violations, blowup, traj)
+    return SteadyResult(state, converged, n, residual, bound, violations,
+                        blowup, traj)
 
 
 def steady_state_rule(tol: float) -> dict:
@@ -296,12 +273,12 @@ def run_to_steady(initial: State, ops: Operators, params: ModelParams,
     """Take IMEX steps until ||F(v, w)||_2 < tol.
 
     Returns the last state with converged=False when STEADY_STEP_CAP steps
-    run out, and with the Blowup in blowup when the biomass blows up.  The
-    running extremes of both fields are tracked, and excursions of the
-    biomass above B / max(sup w0, A) are counted when the initial biomass
-    starts inside that invariant interval.  With trajectory_every > 0 the
-    result carries (t, min v, max v, avg v, max w) samples at that cadence
-    and at the returned state.
+    run out, and with the Blowup in blowup when the biomass blows up.
+    Excursions of the biomass above B / max(sup w0, A) are counted when the
+    initial biomass starts inside that invariant interval.  With
+    trajectory_every > 0 the result carries (t, min v, max v, avg v, max w)
+    samples at that cadence and at the returned state; trajectory_every=1
+    samples every step.
     """
     return _steady(initial_state(ops, initial.v, initial.w), ops, params,
                    tol, trajectory_every)
@@ -345,82 +322,3 @@ def run_to_steady_batch(cells: Iterable[BatchCell]) -> list[SteadyResult]:
                     STEADY_TOL)
             for c in cells]
 
-
-def decay_envelope(t, b: float, m: float, nu0: float):
-    """Closed-form bound on the biomass maximum when nu0 <= B/M."""
-    return b * nu0 / (m * nu0 + (b - m * nu0) * np.exp(b * np.asarray(t)))
-
-
-def extinction_decay_check(params: ModelParams, ops: Operators,
-                           v0_level: float, h_t: float = RK4_STEP,
-                           t_final: float = 60.0,
-                           sample_every: int = 20) -> DecayReport:
-    """Simulate a sub-threshold uniform biomass and verify its collapse.
-
-    Checks that the biomass maximum stays under the closed-form envelope at
-    every sample (raising EnvelopeViolated at the first excursion) and tracks
-    the sup-norm distance of water from the desert profile W0.  The envelope
-    is allowed a slack of 1e-9 + 0.05 * h_t^4 to absorb the fourth-order
-    discretization gap between trajectory and envelope.
-    """
-    grid = ops.grid
-    w0 = solve_water_stationary(np.zeros(grid.n_nodes), params, grid)
-    m = max(float(w0.max()), params.A)
-    if v0_level < 0 or v0_level > params.B / m + 1e-12:
-        raise ValueError(
-            f"initial level {v0_level} outside the decay interval "
-            f"[0, {params.B / m:.6g}]")
-    state = initial_state(ops, np.full(grid.n_nodes, float(v0_level)), w0)
-    slack = 1e-9 + 0.05 * h_t ** 4
-    n_steps, loop = _rk4_march(state, ops, params, h_t, t_final)
-    times, maxima, envs, gaps = [], [], [], []
-    for n, _, _ in loop:
-        if n % sample_every and n != n_steps:
-            continue
-        t = n * h_t
-        mx = float(state.v.max())
-        env = float(decay_envelope(t, params.B, m, v0_level))
-        gap = float(np.max(np.abs(state.w - w0)))
-        times.append(t)
-        maxima.append(mx)
-        envs.append(env)
-        gaps.append(gap)
-        if mx > env + slack:
-            raise EnvelopeViolated(t, mx - env)
-
-    return DecayReport(
-        times=np.asarray(times), max_v=np.asarray(maxima),
-        envelope=np.asarray(envs), water_gap=np.asarray(gaps),
-        threshold=params.B / m, envelope_slack=slack,
-        final_max_v=maxima[-1], final_water_gap=gaps[-1])
-
-
-def perturbation_decay(ops: Operators, params: ModelParams,
-                       v_ref: np.ndarray, w_ref: np.ndarray,
-                       amplitude: float = 0.01, h_t: float = RK4_STEP,
-                       t_final: float = 30.0, sample_every: int = 10,
-                       norm_floor: float = 1e-9):
-    """Perturb a stationary state and fit the l2 decay rate of the gap.
-
-    The vegetation is scaled by (1 + amplitude * cos(pi x / 2L)), the water
-    left untouched, and the run sampled until t_final.  Returns (times,
-    l2 gaps, slope) where slope is the least-squares slope of log gap over
-    the samples above norm_floor; negative slope means exponential return.
-    """
-    grid = ops.grid
-    profile = np.cos(np.pi * grid.nodes / (2.0 * grid.half_width))
-    state = initial_state(ops, v_ref * (1.0 + amplitude * profile), w_ref)
-    _, loop = _rk4_march(state, ops, params, h_t, t_final)
-    times, gaps = [], []
-    for n, _, _ in loop:
-        if n % sample_every == 0:
-            times.append(n * h_t)
-            gaps.append(float(np.linalg.norm(state.v - v_ref)))
-    times = np.asarray(times)
-    gaps = np.asarray(gaps)
-    usable = gaps > norm_floor
-    if usable.sum() >= 2:
-        slope = float(np.polyfit(times[usable], np.log(gaps[usable]), 1)[0])
-    else:
-        slope = -math.inf
-    return times, gaps, slope

@@ -9,10 +9,6 @@ class NonIntegrable(VegpatchError):
     """Kernel moment quadrature failed to converge within budget."""
 
 
-class DomainTooSmall(VegpatchError):
-    """No grid node is far enough from the boundary for the diagnostic."""
-
-
 class SingularSystem(VegpatchError):
     """Tridiagonal elimination hit a zero pivot."""
 
@@ -35,15 +31,6 @@ class Blowup(VegpatchError):
         self.node = node
         self.value = value
         super().__init__(f"blowup at step {step}, node {node}: value {value!r}")
-
-
-class EnvelopeViolated(VegpatchError):
-    """Simulated biomass exceeded the closed-form decay envelope."""
-
-    def __init__(self, t: float, margin: float):
-        self.t = t
-        self.margin = margin
-        super().__init__(f"decay envelope violated at t={t:.6g} by {margin:.3e}")
 
 
 class NewtonDiverged(VegpatchError):

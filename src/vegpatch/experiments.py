@@ -381,20 +381,3 @@ def run_bifurcation_suite(cfg: BifurcationConfig,
             _trace_cell(cfg, variant, kernel_family, d_w, suite,
                         progress or (lambda branch: None))
     return suite
-
-
-def boundary_sharpness(profile: np.ndarray, grid: Grid1D,
-                       desert_floor: float = 1e-2) -> float:
-    """Outermost vegetated node value over the profile maximum.
-
-    Non-local stationary states keep a strictly positive value at the last
-    habitat node (a discontinuity proxy), while local profiles slide to zero
-    there and the ratio shrinks with the grid spacing.  Desert profiles
-    return exactly zero.
-    """
-    vmax = float(profile.max())
-    if vmax <= desert_floor:
-        return 0.0
-    vegetated = np.flatnonzero(profile > 1e-8 * vmax)
-    outer = vegetated[np.argmax(np.abs(grid.nodes[vegetated]))]
-    return float(profile[outer]) / vmax

@@ -74,18 +74,14 @@ def super_gaussian_kernel() -> Kernel:
     return Kernel("super_gaussian", density, SUPER_GAUSSIAN_CUTOFF, tail_label="thin")
 
 
-def custom_kernel(density: Callable[[np.ndarray], np.ndarray],
-                  support_cutoff: float, tail_label: str = "") -> Kernel:
-    return Kernel("custom", density, float(support_cutoff), tail_label)
-
-
 def kernel_from_table(path) -> Kernel:
     """Load a custom kernel from a two-column text table (z, J(z)).
 
     Rows may be whitespace- or comma-separated; values are linearly
     interpolated between tabulated offsets and zero outside their range.
     A missing or unreadable file, a non-numeric or non-finite entry, a
-    column count other than two or a single row raises ConfigError.
+    column count other than two, a single row or a repeated offset raises
+    ConfigError.
     """
     try:
         raw = np.loadtxt(path, delimiter=None if _is_whitespace_table(path)
@@ -100,6 +96,11 @@ def kernel_from_table(path) -> Kernel:
         raise ConfigError(f"kernel table {str(path)!r} has non-finite values")
     order = np.argsort(raw[:, 0])
     z_tab, j_tab = raw[order, 0], raw[order, 1]
+    repeated = np.flatnonzero(np.diff(z_tab) == 0.0)
+    if repeated.size:
+        raise ConfigError(
+            f"kernel table {str(path)!r} repeats offset z = "
+            f"{float(z_tab[repeated[0]])!r}; offsets must be distinct")
 
     def density(z):
         return np.interp(z, z_tab, j_tab, left=0.0, right=0.0)

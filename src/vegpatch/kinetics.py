@@ -152,9 +152,3 @@ def check_maximum_principle(w: np.ndarray, A: float) -> None:
     bad = np.flatnonzero(~((lo >= -1e-10) & (hi <= A + 1e-10)))
     if bad.size:
         raise WaterBoundViolated(float(lo[bad[0]]), float(hi[bad[0]]), A)
-
-
-def scalar_f(v: np.ndarray, params: ModelParams, grid: Grid1D) -> np.ndarray:
-    """Reduced vegetation nonlinearity f(v) = v^2 W(v) - B v."""
-    w = solve_water_stationary(v, params, grid)
-    return v * v * w - params.B * v

@@ -7,6 +7,7 @@ so reruns with the same configuration produce bitwise-identical files.
 from __future__ import annotations
 
 import json
+import math
 import platform
 import time
 from pathlib import Path
@@ -139,6 +140,7 @@ def write_branch_snapshots(directory, suite: BifurcationSuite,
 
 
 def write_manifest(path, payload: dict) -> None:
+    """The payload as strict JSON, non-finite numbers written as null."""
     path = Path(path)
     path.parent.mkdir(parents=True, exist_ok=True)
     base = {
@@ -150,18 +152,28 @@ def write_manifest(path, payload: dict) -> None:
     }
     base.update(payload)
     with open(path, "w") as fh:
-        json.dump(base, fh, indent=2, sort_keys=True, default=_json_default)
+        json.dump(_finite_or_null(base), fh, indent=2, sort_keys=True,
+                  default=_json_default, allow_nan=False)
         fh.write("\n")
 
 
-def _json_default(obj):
-    if isinstance(obj, (np.floating, np.integer)):
-        return obj.item()
+def _finite_or_null(obj):
+    """obj with every non-finite float, numpy's included, replaced by None."""
+    if isinstance(obj, dict):
+        return {key: _finite_or_null(value) for key, value in obj.items()}
+    if isinstance(obj, (list, tuple)):
+        return [_finite_or_null(value) for value in obj]
     if isinstance(obj, np.ndarray):
-        return obj.tolist()
-    if isinstance(obj, Path):
-        return str(obj)
-    return str(obj)
+        return _finite_or_null(obj.tolist())
+    if isinstance(obj, (float, np.floating)):
+        return float(obj) if math.isfinite(obj) else None
+    return obj
+
+
+def _json_default(obj):
+    """numpy integers as ints, anything else json cannot write as its str;
+    _finite_or_null has already turned floats and arrays into lists."""
+    return obj.item() if isinstance(obj, np.integer) else str(obj)
 
 
 FIG1_SCRIPT = """\

@@ -16,7 +16,8 @@ Arnoldi, with another start vector and Ritz selector, gives continuation's
 stability flag.  lambda1,
 the Dirichlet Laplacian's principal eigenvalue, is the Rayleigh quotient of
 its known eigenvector sin(pi k / (m + 1)), checked by one residual against
-the operator norm 4 / h^2.  The Lipschitz estimate scans constant biomass
+the operator norm 4 / h^2; both take the Laplacian's action from
+LaplacianOperator.apply, the stencil every other caller uses.  The Lipschitz estimate scans constant biomass
 levels.  Their water profiles are known in closed form, and it evaluates
 them only on the boundary layer, where they differ from the plateau: about
 60 ln 2 / theta rows, theta = arccosh(1 + h^2 / (2 d_w)), whatever the
@@ -174,28 +175,23 @@ def principal_eigenvalue_laplacian(op: LaplacianOperator,
     """Smallest eigenvalue of the Dirichlet -Laplacian.
 
     The discrete eigenvector sin(pi k / (m + 1)) on the m interior nodes is
-    known in closed form, so lambda1 is its Rayleigh quotient.  The pair is
+    known in closed form, so lambda1 is its Rayleigh quotient, with the
+    operator's action taken by ``op.apply`` on the vector padded with the
+    zero boundary values.  The pair is
     accepted when its residual is at most tol times the operator norm
     4 / h^2: rounding alone leaves a residual near 1e-16 * 4 / h^2, which
     an absolute test would reject on fine grids.
     """
-    m = op.n_nodes - 2
-    lower, diag, upper = op.interior_bands()
-    lower, diag, upper = -lower, -diag, -upper   # bands of -Laplacian
-    x = np.sin(np.pi * np.arange(1, m + 1) / (m + 1))
+    n = op.n_nodes
+    x = np.zeros(n)                     # zero at the Dirichlet nodes +-L
+    x[1:-1] = np.sin(np.pi * np.arange(1, n - 1) / (n - 1))
     x /= np.linalg.norm(x)
-    ax = _tridiag_apply(lower, diag, upper, x)
+    ax = -op.apply(x)[1:-1]             # -Laplacian on the interior nodes
+    x = x[1:-1]
     lam = float(x @ ax)
     resid = float(np.linalg.norm(ax - lam * x))
     norm = 4.0 / op.grid.spacing ** 2
     return EigResult(lam, resid, 1, resid <= tol * norm)
-
-
-def _tridiag_apply(lower, diag, upper, x):
-    out = diag * x
-    out[1:] += lower[1:] * x[:-1]
-    out[:-1] += upper[:-1] * x[1:]
-    return out
 
 
 def extinction_criterion(beta1: float, d_v: float, m_lipschitz: float):

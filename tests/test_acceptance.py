@@ -11,14 +11,14 @@ import numpy as np
 import pytest
 
 from conftest import water_profile_oracle
+from diagnostics import (boundary_sharpness, extinction_decay_check,
+                         perturbation_decay)
 from vegpatch.continuation import (PalcControls, StationaryResidual,
                                    solve_stationary)
-from vegpatch.discretization import (assemble_laplacian, assemble_nonlocal,
+from vegpatch.discretization import (LaplacianOperator, assemble_nonlocal,
                                      build_operators, make_grid)
-from vegpatch.dynamics import (extinction_decay_check, initial_state,
-                               perturbation_decay, run_to_steady)
-from vegpatch.experiments import (boundary_sharpness, cosine_perturbed_start,
-                                  detect_critical_L)
+from vegpatch.dynamics import initial_state, run_to_steady
+from vegpatch.experiments import cosine_perturbed_start, detect_critical_L
 from vegpatch.kernels import kernel_moments
 from vegpatch.kinetics import (ModelParams, constant_steady_states,
                                solve_water_stationary)
@@ -86,7 +86,7 @@ def test_criterion_03_water_solver_order(default_params):
 def test_criterion_04_spectral(laplace, super_gaussian):
     with criterion(4, "Dirichlet eigenvalue and monotone dispersal "
                       "eigenvalues"):
-        lap = assemble_laplacian(make_grid(25.0, 501))
+        lap = LaplacianOperator(make_grid(25.0, 501))
         lam = principal_eigenvalue_laplacian(lap).value
         assert abs(lam - (math.pi / 50.0) ** 2) <= 0.01 * (math.pi / 50.0) ** 2
         for kernel in (laplace, super_gaussian):

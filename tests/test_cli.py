@@ -194,6 +194,8 @@ BAD_INPUT_FILES = {
     "gallery_nan.ini": "[bifurcation]\ngallery_A = nan, 5.0\n",
     "gallery_wet.ini": "[bifurcation]\ngallery_A = 1.5, 5.0\n",
     "huge_dv.ini": "[model]\nd_v = 1e308\n",
+    "repeated.csv": "-1.0,0.0\n0.0,0.5\n0.5,0.3\n0.5,0.1\n1.0,0.0\n",
+    "triangle.csv": "-1.0,0.0\n0.0,1.0\n1.0,0.0\n",
 }
 
 
@@ -343,6 +345,11 @@ BAD_INPUT_FILES = {
     # 0.004 / 0.01 rounds to no step at all
     (["simulate", "--L", "25", "--nodes", "75", "--t-final", "0.004"],
      ["t_final = 0.004", "0 steps", "h_t = 0.01"]),
+    # np.interp is undefined on a repeated offset
+    (["kernels", "check", "--table", "{tmp}/repeated.csv"],
+     ["repeated.csv", "offset z = 0.5", "distinct"]),
+    (["kernels", "check", "--family", "laplace", "--table",
+      "{tmp}/triangle.csv"], ["--family or --table, not both"]),
 ])
 def test_bad_input_exits_2_without_traceback(argv, needles, tmp_path,
                                              monkeypatch, capsys):
@@ -573,6 +580,23 @@ def test_sweep_check_failure_exits_4(tmp_path, monkeypatch):
                     "--out", "swfail", "--check"],
                    monkeypatch, tmp_path)
     assert code == 4
+
+
+def _reject_constant(name):
+    raise ValueError(f"{name} is not JSON")
+
+
+@pytest.mark.slow
+def test_sweep_manifest_is_strict_json(tmp_path, monkeypatch):
+    # no width of this ladder collapses, so every L_crit is undefined
+    code = run_cli(["sweep", "--preset", "fast", "--L-min", "5",
+                    "--L-max", "10", "--points", "2", "--no-plots",
+                    "--out", "nan"], monkeypatch, tmp_path)
+    assert code == 0
+    text = (tmp_path / "nan" / "manifest.json").read_text()
+    manifest = json.loads(text, parse_constant=_reject_constant)
+    assert manifest["L_crit"]
+    assert all(value is None for value in manifest["L_crit"].values())
 
 
 def test_output_root_env(monkeypatch):

@@ -3,12 +3,12 @@ import math
 import numpy as np
 import pytest
 
-from vegpatch.discretization import (Reduction, _densify,
-                                     _hat_moments_exact, assemble_laplacian,
-                                     assemble_nonlocal, build_operators,
-                                     make_grid, taylor_consistency)
-from vegpatch.errors import BadGrid, DomainTooSmall, ResolutionWarning
-from vegpatch.kernels import custom_kernel, kernel_eval
+from diagnostics import DomainTooSmall, taylor_consistency
+from vegpatch.discretization import (LaplacianOperator, Reduction, _densify,
+                                     _hat_moments_exact, assemble_nonlocal,
+                                     build_operators, make_grid)
+from vegpatch.errors import BadGrid, ResolutionWarning
+from vegpatch.kernels import Kernel, kernel_eval
 
 
 def test_make_grid_bifurcation_spacing():
@@ -187,7 +187,7 @@ def _bits(a):
 def test_exact_assembly_bitwise_matches_reference_loop(family, L, n, laplace,
                                                        super_gaussian):
     kernel = {"laplace": laplace, "super_gaussian": super_gaussian,
-              "skewed": custom_kernel(_skewed_density, 6.0)}[family]
+              "skewed": Kernel("custom", _skewed_density, 6.0)}[family]
     grid = make_grid(L, n)
     expected = _reference_hat_moments(grid, kernel)
     got = _hat_moments_exact(grid, kernel)
@@ -221,7 +221,7 @@ def test_densify_bitwise_matches_reference_loop(family, L, n, laplace,
 def test_fft_apply_matches_dense_product(family, L, n, laplace,
                                          super_gaussian):
     kernel = {"laplace": laplace, "super_gaussian": super_gaussian,
-              "skewed": custom_kernel(_skewed_density, 6.0)}[family]
+              "skewed": Kernel("custom", _skewed_density, 6.0)}[family]
     op = assemble_nonlocal(make_grid(L, n), kernel)
     v = np.random.default_rng(n).uniform(0.0, 2.0, n)
     kv = v @ op.matrix.T
@@ -289,7 +289,7 @@ def test_reflection_folds_the_operators(variant, family, n, parity, laplace,
 
 def test_laplacian_exact_on_quadratics():
     grid = make_grid(10.0, 301)
-    lap = assemble_laplacian(grid)
+    lap = LaplacianOperator(grid)
     out = lap.apply(grid.nodes**2)
     scale = np.max(np.abs(grid.nodes**2))
     assert np.max(np.abs(out[1:-1] - 2.0)) <= 1e-8 * scale
@@ -297,7 +297,7 @@ def test_laplacian_exact_on_quadratics():
 
 def test_laplacian_kills_linears():
     grid = make_grid(10.0, 301)
-    lap = assemble_laplacian(grid)
+    lap = LaplacianOperator(grid)
     out = lap.apply(grid.nodes)
     assert np.max(np.abs(out[1:-1])) <= 1e-10 * 10.0
 
@@ -307,7 +307,7 @@ def test_laplacian_dirichlet_eigenpair():
     # eigenvalue -(pi/2L)^2; second-order accuracy in the spacing.
     L, n = 5.0, 201
     grid = make_grid(L, n)
-    lap = assemble_laplacian(grid)
+    lap = LaplacianOperator(grid)
     mode = np.sin(np.pi * (grid.nodes + L) / (2 * L))
     lam = (np.pi / (2 * L)) ** 2
     err = np.max(np.abs(lap.apply(mode)[1:-1] + lam * mode[1:-1]))

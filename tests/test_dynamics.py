@@ -1,15 +1,17 @@
 import numpy as np
 import pytest
 
+import diagnostics
+from diagnostics import (EnvelopeViolated, extinction_decay_check,
+                         perturbation_decay)
 from vegpatch.continuation import StationaryResidual, solve_stationary
 from vegpatch.discretization import build_operators, make_grid
 from vegpatch.dynamics import (BLOWUP_LIMIT, IMEX_STEP, RK4_STEP, STEADY_TOL,
                                BatchCell, State, _imex, _make_rhs,
-                               extinction_decay_check, initial_state,
-                               perturbation_decay, run_to_steady,
+                               initial_state, run_to_steady,
                                run_to_steady_batch, simulate_horizon,
                                stable_step)
-from vegpatch.errors import Blowup, EnvelopeViolated, UnstableTimestep
+from vegpatch.errors import Blowup, UnstableTimestep
 from vegpatch.experiments import (cosine_perturbed_start, fast_sweep_config,
                                   sweep_resolution)
 from vegpatch.kinetics import (ModelParams, solve_water_stationary,
@@ -153,10 +155,14 @@ def test_invariant_region_and_water_bound(small_ops, default_params):
                            trajectory_every=5)
     assert result.region_bound == pytest.approx(0.45 / 1.8)
     assert result.region_violations == 0
-    assert result.max_v <= result.region_bound + 1e-8
-    assert result.min_v >= -1e-12
-    assert result.max_w <= max(w0.max(), default_params.A) + 1e-8
-    # every 5th step: columns (t, min v, max v, avg v, max w)
+    # every step: columns (t, min v, max v, avg v, max w)
+    steps = run_to_steady(state, small_ops, default_params, tol=0.01,
+                          trajectory_every=1).trajectory
+    assert len(steps) == result.steps + 1
+    assert steps.max(axis=0)[2] <= result.region_bound + 1e-8
+    assert steps.min(axis=0)[1] >= -1e-12
+    assert steps.max(axis=0)[4] <= max(w0.max(), default_params.A) + 1e-8
+    # every 5th step
     track = result.trajectory
     assert track.max(axis=0)[2] <= result.region_bound + 1e-8
     assert track.min(axis=0)[1] >= -1e-12
@@ -220,18 +226,17 @@ class TestExtinctionDecay:
         ops = build_operators(make_grid(25.0, 129), "nonlocal", laplace)
         grid = ops.grid
 
-        import vegpatch.dynamics as dyn
-        template = dyn.decay_envelope
+        template = diagnostics.decay_envelope
 
         def doctored(t, b, m, nu0):
             return template(t, b, m, nu0) - 0.01
-        dyn.decay_envelope = doctored
+        diagnostics.decay_envelope = doctored
         try:
             with pytest.raises(EnvelopeViolated):
                 extinction_decay_check(default_params, ops, 0.24,
                                        h_t=1e-3, t_final=1.0)
         finally:
-            dyn.decay_envelope = template
+            diagnostics.decay_envelope = template
 
 
 @pytest.mark.parametrize("variant", ["nonlocal", "local"])

@@ -4,6 +4,7 @@ from dataclasses import replace
 import numpy as np
 import pytest
 
+from diagnostics import boundary_sharpness
 from vegpatch.continuation import (PalcControls, StationaryResidual,
                                    palc_continue, solve_stationary)
 from vegpatch.discretization import build_operators, make_grid
@@ -11,7 +12,7 @@ from vegpatch.dynamics import initial_state, run_to_steady
 from vegpatch.errors import NewtonDiverged
 from vegpatch.experiments import (VARIANTS, BifurcationConfig, SweepConfig,
                                   SweepRow, _desert_branch, _flag_selected,
-                                  boundary_sharpness, builtin_kernel,
+                                  builtin_kernel,
                                   cosine_perturbed_start, detect_critical_L,
                                   fast_sweep_config, log_spaced_L,
                                   run_bifurcation_suite, run_patch_sweep,

@@ -6,7 +6,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from vegpatch.errors import NonIntegrable
-from vegpatch.kernels import (check_assumptions, custom_kernel, kernel_eval,
+from vegpatch.kernels import (Kernel, check_assumptions, kernel_eval,
                               kernel_from_table, kernel_moments,
                               laplace_kernel, super_gaussian_kernel)
 
@@ -68,7 +68,8 @@ def test_super_gaussian_moments_match_gamma_oracle(super_gaussian):
 
 
 def test_uniform_custom_kernel_moments():
-    half = custom_kernel(lambda z: np.where(np.abs(z) <= 1.0, 0.5, 0.0), 1.0)
+    half = Kernel("custom", lambda z: np.where(np.abs(z) <= 1.0, 0.5, 0.0),
+                  1.0)
     m = kernel_moments(half, quad_tol=1e-9)
     assert m.mass == pytest.approx(1.0, abs=1e-8)
     assert m.second_moment == pytest.approx(1.0 / 3.0, abs=1e-8)
@@ -92,7 +93,7 @@ def test_check_assumptions_builtins_pass(laplace, super_gaussian):
 
 
 def test_check_assumptions_signed_kernel_fails_positivity():
-    signed = custom_kernel(lambda z: np.asarray(z, dtype=float), 1.0)
+    signed = Kernel("custom", lambda z: np.asarray(z, dtype=float), 1.0)
     report = check_assumptions(signed)
     assert not report.positivity
     assert not report.all_pass()

@@ -11,7 +11,7 @@ from vegpatch.cli import main
 from vegpatch.discretization import make_grid
 from vegpatch.errors import WaterBoundViolated
 from vegpatch.kinetics import (EQ_DESERT, EQ_MERGED, EQ_UPPER, ModelParams,
-                               constant_steady_states, scalar_f,
+                               constant_steady_states,
                                solve_water_stationary, uniform_water_layer,
                                vegetated_equilibrium)
 
@@ -232,7 +232,9 @@ class TestReactionAndScalarF:
 
     def test_scalar_f_vanishes_on_bare_soil(self, default_params):
         grid = make_grid(10.0, 101)
-        f = scalar_f(np.zeros(grid.n_nodes), default_params, grid)
+        v = np.zeros(grid.n_nodes)
+        f = (v * v * solve_water_stationary(v, default_params, grid)
+             - default_params.B * v)
         assert np.array_equal(f, np.zeros(grid.n_nodes))
 
     def test_scalar_f_small_at_equilibrium_for_small_diffusion(self):
@@ -243,7 +245,8 @@ class TestReactionAndScalarF:
         norms = []
         for d_w in (1e-2, 1e-4):
             params = ModelParams(1.8, 0.45, 2.0, d_w)
-            norms.append(np.max(np.abs(scalar_f(v, params, grid)[1:-1])))
+            f = v * v * solve_water_stationary(v, params, grid) - params.B * v
+            norms.append(np.max(np.abs(f[1:-1])))
         assert norms[1] < norms[0]
         assert norms[1] < 1e-2
 
@@ -257,5 +260,6 @@ class TestReactionAndScalarF:
         limit = A * v_dense**2 / (v_dense**2 + 1.0) - B * v_dense
         assert limit.max() < 0.0
         grid = make_grid(10.0, 201)
-        f = scalar_f(np.full(grid.n_nodes, level), default_params, grid)
+        v = np.full(grid.n_nodes, level)
+        f = v * v * solve_water_stationary(v, default_params, grid) - B * v
         assert f.max() < 0.0

@@ -5,10 +5,10 @@ import numpy as np
 import pytest
 
 from vegpatch import spectral
-from vegpatch.discretization import (assemble_laplacian, assemble_nonlocal,
+from vegpatch.discretization import (LaplacianOperator, assemble_nonlocal,
                                      make_grid)
 from vegpatch.errors import WaterBoundViolated
-from vegpatch.kinetics import ModelParams, scalar_f
+from vegpatch.kinetics import ModelParams, solve_water_stationary
 from vegpatch.spectral import (estimate_lipschitz_M, extinction_criterion,
                                principal_eigenvalue_laplacian,
                                principal_eigenvalue_nonlocal,
@@ -26,7 +26,7 @@ class TestLaplacianEigenvalue:
                                       (4.0, 0.01), (4.0, 0.005)])
     def test_matches_analytic_dirichlet_value(self, L, h):
         grid = grid_with_spacing(L, h)
-        result = principal_eigenvalue_laplacian(assemble_laplacian(grid))
+        result = principal_eigenvalue_laplacian(LaplacianOperator(grid))
         analytic = (math.pi / (2 * L)) ** 2
         discrete = (4.0 / grid.spacing ** 2
                     * math.sin(math.pi / (2 * (grid.n_nodes - 1))) ** 2)
@@ -39,7 +39,7 @@ class TestLaplacianEigenvalue:
         analytic = (math.pi / (2 * L)) ** 2
         errs = []
         for n in (101, 201):
-            lap = assemble_laplacian(make_grid(L, n))
+            lap = LaplacianOperator(make_grid(L, n))
             errs.append(abs(principal_eigenvalue_laplacian(lap).value
                             - analytic))
         assert errs[0] / errs[1] > 3.0
@@ -163,13 +163,13 @@ class TestLipschitzEstimate:
                                                         default_params):
         grid = make_grid(L, n)
         levels = np.linspace(0.0, 3.4, 401)
-        ones = np.ones(grid.n_nodes)
-        prev = scalar_f(levels[0] * ones, default_params, grid)
-        best = 0.0
-        for lo, hi in zip(levels[:-1], levels[1:]):
-            cur = scalar_f(hi * ones, default_params, grid)
-            best = max(best, float(np.max(np.abs(cur - prev))) / (hi - lo))
-            prev = cur
+        f = []      # f(v) = v^2 W(v) - B v per uniform level
+        for level in levels:
+            v = np.full(grid.n_nodes, level)
+            f.append(v * v * solve_water_stationary(v, default_params, grid)
+                     - default_params.B * v)
+        best = max(float(np.max(np.abs(cur - prev))) / (hi - lo)
+                   for prev, cur, lo, hi in zip(f, f[1:], levels, levels[1:]))
         est = estimate_lipschitz_M(default_params, grid, v_range=3.4)
         # the scan's water is the closed form, not Thomas elimination, so
         # the two agree to rounding (4.8e-13 relative at most), not bitwise
