@@ -253,7 +253,7 @@ def cmd_kernels(args) -> int:
         ("symmetry", report.symmetry,
          f"max |J(z)-J(-z)| = {report.max_asymmetry:.3e}"),
         ("decay", report.decay,
-         f"J(cutoff) = {report.value_at_cutoff:.3e}"),
+         f"max |J(+-cutoff)| = {report.value_at_cutoff:.3e}"),
         ("finite second moment", report.finite_second_moment,
          f"m2 = {report.second_moment:.9g}"),
         ("normalization", report.normalization,
@@ -263,6 +263,9 @@ def cmd_kernels(args) -> int:
           f"tail: {kernel.tail_label or 'n/a'})")
     for name, ok, measure in rows:
         print(f"  {name:22s} {'pass' if ok else 'FAIL':4s}  {measure}")
+    m2, m4 = report.second_moment, report.fourth_moment
+    print(f"  {'fourth moment':22s} info  m4 = {m4:.9g}, kurtosis m4/m2^2 "
+          f"= {m4 / (m2 * m2) if m2 else math.nan:.9g}")
     return 0 if report.all_pass() else 3
 
 
@@ -292,20 +295,19 @@ def cmd_spectral(args) -> int:
         t1 = time.perf_counter()
         beta = principal_eigenvalue_nonlocal(ops.dispersal)
         t2 = time.perf_counter()
+        if not beta.converged:
+            raise EigenNotConverged(
+                f"beta1 at --L {L!r} ({n} nodes) did not converge: "
+                f"residual {beta.residual:.3e} after {beta.iterations} "
+                "iterations")
         lam = principal_eigenvalue_laplacian(ops.laplacian)
-        for name, eig in (("beta1", beta), ("lambda1", lam)):
-            if not eig.converged:
-                raise EigenNotConverged(
-                    f"{name} at --L {L!r} ({n} nodes) did not converge: "
-                    f"residual {eig.residual:.3e} after {eig.iterations} "
-                    "iterations")
         t3 = time.perf_counter()
         if args.M is not None:
             m_const = args.M
         else:
             v3 = max(s.v_star for s in constant_steady_states(A, B))
             m_const = estimate_lipschitz_M(params, grid,
-                                           v_range=max(1.0, v3)).value
+                                           v_range=max(1.0, v3))
         t4 = time.perf_counter()
         guaranteed, _margin = extinction_criterion(beta.value, d_v, m_const)
         lines.append(f"{L!r},{beta.value!r},{lam.value!r},"
@@ -313,7 +315,6 @@ def cmd_spectral(args) -> int:
         widths.append({"L": L, "nodes": n, "M": m_const,
                        "krylov_dim": beta.iterations,
                        "beta1_residual": beta.residual,
-                       "lambda1_residual": lam.residual,
                        "assemble_s": t1 - t0, "beta1_s": t2 - t1,
                        "lipschitz_s": t4 - t3})
     print(f"# d_v = {d_v!r}; M from sampled lower-bound estimator unless "
@@ -436,6 +437,7 @@ def cmd_steady(args) -> int:
         "steady_state": steady_state_rule(tol),
         "converged": result.converged, "steps": result.steps,
         "residual": result.residual,
+        "region_bound": result.region_bound,
         "region_violations": result.region_violations})
     print(f"steady: converged={result.converged} steps={result.steps} "
           f"residual={result.residual:.3e}; outputs in {outdir}")
@@ -505,22 +507,26 @@ def cmd_sweep(args) -> int:
                                    else ""))
     print(f"sweep outputs in {outdir} ({time.time() - t0:.1f} s)")
     if args.check:
-        failures = _check_sweep(crit)
+        failures = _check_sweep(rows, crit)
         for f in failures:
             print("CHECK FAIL:", f)
         if failures:
             return 4
-        print("CHECK PASS: ordering and brackets")
+        print("CHECK PASS: convergence, ordering and brackets")
     return 0
 
 
-def _check_sweep(crit) -> list[str]:
-    failures = []
+def _check_sweep(rows, crit) -> list[str]:
+    """Failures of --check: every unconverged cell, which detect_critical_L
+    skips, then the L_crit ordering and reference bands."""
+    failures = [f"cell {r.variant}{'-' + r.kernel if r.kernel else ''} "
+                f"L = {r.L:g} not converged after {r.steps} steps"
+                for r in rows if not r.converged]
     by_key = {(c.variant, c.kernel): c.L_crit for c in crit}
     try:
         values = [by_key[key] for key in LCRIT_REFERENCE]
     except KeyError as exc:
-        return [f"missing variant in sweep: {exc}"]
+        return failures + [f"missing variant in sweep: {exc}"]
     if any(math.isnan(x) for x in values):
         failures.append("a variant never collapsed inside the swept range")
         return failures
@@ -587,9 +593,9 @@ def cmd_bifurcate(args) -> int:
     write_branch_diagnostics_csv(outdir / "branch_diagnostics.csv", suite)
     write_folds_csv(outdir / "folds.csv", suite)
     profiles_dir = outdir / "profiles"
-    written = write_gallery_profiles(profiles_dir, suite)
-    written += write_branch_snapshots(profiles_dir, suite,
-                                      stride=snapshot_stride)
+    gallery = write_gallery_profiles(profiles_dir, suite)
+    written = [*gallery, *write_branch_snapshots(profiles_dir, suite,
+                                                 stride=snapshot_stride)]
     if not args.no_plots:
         write_plot_scripts(outdir / "plots", suite=suite, B=cfg.B)
     write_manifest(outdir / "manifest.json", {
@@ -597,7 +603,8 @@ def cmd_bifurcate(args) -> int:
         "config": asdict(cfg),
         "grid": {"L": suite.grid.half_width, "N": suite.grid.n_nodes},
         "rng": "deterministic (no random seeds used)",
-        "profiles": written, "suite_errors": suite.errors,
+        "profiles": written, "gallery_seeds": gallery,
+        "suite_errors": suite.errors,
         "folds": {f"{r.variant}-{r.kernel}-dw{r.d_w:g}-{r.seed}":
                   [f.A for f in r.branch.folds] for r in suite.runs},
         "branches": {r.branch.label: {

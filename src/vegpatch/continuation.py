@@ -36,6 +36,7 @@ from .kinetics import ModelParams
 from .spectral import arnoldi_rightmost
 
 NEWTON_BLOWUP = 1e8
+NEWTON_CAP = 50        # iterations of a plain Newton solve
 STABLE_BELOW = -1e-8   # rightmost eigenvalue below this flags a stable state
 CORRECTOR_CAP = 8      # corrector iterations per continuation step
 STEP_GROWTH = 1.3      # arclength step growth after an easy step
@@ -45,30 +46,30 @@ FLAG_MIN_DIM = 30      # Arnoldi basis size before the first Ritz check
 FOLD_ROUNDING = 4 * 2.0 ** -52   # relative change of A below rounding
 
 
-def newton(fun, solve, x0: np.ndarray, tol: float = 1e-10,
-           max_iter: int = 50):
+def newton(fun, solve, x0: np.ndarray, tol: float = 1e-10):
     """Plain Newton iteration on a callable residual; returns (x, iterations).
 
     ``solve(x, r)`` returns J(x)^-1 r, the Jacobian at x applied inversely
-    to the residual r.  Raises NewtonDiverged on the iteration cap or on a
-    runaway iterate and SingularJacobian when the linear solve fails.
+    to the residual r.  Raises NewtonDiverged after NEWTON_CAP iterations
+    or on a runaway iterate and SingularJacobian when the linear solve
+    fails.
     """
     x = np.atleast_1d(np.asarray(x0, dtype=float)).copy()
-    for it in range(max_iter + 1):
+    for it in range(NEWTON_CAP + 1):
         r = np.atleast_1d(fun(x))
         nr = float(np.linalg.norm(r))
         if not math.isfinite(nr) or float(np.abs(x).max()) > NEWTON_BLOWUP:
             raise NewtonDiverged(f"iterate blew up at iteration {it}")
         if nr <= tol:
             return x, it
-        if it == max_iter:
+        if it == NEWTON_CAP:
             break
         try:
             x -= solve(x, r)
         except np.linalg.LinAlgError as exc:
             raise SingularJacobian(str(exc)) from exc
     raise NewtonDiverged(
-        f"no convergence in {max_iter} iterations (residual {nr:.3e})")
+        f"no convergence in {NEWTON_CAP} iterations (residual {nr:.3e})")
 
 
 class StationaryResidual:
@@ -120,9 +121,6 @@ class StationaryResidual:
     def split(self, u: np.ndarray):
         m = self.n_nodes
         return u[:m], u[m:]
-
-    def join(self, v: np.ndarray, w: np.ndarray) -> np.ndarray:
-        return np.concatenate([v, w])
 
     def restrict(self, u: np.ndarray) -> np.ndarray:
         """The unknowns of the full-grid state u = (v, w)."""
@@ -232,7 +230,7 @@ class StationaryResidual:
 
 
 def solve_stationary(sr: StationaryResidual, A: float, guess: np.ndarray,
-                     tol: float = 1e-10, max_iter: int = 50):
+                     tol: float = 1e-10):
     """Newton-solve the stationary system at fixed rainfall."""
     zero = np.zeros(np.size(guess))
 
@@ -240,7 +238,7 @@ def solve_stationary(sr: StationaryResidual, A: float, guess: np.ndarray,
         return sr.bordered_solve(u, A, zero, zero, 1.0,
                                  np.append(r, 0.0))[:-1]
 
-    return newton(lambda u: sr.residual(u, A), solve, guess, tol, max_iter)
+    return newton(lambda u: sr.residual(u, A), solve, guess, tol)
 
 
 @dataclass(frozen=True)

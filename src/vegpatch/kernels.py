@@ -29,6 +29,8 @@ _SG_SHAPE = (_G34 / _G14) ** 2
 # (quartic), so truncating there costs nothing measurable.
 LAPLACE_CUTOFF = 30.0
 SUPER_GAUSSIAN_CUTOFF = 4.0
+QUAD_DOUBLINGS = 18      # panel doublings before moment quadrature gives up
+SCREEN_SAMPLES = 4001    # offsets on [-cutoff, cutoff] the checks sample
 
 
 @dataclass(frozen=True, eq=False)
@@ -148,15 +150,15 @@ def _simpson_segment(f: Callable[[np.ndarray], np.ndarray],
                         + 2.0 * y[..., 2:-1:2].sum(axis=-1))
 
 
-def kernel_moments(kernel: Kernel, quad_tol: float = 1e-10,
-                   max_doublings: int = 18) -> KernelMoments:
+def kernel_moments(kernel: Kernel, quad_tol: float = 1e-10) -> KernelMoments:
     """Zeroth, second, and fourth moments of J over its truncated support.
 
     Integrates (1, z^2, z^4) * J(z) by composite Simpson on a graded segment
     decomposition of each half-axis, doubling the panel count until the
     Richardson error estimate |S_2n - S_n|/15 falls below quad_tol.
 
-    Raises NonIntegrable if the estimate does not converge within budget.
+    Raises NonIntegrable if the estimate does not converge within
+    QUAD_DOUBLINGS doublings.
     """
     if quad_tol <= 0:
         raise ValueError("quad_tol must be positive")
@@ -172,7 +174,7 @@ def kernel_moments(kernel: Kernel, quad_tol: float = 1e-10,
 
     n = 16
     prev = sum(_simpson_segment(integrand, a, b, n) for a, b in segments)
-    for _ in range(max_doublings):
+    for _ in range(QUAD_DOUBLINGS):
         n *= 2
         cur = sum(_simpson_segment(integrand, a, b, n) for a, b in segments)
         err = np.max(np.abs(cur - prev)) / 15.0
@@ -192,47 +194,50 @@ class AssumptionReport:
 
     positivity: bool           # J >= 0 everywhere and J(0) > 0
     symmetry: bool             # J(z) == J(-z) to 1e-12 on sampled offsets
-    decay: bool                # J at the cutoff is below 1e-8
+    decay: bool                # |J| at both cutoffs is below 1e-8
     finite_second_moment: bool
     normalization: bool        # integrated mass within [1 - 1e-6, 1 + 1e-9]
     min_value: float
     value_at_zero: float
     max_asymmetry: float
-    value_at_cutoff: float
+    value_at_cutoff: float     # max(|J(-cutoff)|, |J(cutoff)|)
     mass: float
     second_moment: float
+    fourth_moment: float
 
     def all_pass(self) -> bool:
         return (self.positivity and self.symmetry and self.decay
                 and self.finite_second_moment and self.normalization)
 
 
-def check_assumptions(kernel: Kernel, n_samples: int = 4001) -> AssumptionReport:
-    """Numerically screen a kernel against the admissibility assumptions."""
-    z = np.linspace(-kernel.support_cutoff, kernel.support_cutoff, n_samples)
+def check_assumptions(kernel: Kernel) -> AssumptionReport:
+    """Numerically screen a kernel against the admissibility assumptions,
+    sampling SCREEN_SAMPLES offsets across its support."""
+    c = kernel.support_cutoff
+    z = np.linspace(-c, c, SCREEN_SAMPLES)
     j = kernel_eval(kernel, z)
     j0 = float(kernel_eval(kernel, 0.0))
     min_value = float(j.min())
     asym = float(np.max(np.abs(j - kernel_eval(kernel, -z))))
-    edge = float(kernel_eval(kernel, kernel.support_cutoff))
+    edge = float(np.abs(kernel_eval(kernel, np.array([-c, c]))).max())
 
     try:
         moments = kernel_moments(kernel, quad_tol=1e-9)
-        mass, m2 = moments.mass, moments.second_moment
-        finite_m2 = math.isfinite(m2)
     except NonIntegrable:
-        mass, m2, finite_m2 = math.nan, math.nan, False
+        moments = KernelMoments(math.nan, math.nan, math.nan)
+    mass = moments.mass
 
     return AssumptionReport(
         positivity=(min_value >= 0.0 and j0 > 0.0),
         symmetry=(asym <= 1e-12),
         decay=(edge < 1e-8),
-        finite_second_moment=finite_m2,
+        finite_second_moment=math.isfinite(moments.second_moment),
         normalization=(math.isfinite(mass) and 1.0 - 1e-6 <= mass <= 1.0 + 1e-9),
         min_value=min_value,
         value_at_zero=j0,
         max_asymmetry=asym,
         value_at_cutoff=edge,
         mass=mass,
-        second_moment=m2,
+        second_moment=moments.second_moment,
+        fourth_moment=moments.fourth_moment,
     )

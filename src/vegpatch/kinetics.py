@@ -20,11 +20,6 @@ from .discretization import Grid1D
 from .errors import ConfigError, WaterBoundViolated
 from .tridiag import thomas_solve
 
-EQ_DESERT = 1
-EQ_LOWER = 2
-EQ_UPPER = 3
-EQ_MERGED = 4
-
 
 @dataclass(frozen=True)
 class ModelParams:
@@ -47,7 +42,6 @@ class ModelParams:
 class KineticEquilibrium:
     v_star: float
     w_star: float
-    index: int   # EQ_DESERT, EQ_LOWER, EQ_UPPER, or EQ_MERGED
 
 
 def constant_steady_states(A: float, B: float) -> list[KineticEquilibrium]:
@@ -60,14 +54,13 @@ def constant_steady_states(A: float, B: float) -> list[KineticEquilibrium]:
     """
     if A <= 0 or B <= 0:
         raise ValueError("A and B must be strictly positive")
-    states = [KineticEquilibrium(0.0, A, EQ_DESERT)]
+    states = [KineticEquilibrium(0.0, A)]
     if A == 2.0 * B:
-        states.append(KineticEquilibrium(1.0, B, EQ_MERGED))
+        states.append(KineticEquilibrium(1.0, B))
     elif A > 2.0 * B:
         root = math.sqrt(A * A - 4.0 * B * B)
-        for v, idx in (((A - root) / (2.0 * B), EQ_LOWER),
-                       ((A + root) / (2.0 * B), EQ_UPPER)):
-            states.append(KineticEquilibrium(v, A / (v * v + 1.0), idx))
+        for v in ((A - root) / (2.0 * B), (A + root) / (2.0 * B)):
+            states.append(KineticEquilibrium(v, A / (v * v + 1.0)))
     return sorted(states, key=lambda s: s.v_star)
 
 

@@ -96,24 +96,23 @@ def write_folds_csv(path, suite: BifurcationSuite) -> None:
 
 
 def write_profile_csv(path, x: np.ndarray, v: np.ndarray,
-                      w: np.ndarray | None = None) -> None:
-    if w is None:
-        _write_csv(Path(path), ["x", "v"], zip(x.tolist(), v.tolist()))
-    else:
-        _write_csv(Path(path), ["x", "v", "w"],
-                   zip(x.tolist(), v.tolist(), w.tolist()))
+                      w: np.ndarray) -> None:
+    _write_csv(Path(path), ["x", "v", "w"],
+               zip(x.tolist(), v.tolist(), w.tolist()))
 
 
-def write_gallery_profiles(directory, suite: BifurcationSuite) -> list[str]:
-    """One profile CSV per gallery entry; returns the written names."""
+def write_gallery_profiles(directory,
+                           suite: BifurcationSuite) -> dict[str, str]:
+    """One profile CSV per gallery entry; returns each written name with
+    the snapshot id of the branch point it was polished from."""
     directory = Path(directory)
-    written = []
+    written = {}
     for g in sorted(suite.galleries,
                     key=lambda g: (g.variant, g.kernel, g.d_w, g.A)):
         name = (f"gallery-{g.variant}-{g.kernel or 'none'}-dw{g.d_w:g}"
                 f"-A{g.A:g}.csv")
         write_profile_csv(directory / name, suite.grid.nodes, g.v, g.w)
-        written.append(name)
+        written[name] = g.source_id
     return written
 
 

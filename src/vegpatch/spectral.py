@@ -13,15 +13,14 @@ with K's band, so no N x N matrix is formed.  The relative gap
 between the top two eigenvalues closes like 1/L^2; a Krylov method needs
 about the square root of the iterations power iteration would.  The same
 Arnoldi, with another start vector and Ritz selector, gives continuation's
-stability flag.  lambda1,
-the Dirichlet Laplacian's principal eigenvalue, is the Rayleigh quotient of
-its known eigenvector sin(pi k / (m + 1)), checked by one residual against
-the operator norm 4 / h^2; both take the Laplacian's action from
-LaplacianOperator.apply, the stencil every other caller uses.  The Lipschitz estimate scans constant biomass
-levels.  Their water profiles are known in closed form, and it evaluates
-them only on the boundary layer, where they differ from the plateau: about
-60 ln 2 / theta rows, theta = arccosh(1 + h^2 / (2 d_w)), whatever the
-width.  It works in place in that (rows, levels) array.
+stability flag.  lambda1, the Dirichlet Laplacian's principal eigenvalue,
+is known in closed form on this grid, 4 / h^2 sin^2(pi / (2 (N - 1))).
+
+The Lipschitz estimate scans constant biomass levels.  Their water
+profiles are known in closed form, and it evaluates them only on the
+boundary layer, where they differ from the plateau: about 60 ln 2 / theta
+rows, theta = arccosh(1 + h^2 / (2 d_w)), whatever the width.  It works in
+place in that (rows, levels) array.
 """
 from __future__ import annotations
 
@@ -43,22 +42,9 @@ class EigResult:
     converged: bool
 
 
-@dataclass(frozen=True)
-class LipschitzEstimate:
-    """Sampled slope bound for the reduced nonlinearity.
-
-    The value is certified from below only: it is the largest finite
-    difference quotient seen over the sampled biomass levels, so the true
-    Lipschitz constant can only be larger.
-    """
-
-    value: float
-    n_samples: int
-    v_range: float
-    certified_from_below: bool = True
-
-
 RITZ_EVERY = 5     # Arnoldi steps between Ritz-pair convergence checks
+BETA1_TOL = 1e-10  # beta1's eigenpair residual, relative to its scale
+LIPSCHITZ_SAMPLES = 400   # biomass intervals of the Lipschitz scan
 
 
 def _symmetrized_action(op: DispersalOperator):
@@ -141,20 +127,21 @@ def arnoldi_rightmost(action, n: int, res_tol: float, max_dim: int,
     return rho, resid, m, False
 
 
-def principal_eigenvalue_nonlocal(op: DispersalOperator, tol: float = 1e-10,
-                                  max_iter: int = 50_000) -> EigResult:
+def principal_eigenvalue_nonlocal(op: DispersalOperator) -> EigResult:
     """beta1 = 1 - mu_max(K) by Arnoldi on the weighted symmetrization.
 
     The similarity transform D^(1/2) K D^(-1/2) (D the quadrature weights)
     is applied through the operator action only.  Stops when the eigenpair
-    residual drops below tol (relative to the eigenvalue scale); max_iter
-    caps the Krylov dimension.  On hitting the cap the best estimate is
-    returned with converged=False rather than raising; the residual tells
-    how far it got.  iterations is the Krylov dimension reached.  Every
-    call runs its own iteration; nothing is stored on the operator.
+    residual drops below BETA1_TOL (relative to the eigenvalue scale); the
+    Krylov dimension is capped only by N, where Arnoldi is exact.  An
+    unmet tolerance returns the best estimate with converged=False rather
+    than raising; the residual tells how far it got.  iterations is the
+    Krylov dimension reached.  Every call runs its own iteration; nothing
+    is stored on the operator.
     """
     mu, resid, iters, ok = arnoldi_rightmost(_symmetrized_action(op),
-                                             op.n_nodes, tol, max_iter)
+                                             op.n_nodes, BETA1_TOL,
+                                             op.n_nodes)
     return EigResult(value=1.0 - mu, residual=resid, iterations=iters,
                      converged=ok)
 
@@ -170,28 +157,18 @@ def principal_eigenvalue_nonlocal_dense(op: DispersalOperator) -> float:
     return 1.0 - mu
 
 
-def principal_eigenvalue_laplacian(op: LaplacianOperator,
-                                   tol: float = 1e-12) -> EigResult:
-    """Smallest eigenvalue of the Dirichlet -Laplacian.
+def principal_eigenvalue_laplacian(op: LaplacianOperator) -> EigResult:
+    """Smallest eigenvalue of the Dirichlet -Laplacian, in closed form.
 
-    The discrete eigenvector sin(pi k / (m + 1)) on the m interior nodes is
-    known in closed form, so lambda1 is its Rayleigh quotient, with the
-    operator's action taken by ``op.apply`` on the vector padded with the
-    zero boundary values.  The pair is
-    accepted when its residual is at most tol times the operator norm
-    4 / h^2: rounding alone leaves a residual near 1e-16 * 4 / h^2, which
-    an absolute test would reject on fine grids.
+    The stencil (1, -2, 1) / h^2 on the N - 2 interior nodes has the
+    eigenvectors sin(pi j k / (N - 1)), so lambda1 = 4 / h^2
+    sin^2(pi / (2 (N - 1))).  No iteration runs: the residual is 0 and
+    iterations 0.
     """
-    n = op.n_nodes
-    x = np.zeros(n)                     # zero at the Dirichlet nodes +-L
-    x[1:-1] = np.sin(np.pi * np.arange(1, n - 1) / (n - 1))
-    x /= np.linalg.norm(x)
-    ax = -op.apply(x)[1:-1]             # -Laplacian on the interior nodes
-    x = x[1:-1]
-    lam = float(x @ ax)
-    resid = float(np.linalg.norm(ax - lam * x))
-    norm = 4.0 / op.grid.spacing ** 2
-    return EigResult(lam, resid, 1, resid <= tol * norm)
+    grid = op.grid
+    lam = (4.0 / grid.spacing ** 2
+           * math.sin(math.pi / (2 * (grid.n_nodes - 1))) ** 2)
+    return EigResult(lam, 0.0, 0, True)
 
 
 def extinction_criterion(beta1: float, d_v: float, m_lipschitz: float):
@@ -204,12 +181,13 @@ def extinction_criterion(beta1: float, d_v: float, m_lipschitz: float):
     return margin > 0.0, margin
 
 
-def estimate_lipschitz_M(params: ModelParams, grid, v_range: float,
-                         n_samples: int = 400) -> LipschitzEstimate:
+def estimate_lipschitz_M(params: ModelParams, grid, v_range: float) -> float:
     """Max finite-difference slope of f over uniform biomass levels.
 
-    Scans constant profiles v in [0, v_range] and returns the largest
-    sup-norm quotient |f(v_k+1) - f(v_k)| / (v_k+1 - v_k).  The water of
+    Scans LIPSCHITZ_SAMPLES + 1 constant profiles v in [0, v_range] and
+    returns the largest sup-norm quotient |f(v_k+1) - f(v_k)| / (v_k+1 -
+    v_k).  That bound is certified from below only: the true Lipschitz
+    constant can only be larger.  The water of
     each level is the exact solution of the discrete stationary system,
     W[i] = (A / c) expm1(-theta i) expm1(-theta (n - i)) / (1 + e^(-theta n))
     with c = 1 + v^2, cosh(theta) = 1 + c h^2 / (2 d_w) and n = N - 1
@@ -222,7 +200,7 @@ def estimate_lipschitz_M(params: ModelParams, grid, v_range: float,
     """
     if v_range <= 0:
         raise ValueError("v_range must be positive")
-    levels = np.linspace(0.0, v_range, n_samples + 1)
+    levels = np.linspace(0.0, v_range, LIPSCHITZ_SAMPLES + 1)
     f = uniform_water_layer(levels, params, grid)    # f = v^2 W - B v
     check_maximum_principle(f.T, params.A)
     f *= levels * levels
@@ -232,6 +210,4 @@ def estimate_lipschitz_M(params: ModelParams, grid, v_range: float,
     np.abs(f, out=f)
     edge = np.abs(np.diff(params.B * levels))    # boundary nodes: W = 0
     jumps = np.maximum(f[:, :-1].max(axis=0), edge)
-    best = float((jumps / np.diff(levels)).max(initial=0.0))
-    return LipschitzEstimate(value=best, n_samples=n_samples + 1,
-                             v_range=v_range)
+    return float((jumps / np.diff(levels)).max(initial=0.0))

@@ -41,6 +41,33 @@ def test_kernels_check_flags_bad_table(tmp_path, capsys):
     assert "FAIL" in capsys.readouterr().out
 
 
+def test_kernels_check_tests_decay_at_both_cutoffs(tmp_path, capsys):
+    # the cutoff is 2, where J(2) = 0 but J(-2) = 0.3
+    table = tmp_path / "lopsided.csv"
+    table.write_text("-2,0.3\n0,1\n1,0\n")
+    assert main(["kernels", "check", "--table", str(table)]) == 3
+    (decay,) = [ln.split() for ln in capsys.readouterr().out.splitlines()
+                if ln.split()[:1] == ["decay"]]
+    assert decay[1] == "FAIL" and decay[-1] == "3.000e-01"
+
+
+@pytest.mark.parametrize("family, kurtosis", [
+    ("laplace", 6.0),
+    ("super_gaussian", math.gamma(1.25) * math.gamma(0.25)
+     / math.gamma(0.75) ** 2)])
+def test_kernels_check_reports_the_fourth_moment(family, kurtosis, capsys):
+    assert main(["kernels", "check", "--family", family]) == 0
+    (row,) = [ln for ln in capsys.readouterr().out.splitlines()
+              if ln.split()[:2] == ["fourth", "moment"]]
+    # an information row: neither pass nor FAIL
+    assert row.split()[2] == "info"
+    m4 = float(row.split("m4 = ")[1].split(",")[0])
+    ratio = float(row.split("m4/m2^2 = ")[1])
+    # both kernels have unit variance, so m4 is the kurtosis
+    assert m4 == pytest.approx(kurtosis, rel=1e-7)
+    assert ratio == pytest.approx(kurtosis, rel=1e-7)
+
+
 def test_spectral_beta1_decreases_with_width(capsys):
     assert main(["spectral", "--L", "2", "--L", "4",
                  "--kernel", "laplace", "--spacing", "0.1"]) == 0
@@ -63,6 +90,21 @@ def test_steady_writes_profile_and_manifest(tmp_path, monkeypatch, capsys):
     assert manifest["resolved"]["integration"] == {"tol": 0.1,
                                                    "trajectory_every": 0}
     assert f"residual={manifest['residual']:.3e}" in capsys.readouterr().out
+
+
+def test_steady_manifest_records_the_region_bound(tmp_path, monkeypatch):
+    bounds = {}
+    for init in ("desert", "cosine"):
+        assert run_cli(["steady", "--L", "10", "--nodes", "65", "--tol",
+                        "0.1", "--init", init, "--out", init],
+                       monkeypatch, tmp_path) == 0
+        manifest = json.loads((tmp_path / init / "manifest.json")
+                              .read_text())
+        bounds[init] = manifest["region_bound"]
+        assert manifest["region_violations"] == 0
+    # bare soil starts inside [0, B / max(sup w0, A)], and sup w0 < A;
+    # the cosine start, near v = 3.7, lies outside that interval
+    assert bounds == {"desert": 0.45 / 1.8, "cosine": None}
 
 
 def test_steady_stops_at_the_step_cap(tmp_path, monkeypatch, capsys):
@@ -389,15 +431,13 @@ def test_bifurcate_prints_its_suite_errors(tmp_path, monkeypatch, capsys):
         == [f"suite error: {e}" for e in errors]
     assert "suite error" not in out
 
-@pytest.mark.parametrize("family", ["beta1", "lambda1"])
-def test_unconverged_spectrum_exits_3_naming_the_width(family, tmp_path,
-                                                       monkeypatch, capsys):
+
+def test_unconverged_spectrum_exits_3_naming_the_width(tmp_path, monkeypatch,
+                                                       capsys):
     import vegpatch.cli as cli
     from vegpatch.spectral import EigResult
 
-    solver = {"beta1": "principal_eigenvalue_nonlocal",
-              "lambda1": "principal_eigenvalue_laplacian"}[family]
-    monkeypatch.setattr(cli, solver,
+    monkeypatch.setattr(cli, "principal_eigenvalue_nonlocal",
                         lambda op: EigResult(0.5, 1e-3, 7, converged=False))
     code = run_cli(["spectral", "--L", "2", "--spacing", "0.1", "--out",
                     "spec"], monkeypatch, tmp_path)
@@ -405,7 +445,7 @@ def test_unconverged_spectrum_exits_3_naming_the_width(family, tmp_path,
     summary = json.loads(capsys.readouterr().err)
     assert summary["error"] == "numerical"
     assert summary["type"] == "EigenNotConverged"
-    assert family in summary["message"] and "--L 2.0" in summary["message"]
+    assert "beta1" in summary["message"] and "--L 2.0" in summary["message"]
     assert not (tmp_path / "spec" / "spectral.csv").exists()
 
 
@@ -420,7 +460,6 @@ def test_spectral_manifest_records_each_width(tmp_path, monkeypatch):
     assert all(w["M"] == 0.3 for w in widths)
     assert all(w["krylov_dim"] >= 1 for w in widths)
     assert all(w["beta1_residual"] <= 1e-9 for w in widths)
-    assert all(w["lambda1_residual"] <= 1e-9 for w in widths)
     for key in ("assemble_s", "beta1_s", "lipschitz_s"):
         assert all(w[key] >= 0.0 for w in widths)
 
@@ -582,6 +621,29 @@ def test_sweep_check_failure_exits_4(tmp_path, monkeypatch):
     assert code == 4
 
 
+@pytest.mark.slow
+def test_sweep_check_fails_on_unconverged_cells(tmp_path, monkeypatch,
+                                                capsys):
+    # detect_critical_L skips unconverged cells, so at 60 steps per cell
+    # L_crit[local] reads 2.0691, inside its band; the check names each
+    # unconverged cell instead of passing
+    import vegpatch.dynamics as dynamics
+
+    monkeypatch.setattr(dynamics, "STEADY_STEP_CAP", 60)
+    code = run_cli(["sweep", "--preset", "fast", "--no-plots", "--check",
+                    "--out", "capped"], monkeypatch, tmp_path)
+    assert code == 4
+    rows = (tmp_path / "capped" / "sweep.csv").read_text().splitlines()[1:]
+    stuck = [r.split(",") for r in rows if r.endswith(",false")]
+    assert len(stuck) == 3
+    failures = [ln for ln in capsys.readouterr().out.splitlines()
+                if ln.startswith("CHECK FAIL:")]
+    assert failures == [
+        f"CHECK FAIL: cell {variant}{'-' + kernel if kernel else ''} "
+        f"L = {float(L):g} not converged after 60 steps"
+        for variant, kernel, L, *_ in stuck]
+
+
 def _reject_constant(name):
     raise ValueError(f"{name} is not JSON")
 
@@ -694,6 +756,29 @@ def test_bifurcate_defaults_and_outputs(tmp_path, monkeypatch, capsys):
             assert sum(int(r[4]) for r in rows) == row["krylov_dim_total"]
     profiles = list((outdir / "profiles").glob("gallery-*.csv"))
     assert profiles
+
+
+def test_bifurcate_manifest_maps_gallery_profiles_to_their_seeds(
+        tmp_path, monkeypatch):
+    assert run_cli(["bifurcate", "--dw", "80", "--no-plots", "--out", "bf"],
+                   monkeypatch, tmp_path) == 0
+    outdir = tmp_path / "bf"
+    seeds = json.loads((outdir / "manifest.json").read_text())[
+        "gallery_seeds"]
+    assert sorted(seeds) == sorted(
+        p.name for p in (outdir / "profiles").glob("gallery-*.csv"))
+    assert len(seeds) == 9      # three variants at three rainfall values
+    points = {(r[0], r[1] or "none", int(r[3])): (float(r[5]), float(r[6]))
+              for r in (ln.split(",") for ln in (outdir / "branch.csv")
+                        .read_text().splitlines()[1:])
+              if r[2] == "dw80-vegetated"}
+    for name, seed in seeds.items():
+        variant, kernel, _, a_tag = name[len("gallery-"):-4].split("-")
+        prefix = f"{variant}-{kernel}-dw80-veg-p"
+        assert seed.startswith(prefix)
+        a_seed, max_v = points[variant, kernel, int(seed[len(prefix):])]
+        # the nearer end of a crossing, at most one step ds_max from A
+        assert abs(a_seed - float(a_tag[1:])) <= 0.1 and max_v > 0.1
 
 
 # Every key some command reads, lower-cased as configparser returns them,

@@ -3,6 +3,7 @@ import math
 import numpy as np
 import pytest
 
+from vegpatch import continuation
 from vegpatch.continuation import (FLAG_RES_TOL, STABLE_BELOW, PalcControls,
                                    StationaryResidual, _rightmost_inverse,
                                    newton, palc_continue,
@@ -48,11 +49,12 @@ class TestNewton:
         assert abs(x[0] - 2.0) < 1e-10
         assert iters <= 7
 
-    def test_divergence_detected(self):
+    def test_divergence_detected(self, monkeypatch):
+        monkeypatch.setattr(continuation, "NEWTON_CAP", 40)
         with pytest.raises(NewtonDiverged):
             newton(lambda x: x**2 + 1.0,
                    lambda x, r: r / (2.0 * x),
-                   np.array([0.5]), max_iter=40)
+                   np.array([0.5]))
 
     def test_singular_jacobian_detected(self):
         with pytest.raises(SingularJacobian):
@@ -144,8 +146,8 @@ class TestStationarySolve:
         grid = sr.ops.grid
         eq = vegetated_equilibrium(3.0, 0.45)
         profile = np.cos(np.pi * grid.nodes / (2 * grid.half_width))
-        guess = sr.join(eq.v_star * (1 + 0.01 * profile),
-                        np.full(grid.n_nodes, eq.w_star))
+        guess = sr.restrict(np.r_[eq.v_star * (1 + 0.01 * profile),
+                                  np.full(grid.n_nodes, eq.w_star)])
         u, iters = solve_stationary(sr, 3.0, guess)
         v3 = (3.0 + math.sqrt(3.0**2 - 4 * 0.45**2)) / (2 * 0.45)
         assert iters <= 20
@@ -214,7 +216,7 @@ class TestJacobian:
             for i in pinned:
                 ref[i, :] = 0.0
                 ref[i, i] = 1.0
-            got = sr.jacobian(sr.join(v, w), 1.8)
+            got = sr.jacobian(sr.restrict(np.r_[v, w]), 1.8)
             # int64 views compare bit patterns, so signed zeros count too
             assert np.array_equal(got.view(np.int64), ref.view(np.int64))
 
@@ -427,8 +429,8 @@ def vegetated_branch(habitat_sr):
     grid = sr.ops.grid
     eq = vegetated_equilibrium(3.0, 0.45)
     profile = np.cos(np.pi * grid.nodes / (2 * grid.half_width))
-    guess = sr.join(eq.v_star * (1 + 0.01 * profile),
-                    np.full(grid.n_nodes, eq.w_star))
+    guess = sr.restrict(np.r_[eq.v_star * (1 + 0.01 * profile),
+                              np.full(grid.n_nodes, eq.w_star)])
     u, _ = solve_stationary(sr, 3.0, guess)
     return palc_continue(sr, 3.0, (0.1, 3.0), u, PalcControls(), label="veg")
 
@@ -459,7 +461,8 @@ class TestHabitatContinuation:
         sr = habitat_sr
         grid = sr.ops.grid
         w0 = solve_water_stationary(np.zeros(grid.n_nodes), sr.params, grid)
-        u0, _ = solve_stationary(sr, 3.0, sr.join(np.zeros(grid.n_nodes), w0))
+        u0, _ = solve_stationary(
+            sr, 3.0, sr.restrict(np.r_[np.zeros(grid.n_nodes), w0]))
         branch = palc_continue(sr, 3.0, (0.1, 3.0), u0, PalcControls(),
                                label="desert")
         As = [pt.A for pt in branch.points]
@@ -471,7 +474,8 @@ class TestHabitatContinuation:
         sr = habitat_sr
         grid = sr.ops.grid
         w0 = solve_water_stationary(np.zeros(grid.n_nodes), sr.params, grid)
-        u0, _ = solve_stationary(sr, 3.0, sr.join(np.zeros(grid.n_nodes), w0))
+        u0, _ = solve_stationary(
+            sr, 3.0, sr.restrict(np.r_[np.zeros(grid.n_nodes), w0]))
         branch = palc_continue(sr, 3.0, (0.1, 3.0), u0,
                                PalcControls(point_cap=5))
         assert branch.termination == "point_cap"
@@ -484,7 +488,8 @@ class TestStabilityFlag:
         sr = StationaryResidual(bif_ops_laplace, params)
         grid = sr.ops.grid
         w0 = solve_water_stationary(np.zeros(grid.n_nodes), params, grid)
-        u, _ = solve_stationary(sr, 0.5, sr.join(np.zeros(grid.n_nodes), w0))
+        u, _ = solve_stationary(
+            sr, 0.5, sr.restrict(np.r_[np.zeros(grid.n_nodes), w0]))
         assert stability_flag(sr, 0.5, u).stable is True
 
     @pytest.fixture()

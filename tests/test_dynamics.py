@@ -259,7 +259,8 @@ def test_implicit_batch_reaches_stationary_state(variant, laplace):
     assert np.sqrt(rhs_v @ rhs_v + rhs_w @ rhs_w) < STEADY_TOL
     # Newton polishing barely moves it
     sr = StationaryResidual(ops, params)
-    u, _ = solve_stationary(sr, 1.8, sr.join(got.state.v, got.state.w))
+    u, _ = solve_stationary(sr, 1.8,
+                            sr.restrict(np.r_[got.state.v, got.state.w]))
     assert abs(mean(sr.split(u)[0]) - mean(got.state.v)) < 2e-3
 
 
@@ -287,7 +288,8 @@ def test_implicit_step_fixes_stationary_state(variant, laplace):
     v0, w0 = cosine_perturbed_start(grid, 1.8, 0.45)
     (got,) = run_to_steady_batch([BatchCell(ops, params, v0, w0)])
     sr = StationaryResidual(ops, params)
-    u, _ = solve_stationary(sr, 1.8, sr.join(got.state.v, got.state.w))
+    u, _ = solve_stationary(sr, 1.8,
+                            sr.restrict(np.r_[got.state.v, got.state.w]))
     v_star, w_star = sr.split(u)
     assert float(grid.quad_weights @ v_star) > 1.0   # vegetated
     v, w = v_star.copy(), w_star.copy()
@@ -349,7 +351,7 @@ def test_folded_rhs_matches_reference_and_residual(bif_model):
         scale = np.abs(ref).max()
         assert np.abs(got - ref).max() <= 1e-12 * scale
         assert np.all(got[~free] == 0.0)
-        res = sr.residual(sr.join(state.v, state.w), params.A)
+        res = sr.residual(sr.restrict(np.r_[state.v, state.w]), params.A)
         assert np.abs(got[free] - res[free]).max() <= 1e-12 * scale
 
 

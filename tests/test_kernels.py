@@ -5,6 +5,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from vegpatch import kernels
 from vegpatch.errors import NonIntegrable
 from vegpatch.kernels import (Kernel, check_assumptions, kernel_eval,
                               kernel_from_table, kernel_moments,
@@ -81,9 +82,10 @@ def test_kurtosis_ordering(laplace, super_gaussian):
     assert fat > thin
 
 
-def test_moment_budget_exhaustion_raises(laplace):
+def test_moment_budget_exhaustion_raises(laplace, monkeypatch):
+    monkeypatch.setattr(kernels, "QUAD_DOUBLINGS", 1)
     with pytest.raises(NonIntegrable):
-        kernel_moments(laplace, quad_tol=1e-16, max_doublings=1)
+        kernel_moments(laplace, quad_tol=1e-16)
 
 
 def test_check_assumptions_builtins_pass(laplace, super_gaussian):

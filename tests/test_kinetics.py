@@ -10,8 +10,7 @@ from vegpatch import kinetics
 from vegpatch.cli import main
 from vegpatch.discretization import make_grid
 from vegpatch.errors import WaterBoundViolated
-from vegpatch.kinetics import (EQ_DESERT, EQ_MERGED, EQ_UPPER, ModelParams,
-                               constant_steady_states,
+from vegpatch.kinetics import (ModelParams, constant_steady_states,
                                solve_water_stationary, uniform_water_layer,
                                vegetated_equilibrium)
 
@@ -23,7 +22,10 @@ def cubic_residual(v, A, B):
 class TestConstantSteadyStates:
     def test_three_states_above_threshold(self):
         states = constant_steady_states(1.8, 0.45)
-        assert [s.index for s in states] == [EQ_DESERT, 2, EQ_UPPER]
+        # desert, lower and upper: v = 0 and the roots 2 -+ sqrt(3) of
+        # v^2 - (A / B) v + 1
+        assert [s.v_star for s in states] == pytest.approx(
+            [0.0, 2.0 - math.sqrt(3.0), 2.0 + math.sqrt(3.0)], abs=1e-12)
         v3 = states[-1]
         assert v3.v_star == pytest.approx(2.0 + math.sqrt(3.0), abs=1e-12)
         assert v3.w_star == pytest.approx(0.120577, abs=1e-6)
@@ -32,7 +34,7 @@ class TestConstantSteadyStates:
 
     def test_merged_state_at_threshold(self):
         states = constant_steady_states(0.9, 0.45)
-        assert [s.index for s in states] == [EQ_DESERT, EQ_MERGED]
+        assert [s.v_star for s in states] == [0.0, 1.0]
         assert states[-1].v_star == 1.0
         assert states[-1].w_star == 0.45
 
@@ -224,8 +226,8 @@ class TestReactionAndScalarF:
 
     def test_merged_state_is_equilibrium(self):
         A, B = 0.9, 0.45
-        merged = constant_steady_states(A, B)[-1]
-        assert merged.index == EQ_MERGED
+        desert, merged = constant_steady_states(A, B)
+        assert desert.v_star == 0.0 and merged.v_star == 1.0
         v, w = merged.v_star, merged.w_star
         assert abs(v * v * w - B * v) <= 1e-15
         assert abs(A - w - v * v * w) <= 1e-15
