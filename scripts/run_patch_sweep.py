@@ -1,10 +1,11 @@
 #!/usr/bin/env python3
 """Full critical-patch-size sweep: 50 log-spaced half-widths on [1, 100].
 
-The sweep itself takes about 1.6 s on a 2-vCPU Intel Xeon machine (1.8 s
-for the whole process); pass --preset fast for the reduced 20-point
-ordering check (about 0.2 s, 0.4 s for the process).  Extra flags are
-forwarded to the `vegpatch sweep` command.
+The sweep itself takes about 0.6 s on a 2-vCPU Intel Xeon machine (0.8 s
+for the whole process; a stalled two-thread BLAS inverse can add 1 s);
+pass --preset fast for the reduced 20-point ordering check (about 0.1 s,
+0.35 s for the process).  Extra flags are forwarded to the
+`vegpatch sweep` command.
 """
 import sys
 

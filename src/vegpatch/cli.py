@@ -16,8 +16,8 @@ import numpy as np
 
 from .config import Resolver, make_resolver, resolve_output_dir
 from .discretization import DENSE_LIMIT, build_operators, make_grid
-from .dynamics import (BLOWUP_LIMIT, RK4_STEP, STEADY_TOL, State,
-                       horizon_rule, initial_state, run_to_steady,
+from .dynamics import (BLOWUP_LIMIT, RK4_STEP, STEADY_TOL, SWEEP_PARITY,
+                       State, horizon_rule, initial_state, run_to_steady,
                        simulate_horizon, stable_step, steady_state_rule)
 from .errors import ConfigError, EigenNotConverged, VegpatchError
 from .experiments import (BifurcationConfig, SweepConfig, builtin_kernel,
@@ -434,7 +434,7 @@ def cmd_steady(args) -> int:
     write_manifest(outdir / "manifest.json", {
         **_run_config_payload(res, "steady", outdir), "init": args.init,
         "wall_time_s": time.time() - t0,
-        "steady_state": steady_state_rule(tol),
+        "steady_state": steady_state_rule(tol, 0),
         "converged": result.converged, "steps": result.steps,
         "residual": result.residual,
         "region_bound": result.region_bound,
@@ -490,7 +490,7 @@ def cmd_sweep(args) -> int:
         **_run_config_payload(res, "sweep", outdir),
         "config": {f: getattr(cfg, f) for f in cfg.__dataclass_fields__},
         "steady_state": {
-            **steady_state_rule(STEADY_TOL),
+            **steady_state_rule(STEADY_TOL, SWEEP_PARITY),
             "total_steps": sum(r.steps for r in rows),
             "unconverged": sum(not r.converged for r in rows)},
         "grid_policy": {

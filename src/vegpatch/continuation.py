@@ -46,7 +46,7 @@ FLAG_MIN_DIM = 30      # Arnoldi basis size before the first Ritz check
 FOLD_ROUNDING = 4 * 2.0 ** -52   # relative change of A below rounding
 
 
-def newton(fun, solve, x0: np.ndarray, tol: float = 1e-10):
+def newton(fun, solve, x0: np.ndarray, tol: float):
     """Plain Newton iteration on a callable residual; returns (x, iterations).
 
     ``solve(x, r)`` returns J(x)^-1 r, the Jacobian at x applied inversely
@@ -230,7 +230,7 @@ class StationaryResidual:
 
 
 def solve_stationary(sr: StationaryResidual, A: float, guess: np.ndarray,
-                     tol: float = 1e-10):
+                     tol: float):
     """Newton-solve the stationary system at fixed rainfall."""
     zero = np.zeros(np.size(guess))
 
@@ -569,7 +569,7 @@ def stability_flag(sr: StationaryResidual, A: float,
         except SingularJacobian:
             return Stability(False, math.nan, 0)
         start = np.sin(np.arange(1.0, order + 1.0))
-        mu, _, used, _ = arnoldi_rightmost(action, order, FLAG_RES_TOL, order,
+        mu, _, used, _ = arnoldi_rightmost(action, order, FLAG_RES_TOL,
                                            start=start,
                                            select=_rightmost_inverse(order),
                                            min_dim=FLAG_MIN_DIM)

@@ -19,6 +19,12 @@ stationary states.  The driver stops when the l2 norm of the right-hand
 side (vegetation and water concatenated) drops below the tolerance,
 STEADY_TOL for every sweep cell, or after STEADY_STEP_CAP steps.  A state
 that is already stationary converges after zero steps.
+The driver steps the node vectors of one parity under x -> -x
+(``discretization.Reduction``).  run_to_steady keeps the full grid, as
+its starts are arbitrary.  The sweep's habitat, kernels and cosine start
+are even, so run_to_steady_batch steps the even half grid x >= 0: the
+folded transport on ceil(N / 2) nodes, and the water rows with the centre
+row's mirror folded in.  Norms and outputs stay the full grid's.
 """
 from __future__ import annotations
 
@@ -28,8 +34,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .discretization import Operators
-from .errors import Blowup, UnstableTimestep
+from .discretization import Operators, Reduction
+from .errors import AsymmetricStart, Blowup, UnstableTimestep
 from .kinetics import ModelParams, water_bands
 from .tridiag import thomas_solve
 
@@ -40,6 +46,8 @@ RK4_STEP = 1e-2           # default step of the time-accurate runs
 STEADY_TOL = 0.01         # steady states stop at ||F(v, w)||_2 < STEADY_TOL
 STEADY_STEP_CAP = 5_000   # IMEX steps; the slowest sweep cell needs 275
                           # to reach ||F||_2 < 1e-8
+SWEEP_PARITY = 1          # run_to_steady_batch's cells: the even half grid
+EVEN_TOL = 1e-12          # a half-grid start's mirror gap, relative
 
 
 @dataclass
@@ -88,22 +96,27 @@ def stable_step(ops: Operators, params: ModelParams) -> float:
     return min(0.5 / factor for _, factor in _step_factors(ops, params))
 
 
-def _make_rhs(ops: Operators, params: ModelParams):
-    """F(v, w) with its linear part folded once: returns rhs(v, w).
+def _make_rhs(ops: Operators, params: ModelParams, red: Reduction,
+              transport: np.ndarray):
+    """F(v, w) on the node vectors of red's parity, with its linear part
+    folded once: returns rhs(v, w).
 
-    Each field takes one linear action: vegetation the dense M v with
-    M = T - B I on the free rows (T = ops.vegetation_transport(d_v)) and
-    zero rows at the pinned nodes; water the stencil (a, -2a - 1, a) with
-    a = d_w / h^2, through np.correlate with zero ghost values.  Then
-    g = v^2 w is added to the vegetation part, subtracted from the water
-    part and the rainfall A added, and the pinned water rows are zeroed.
-    A pinned biomass node holds v = 0, so its row of F stays 0 as well.
+    transport is T = ops.vegetation_transport(d_v) folded by red; the
+    returned function takes it over as M = T - B I, with zero rows at the
+    pinned biomass nodes.  Each field takes one linear action: vegetation
+    the dense M v, water the stencil (a, -2a - 1, a) with a = d_w / h^2,
+    through np.correlate with zero ghost values.  Then g = v^2 w is added
+    to the vegetation part, subtracted from the water part and the rainfall
+    A added, and the pinned water rows are zeroed.  A pinned biomass node
+    holds v = 0, so its row of F stays 0 as well.  On the even half grid
+    the centre row is not pinned, and its left ghost is its mirror node: the
+    right neighbour for an odd N, the centre node itself for an even N.
     """
     h2 = ops.grid.spacing ** 2
     a = params.d_w / h2
     water = np.array([a, -2.0 * a - 1.0, a])
-    free = ops.free_v
-    mat = ops.vegetation_transport(params.d_v)
+    free = red.kept(ops.free_v)
+    mat = transport
     mat.flat[::mat.shape[0] + 1] -= params.B
     mat[:free.start] = mat[free.stop:] = 0.0
 
@@ -117,7 +130,29 @@ def _make_rhs(ops: Operators, params: ModelParams):
         rhs_w += params.A
         rhs_w[0] = rhs_w[-1] = 0.0
         return rhs_v, rhs_w
-    return rhs
+
+    if not red.parity:
+        return rhs
+    mirror = red.n_full % 2
+
+    def rhs_even(v: np.ndarray, w: np.ndarray):
+        growth = v * v
+        growth *= w
+        rhs_v = mat.dot(v)
+        rhs_v += growth
+        # "full" less its ends: "same" pads a 2-node half grid to 3
+        rhs_w = np.correlate(w, water, "full")[1:-1]
+        rhs_w[0] += a * w[mirror]
+        rhs_w -= growth
+        rhs_w += params.A
+        rhs_w[-1] = 0.0
+        return rhs_v, rhs_w
+    return rhs_even
+
+
+def _first_bad(v: np.ndarray) -> int:
+    """The first node whose biomass is non-finite or above BLOWUP_LIMIT."""
+    return int(np.argmax(~np.isfinite(v) | (np.abs(v) > BLOWUP_LIMIT)))
 
 
 def _march(state: State, rhs, n_steps: int, advance):
@@ -133,8 +168,7 @@ def _march(state: State, rhs, n_steps: int, advance):
         # only a state failing that (or a non-finite one) is scanned.
         if (not v.dot(v) <= _GUARD_SQUARE
                 and not np.abs(v).max() <= BLOWUP_LIMIT):
-            bad = ~np.isfinite(v) | (np.abs(v) > BLOWUP_LIMIT)
-            node = int(np.argmax(bad))
+            node = _first_bad(v)
             raise Blowup(n, node, float(v[node]))
         rhs_v, rhs_w = rhs(v, w)
         yield n, rhs_v, rhs_w
@@ -169,31 +203,47 @@ def _rk4_march(state: State, ops: Operators, params: ModelParams,
                h_t: float, t_final: float):
     """RK4 steps of h_t to t_final under check_timestep: (n_steps, loop)."""
     check_timestep(ops, params, h_t)
-    rhs = _make_rhs(ops, params)
+    rhs = _make_rhs(ops, params, Reduction(ops.grid.n_nodes),
+                    ops.vegetation_transport(params.d_v))
     n_steps = int(round(t_final / h_t))
     return n_steps, _march(state, rhs, n_steps, _rk4(rhs, h_t, state.v.size))
 
 
-def _imex(ops: Operators, params: ModelParams):
-    """Linearly implicit Euler at IMEX_STEP: returns the in-place update.
+def _imex(ops: Operators, params: ModelParams, red: Reduction,
+          transport: np.ndarray):
+    """Linearly implicit Euler at IMEX_STEP on the node vectors of red's
+    parity: returns the in-place update.
 
     Vegetation transport and mortality are implicit and the growth v^2 w
-    explicit: with T = ops.vegetation_transport(d_v) restricted to the free
-    nodes ops.free_v, one step is v <- P^-1 (v + h v^2 w) there, with
-    P = (1 + h B) I - h T, whose inverse is formed once.  Water then takes
-    d_w Lap - (v^2 + 1) implicitly with the new v frozen (one Thomas solve).
+    explicit: with T = transport, ops.vegetation_transport(d_v) folded by
+    red, restricted to the free nodes, one step is v <- P^-1 (v + h v^2 w)
+    there, with P = (1 + h B) I - h T, whose inverse is formed once.  Water
+    then takes d_w Lap - (v^2 + 1) implicitly with the new v frozen: one
+    Thomas solve on the interior rows, off-diagonal a = d_w / h^2.  On the
+    even half grid the centre row folds in its mirror: an odd N's centre
+    node couples 2a to its neighbour, so its row is halved; an even N's
+    node 0 is its own left neighbour, which adds a to its diagonal.
     """
     h = IMEX_STEP
-    free = ops.free_v
-    step_v = -h * ops.vegetation_transport(params.d_v)[free, free]
+    free = red.kept(ops.free_v)
+    rows = red.kept(slice(1, ops.grid.n_nodes - 1))
+    step_v = -h * transport[free, free]
     step_v.flat[::step_v.shape[0] + 1] += 1.0 + h * params.B
     step_v = np.linalg.inv(step_v)
+    odd = red.n_full % 2 == 1
+    halve, self_mirrored = red.parity and odd, red.parity and not odd
 
     def advance(v, w, rhs_v, rhs_w):
         v_free = v[free]
         v[free] = step_v @ (v_free + h * v_free * v_free * w[free])
-        off, diag = water_bands(v, params, ops.grid, 1.0 / h)
-        w[1:-1] = thomas_solve(off, diag, -params.A - w[1:-1] / h)
+        off, diag = water_bands(v[rows], params, ops.grid, 1.0 / h)
+        rhs = -params.A - w[rows] / h
+        if halve:
+            diag[0] *= 0.5
+            rhs[0] *= 0.5
+        elif self_mirrored:
+            diag[0] += off
+        w[rows] = thomas_solve(off, diag, rhs)
     return advance
 
 
@@ -202,11 +252,27 @@ def _trajectory_row(t: float, v: np.ndarray, w: np.ndarray) -> tuple:
             float(w.max()))
 
 
+def _require_even(state: State) -> None:
+    """Raise AsymmetricStart unless v and w are even under x -> -x to
+    EVEN_TOL relative to their largest magnitudes."""
+    for name, u in (("v", state.v), ("w", state.w)):
+        gap = float(np.abs(u - u[::-1]).max())
+        if not gap <= EVEN_TOL * float(np.abs(u).max()):
+            raise AsymmetricStart(
+                f"the start's {name} is not even under x -> -x: "
+                f"max |{name}(x) - {name}(-x)| = {gap!r}")
+
+
 @np.errstate(over="ignore", invalid="ignore")   # Blowup reports it
 def _steady(state: State, ops: Operators, params: ModelParams, tol: float,
-            trajectory_every: int = 0) -> SteadyResult:
+            trajectory_every: int = 0, parity: int = 0) -> SteadyResult:
     """IMEX steps until ||F(v, w)||_2 < tol or STEADY_STEP_CAP runs out.
 
+    The steps run on the node vectors of the given parity (``Reduction``):
+    0 keeps the full grid, 1 the even half grid x >= 0, which needs a start
+    that _require_even passes; the start is never folded otherwise.
+    ||F||_2 is the full grid's, through the multiplicities, and the
+    returned state, the trajectory and a Blowup's node are too.
     Excursions of the biomass above B / max(sup w0, A) are counted when the
     initial biomass starts inside that invariant interval.  A blowup ends
     the run with the Blowup in the result and the state at the failing
@@ -214,39 +280,56 @@ def _steady(state: State, ops: Operators, params: ModelParams, tol: float,
     """
     if not tol > 0:
         raise ValueError("tol must be positive")
-    v, w = state.v, state.w
+    red = Reduction(ops.grid.n_nodes, parity)
+    transport = ops.vegetation_transport(params.d_v)
+    if parity:
+        _require_even(state)
+        transport = red.fold(transport)
+    advance = _imex(ops, params, red, transport)
+    rhs = _make_rhs(ops, params, red, transport)   # takes transport over
+    v, w = red.restrict(state.v), red.restrict(state.w)
+    weights = red.weights
     r1 = max(float(w.max()), params.A)
     bound = params.B / r1 if float(v.max()) <= params.B / r1 + 1e-12 else None
     violations, n, residual = 0, 0, math.inf
-    converged, blowup = False, None
+    converged, failure = False, None
     track: list[tuple] = []
     try:
-        for n, rhs_v, rhs_w in _march(state, _make_rhs(ops, params),
-                                      STEADY_STEP_CAP, _imex(ops, params)):
-            residual = math.sqrt(float(rhs_v.dot(rhs_v) + rhs_w.dot(rhs_w)))
+        for n, rhs_v, rhs_w in _march(State(v, w), rhs, STEADY_STEP_CAP,
+                                      advance):
+            residual = math.sqrt(float(rhs_v.dot(weights * rhs_v)
+                                       + rhs_w.dot(weights * rhs_w)))
             converged = residual < tol
             if bound is not None and float(v.max()) > bound + 1e-8:
                 violations += 1
             if trajectory_every > 0 and (n % trajectory_every == 0
                                          or converged
                                          or n == STEADY_STEP_CAP):
-                track.append(_trajectory_row(n * IMEX_STEP, v, w))
+                track.append(_trajectory_row(n * IMEX_STEP, red.expand(v),
+                                             red.expand(w)))
             if converged:
                 break
     except Blowup as err:
-        n, residual, blowup = err.step, math.inf, err
-    state.t, state.step_count = n * IMEX_STEP, n
+        n, residual, failure = err.step, math.inf, err
+    final = State(red.expand(v), red.expand(w), n * IMEX_STEP, n)
+    blowup = None
+    if failure is not None:
+        node = _first_bad(final.v)
+        blowup = Blowup(failure.step, node, float(final.v[node]))
     traj = np.asarray(track) if trajectory_every > 0 else None
-    return SteadyResult(state, converged, n, residual, bound, violations,
+    return SteadyResult(final, converged, n, residual, bound, violations,
                         blowup, traj)
 
 
-def steady_state_rule(tol: float) -> dict:
-    """How steady states are computed, as the manifests record it."""
+def steady_state_rule(tol: float, parity: int) -> dict:
+    """How steady states are computed, as the manifests record it; parity
+    is _steady's (SWEEP_PARITY for the sweep's cells)."""
     return {"scheme": "linearly implicit Euler: vegetation transport "
                       "(non-local dispersal or local diffusion) and "
                       "mortality implicit, growth v^2 w explicit, then "
                       "water d_w Lap - (v^2 + 1) implicit",
+            "grid": ("the even half grid x >= 0 (starts and states even "
+                     "under x -> -x)" if parity else "the full grid"),
             "step": IMEX_STEP,
             "stopping_rule": f"||F(v, w)||_2 < {tol!r}",
             "step_cap": STEADY_STEP_CAP}
@@ -302,7 +385,9 @@ def simulate_horizon(initial: State, ops: Operators, params: ModelParams,
 
 @dataclass
 class BatchCell:
-    """One independent steady-state run of a sweep."""
+    """One independent steady-state run of a sweep, from a start (v0, w0)
+    that is even under x -> -x, as the habitat, the built-in kernels and
+    the cosine start are."""
 
     ops: Operators
     params: ModelParams
@@ -311,14 +396,18 @@ class BatchCell:
 
 
 def run_to_steady_batch(cells: Iterable[BatchCell]) -> list[SteadyResult]:
-    """Each cell's steady state as run_to_steady finds it at STEADY_TOL.
+    """Each cell's steady state at STEADY_TOL, stepped on the even half
+    grid x >= 0 (parity SWEEP_PARITY) and returned on the full grid.
 
-    Cells run one at a time in iteration order, so a generator of cells
-    keeps only the running cell's operators alive.  Each cell calls the
-    shared driver itself rather than run_to_steady, so a run of cells counts
-    as one steady-state call.
+    The half grid holds ceil(N / 2) nodes: half the water rows, a quarter
+    of the transport matvec and about an eighth of the inverse's cost.  It
+    agrees with run_to_steady on the full grid to rounding.  A cell whose
+    start is not even to EVEN_TOL raises AsymmetricStart.  Cells run one
+    at a time in iteration order, so a generator of cells keeps only the
+    running cell's operators alive.  Each cell calls the shared driver
+    itself rather than run_to_steady, so a run of cells counts as one
+    steady-state call.
     """
     return [_steady(initial_state(c.ops, c.v0, c.w0), c.ops, c.params,
-                    STEADY_TOL)
+                    STEADY_TOL, parity=SWEEP_PARITY)
             for c in cells]
-

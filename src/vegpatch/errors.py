@@ -33,6 +33,11 @@ class Blowup(VegpatchError):
         super().__init__(f"blowup at step {step}, node {node}: value {value!r}")
 
 
+class AsymmetricStart(VegpatchError):
+    """A run on the even half grid was given a start that is not even
+    under x -> -x."""
+
+
 class NewtonDiverged(VegpatchError):
     """Newton corrector exceeded its iteration cap or blew up."""
 

@@ -150,7 +150,7 @@ def _simpson_segment(f: Callable[[np.ndarray], np.ndarray],
                         + 2.0 * y[..., 2:-1:2].sum(axis=-1))
 
 
-def kernel_moments(kernel: Kernel, quad_tol: float = 1e-10) -> KernelMoments:
+def kernel_moments(kernel: Kernel, quad_tol: float) -> KernelMoments:
     """Zeroth, second, and fourth moments of J over its truncated support.
 
     Integrates (1, z^2, z^4) * J(z) by composite Simpson on a graded segment

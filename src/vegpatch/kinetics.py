@@ -72,16 +72,17 @@ def vegetated_equilibrium(A: float, B: float) -> KineticEquilibrium:
     return states[-1]
 
 
-def water_bands(v: np.ndarray, params: ModelParams, grid: Grid1D,
+def water_bands(v_rows: np.ndarray, params: ModelParams, grid: Grid1D,
                 shift: float = 0.0):
-    """Interior bands of d_w W'' - (v^2 + 1 + shift) W with W(+-L) = 0:
-    (off, diag), the constant off-diagonal d_w / h^2 and the diagonal.
+    """Bands of d_w W'' - (v^2 + 1 + shift) W on the rows whose biomass is
+    v_rows, the interior nodes for W(+-L) = 0: (off, diag), the constant
+    off-diagonal d_w / h^2 and the diagonal.
 
     shift = 0 gives the stationary water operator; shift = 1/h gives the
     matrix of one implicit Euler step of length h with v frozen.
     """
     h2 = grid.spacing ** 2
-    diag = -2.0 * params.d_w / h2 - (v[1:-1] ** 2 + 1.0 + shift)
+    diag = -2.0 * params.d_w / h2 - (v_rows ** 2 + 1.0 + shift)
     return params.d_w / h2, diag
 
 
@@ -99,7 +100,7 @@ def solve_water_stationary(v: np.ndarray, params: ModelParams,
         raise ValueError("v must be a node vector")
     if v.min() < 0:
         raise ValueError("v must be non-negative")
-    off, diag = water_bands(v, params, grid)
+    off, diag = water_bands(v[1:-1], params, grid)
     w = np.zeros(grid.n_nodes)
     w[1:-1] = thomas_solve(off, diag, np.full(grid.n_nodes - 2, -params.A))
     check_maximum_principle(w[None, :], params.A)

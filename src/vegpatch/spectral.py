@@ -65,7 +65,7 @@ def _largest_real(values, estimates):
     return int(np.argmax(values.real))
 
 
-def arnoldi_rightmost(action, n: int, res_tol: float, max_dim: int,
+def arnoldi_rightmost(action, n: int, res_tol: float,
                       start: np.ndarray | None = None,
                       select=_largest_real, min_dim: int = 1):
     """Selected eigenpair by Arnoldi with full reorthogonalization.
@@ -80,11 +80,11 @@ def arnoldi_rightmost(action, n: int, res_tol: float, max_dim: int,
     pair's residual, from a true operator action, meets res_tol relative to
     the largest Ritz value magnitude (at least 1), the scale of the
     operator's rounding.  Returns (rho, residual, Krylov dimension, converged); rho is complex
-    only for a complex pair.  The basis and the Hessenberg matrix grow by
-    doubling, so memory follows the dimension reached rather than the cap.
+    only for a complex pair.  The dimension is capped only by n, where
+    Arnoldi is exact; the basis and the Hessenberg matrix grow by doubling,
+    so memory follows the dimension reached rather than the cap.
     """
-    m = min(max_dim, n)
-    basis = np.empty((min(m, 32) + 1, n))
+    basis = np.empty((min(n, 32) + 1, n))
     hess = np.zeros((len(basis), len(basis)))
     if start is None:
         basis[0] = 1.0 / np.sqrt(n)
@@ -92,9 +92,9 @@ def arnoldi_rightmost(action, n: int, res_tol: float, max_dim: int,
         basis[0] = start / np.linalg.norm(start)
     rho, resid = 0.0, np.inf
     h_max = 0.0       # running max |h_ij| of hess[:k, :k]
-    for j in range(m):
+    for j in range(n):
         if j + 1 == len(basis):
-            grow = min(len(basis), m + 1 - len(basis))
+            grow = min(len(basis), n + 1 - len(basis))
             basis = np.concatenate([basis, np.empty((grow, n))])
             hess = np.pad(hess, (0, grow))
         w = action(basis[j])
@@ -105,7 +105,7 @@ def arnoldi_rightmost(action, n: int, res_tol: float, max_dim: int,
         hess[j + 1, j] = h_next = math.sqrt(float(w.dot(w)))
         h_max = max(h_max, float(np.abs(hess[:j + 1, j]).max()))
         k = j + 1
-        exhausted = k == m or h_next <= 1e-14 * h_max
+        exhausted = k == n or h_next <= 1e-14 * h_max
         if (k >= min_dim and k % RITZ_EVERY == 0) or exhausted:
             values, vectors = np.linalg.eig(hess[:k, :k])
             top = select(values, h_next * np.abs(vectors[-1]))
@@ -124,7 +124,7 @@ def arnoldi_rightmost(action, n: int, res_tol: float, max_dim: int,
                 return rho, resid, k, False
         basis[k] = w / h_next
         h_max = max(h_max, h_next)
-    return rho, resid, m, False
+    return rho, resid, n, False
 
 
 def principal_eigenvalue_nonlocal(op: DispersalOperator) -> EigResult:
@@ -140,8 +140,7 @@ def principal_eigenvalue_nonlocal(op: DispersalOperator) -> EigResult:
     is stored on the operator.
     """
     mu, resid, iters, ok = arnoldi_rightmost(_symmetrized_action(op),
-                                             op.n_nodes, BETA1_TOL,
-                                             op.n_nodes)
+                                             op.n_nodes, BETA1_TOL)
     return EigResult(value=1.0 - mu, residual=resid, iterations=iters,
                      converged=ok)
 

@@ -210,7 +210,7 @@ def test_criterion_12_stability_crosscheck(bif_suite, laplace):
         ops = build_operators(grid, "nonlocal", laplace)
         params = ModelParams(A_STD, B_STD, 2.0, 0.1)
         sr = StationaryResidual(ops, params)
-        u, _ = solve_stationary(sr, 1.8, seed.snapshot)
+        u, _ = solve_stationary(sr, 1.8, seed.snapshot, tol=1e-10)
         v_ref, w_ref = sr.split(u)
         times, gaps, slope = perturbation_decay(
             ops, params, v_ref, w_ref, amplitude=0.01, h_t=1e-2,

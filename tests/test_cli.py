@@ -594,6 +594,21 @@ def test_every_key_a_command_reads_is_accepted(argv, required, tmp_path,
     assert rerun["resolved"] == resolved
 
 
+def test_manifests_record_the_steady_state_grid(tmp_path, monkeypatch):
+    # steady runs the full grid; the sweep's cells run the even half grid
+    runs = {"steady": ["steady", "--L", "2", "--nodes", "9"],
+            "sweep": ["sweep", "--preset", "fast", "--points", "1",
+                      "--L-min", "1", "--L-max", "1", "--no-plots"]}
+    grids = {}
+    for name, argv in runs.items():
+        assert run_cli(argv + ["--out", name], monkeypatch, tmp_path) == 0
+        manifest = json.loads((tmp_path / name / "manifest.json")
+                              .read_text())
+        grids[name] = manifest["steady_state"]["grid"]
+    assert grids["steady"] == "the full grid"
+    assert grids["sweep"].startswith("the even half grid x >= 0")
+
+
 def test_sweep_defaults_match_standard_experiment():
     # empty config resolves to the standard parameters and the 50-point
     # logarithmic ladder

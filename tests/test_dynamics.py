@@ -5,17 +5,34 @@ import diagnostics
 from diagnostics import (EnvelopeViolated, extinction_decay_check,
                          perturbation_decay)
 from vegpatch.continuation import StationaryResidual, solve_stationary
-from vegpatch.discretization import build_operators, make_grid
+from vegpatch.discretization import Reduction, build_operators, make_grid
 from vegpatch.dynamics import (BLOWUP_LIMIT, IMEX_STEP, RK4_STEP, STEADY_TOL,
                                BatchCell, State, _imex, _make_rhs,
                                initial_state, run_to_steady,
                                run_to_steady_batch, simulate_horizon,
                                stable_step)
-from vegpatch.errors import Blowup, UnstableTimestep
-from vegpatch.experiments import (cosine_perturbed_start, fast_sweep_config,
+from vegpatch.errors import AsymmetricStart, Blowup, UnstableTimestep
+from vegpatch.experiments import (VARIANTS, builtin_kernel,
+                                  cosine_perturbed_start, fast_sweep_config,
                                   sweep_resolution)
 from vegpatch.kinetics import (ModelParams, solve_water_stationary,
-                               vegetated_equilibrium)
+                               vegetated_equilibrium, water_bands)
+from vegpatch.tridiag import thomas_solve
+
+
+def _stepper(ops, params, parity=0):
+    """(reduction, rhs, IMEX update) of the steady-state driver on the node
+    vectors of the parity, each with its own folded transport."""
+    red = Reduction(ops.grid.n_nodes, parity)
+
+    def transport():
+        return red.fold(ops.vegetation_transport(params.d_v))
+    return (red, _make_rhs(ops, params, red, transport()),
+            _imex(ops, params, red, transport()))
+
+
+def _full_rhs(ops, params):
+    return _stepper(ops, params)[1]
 
 
 @pytest.fixture(scope="module")
@@ -255,12 +272,13 @@ def test_implicit_batch_reaches_stationary_state(variant, laplace):
         return float(grid.quad_weights @ v) / (2.0 * grid.half_width)
 
     # the stopping rule holds on the returned state
-    rhs_v, rhs_w = _make_rhs(ops, params)(got.state.v, got.state.w)
+    rhs_v, rhs_w = _full_rhs(ops, params)(got.state.v, got.state.w)
     assert np.sqrt(rhs_v @ rhs_v + rhs_w @ rhs_w) < STEADY_TOL
     # Newton polishing barely moves it
     sr = StationaryResidual(ops, params)
     u, _ = solve_stationary(sr, 1.8,
-                            sr.restrict(np.r_[got.state.v, got.state.w]))
+                            sr.restrict(np.r_[got.state.v, got.state.w]),
+                            tol=1e-10)
     assert abs(mean(sr.split(u)[0]) - mean(got.state.v)) < 2e-3
 
 
@@ -274,13 +292,14 @@ def test_implicit_step_stable_for_fast_dispersal(laplace):
     v0, w0 = cosine_perturbed_start(grid, 1.8, 0.45)
     (got,) = run_to_steady_batch([BatchCell(ops, params, v0, w0)])
     assert got.converged and not got.blowup
-    rhs_v, rhs_w = _make_rhs(ops, params)(got.state.v, got.state.w)
+    rhs_v, rhs_w = _full_rhs(ops, params)(got.state.v, got.state.w)
     assert np.sqrt(rhs_v @ rhs_v + rhs_w @ rhs_w) < STEADY_TOL
 
 
 @pytest.mark.parametrize("variant", ["nonlocal", "local"])
 def test_implicit_step_fixes_stationary_state(variant, laplace):
-    # a Newton-polished stationary state is a fixed point of the step
+    # a Newton-polished stationary state is a fixed point of the step, on
+    # the full grid and on the even half grid
     grid = make_grid(3.0, sweep_resolution(fast_sweep_config(), 3.0))
     params = ModelParams(1.8, 0.45, 2.0, 0.1)
     ops = build_operators(grid, variant,
@@ -289,14 +308,146 @@ def test_implicit_step_fixes_stationary_state(variant, laplace):
     (got,) = run_to_steady_batch([BatchCell(ops, params, v0, w0)])
     sr = StationaryResidual(ops, params)
     u, _ = solve_stationary(sr, 1.8,
-                            sr.restrict(np.r_[got.state.v, got.state.w]))
+                            sr.restrict(np.r_[got.state.v, got.state.w]),
+                            tol=1e-10)
     v_star, w_star = sr.split(u)
     assert float(grid.quad_weights @ v_star) > 1.0   # vegetated
-    v, w = v_star.copy(), w_star.copy()
-    advance = _imex(ops, params)
-    advance(v, w, *_make_rhs(ops, params)(v, w))
-    assert np.max(np.abs(v - v_star)) <= 1e-10
-    assert np.max(np.abs(w - w_star)) <= 1e-10
+    for parity in (0, 1):
+        red, rhs, advance = _stepper(ops, params, parity)
+        v, w = red.restrict(v_star).copy(), red.restrict(w_star).copy()
+        advance(v, w, *rhs(v, w))
+        assert np.max(np.abs(red.expand(v) - v_star)) <= 1e-10
+        assert np.max(np.abs(red.expand(w) - w_star)) <= 1e-10
+
+
+def _even(u):
+    """The mirror-even part of u: exactly even under x -> -x."""
+    return 0.5 * (u + u[::-1])
+
+
+def _ops(grid, variant, kernel_family):
+    kernel = builtin_kernel(kernel_family) if kernel_family else None
+    return build_operators(grid, variant, kernel)
+
+
+# fast-preset widths: collapsed for every variant at 1.27, vegetated at 3.36
+_FAST_L = fast_sweep_config().L_values
+
+
+@pytest.mark.parametrize("variant,kernel_family", VARIANTS)
+@pytest.mark.parametrize("L", [_FAST_L[2], _FAST_L[10]])
+@pytest.mark.parametrize("n_nodes", [127, 128, 3, 4])
+def test_half_grid_batch_matches_full_grid_run(variant, kernel_family, L,
+                                               n_nodes):
+    # the sweep's cell on the even half grid against run_to_steady on the
+    # full grid: the same steps, and the same state to rounding
+    cfg = fast_sweep_config()
+    ops = _ops(make_grid(L, n_nodes), variant, kernel_family)
+    params = ModelParams(cfg.A, cfg.B, cfg.d_v, cfg.d_w)
+    v0, w0 = cosine_perturbed_start(ops.grid, cfg.A, cfg.B, cfg.perturbation)
+    (half,) = run_to_steady_batch([BatchCell(ops, params, v0, w0)])
+    full = run_to_steady(initial_state(ops, v0, w0), ops, params, STEADY_TOL)
+    assert half.converged and full.converged
+    assert half.steps == full.steps and half.state.step_count == full.steps
+    assert half.state.t == full.state.t
+    for got, want in ((half.state.v, full.state.v),
+                      (half.state.w, full.state.w)):
+        assert got.shape == (n_nodes,)
+        assert np.abs(got - want).max() <= 1e-12 * np.abs(want).max()
+    assert half.residual == pytest.approx(full.residual, rel=1e-8)
+    assert (half.region_bound, half.region_violations) == \
+        (full.region_bound, full.region_violations)
+
+
+@pytest.mark.parametrize("variant", ["nonlocal", "local"])
+@pytest.mark.parametrize("n_nodes", [3, 4, 41, 42])
+def test_half_grid_step_matches_full_grid_step(variant, n_nodes):
+    # one IMEX step and the right-hand side from an even state: the half
+    # grid's Thomas solve, with its centre row folded, and its stencil with
+    # the mirror ghost give the full grid's values on the kept nodes
+    ops = _ops(make_grid(3.0, n_nodes), variant,
+               "laplace" if variant == "nonlocal" else "")
+    params = ModelParams()
+    rng = np.random.default_rng(n_nodes)
+    start = initial_state(ops, _even(rng.uniform(0.0, 3.0, n_nodes)),
+                          _even(rng.uniform(0.0, 2.0, n_nodes)))
+    _, rhs, advance = _stepper(ops, params)
+    red, rhs_half, advance_half = _stepper(ops, params, parity=1)
+    v, w = start.v.copy(), start.w.copy()
+    hv, hw = red.restrict(v).copy(), red.restrict(w).copy()
+    full_f = np.concatenate(rhs(v, w))
+    half_f = rhs_half(hv, hw)
+    scale = np.abs(full_f).max()
+    for got, want in zip(half_f, np.split(full_f, 2)):
+        assert np.abs(got - red.restrict(want)).max() <= 1e-12 * scale
+    # the multiplicities give the full grid's ||F||_2
+    norm2 = sum(f.dot(red.weights * f) for f in half_f)
+    assert norm2 == pytest.approx(full_f.dot(full_f), rel=1e-12)
+    advance(v, w, *rhs(v, w))
+    advance_half(hv, hw, *half_f)
+    assert np.abs(red.expand(hv) - v).max() <= 1e-12 * np.abs(v).max()
+    assert np.abs(red.expand(hw) - w).max() <= 1e-12 * np.abs(w).max()
+    assert hw[-1] == 0.0
+
+
+@pytest.mark.parametrize("n_nodes", [127, 128])
+def test_half_grid_water_step_matches_full_thomas(n_nodes):
+    # the water half of the step alone, with the biomass at v = 0: a single
+    # Thomas solve of the full interior rows
+    ops = build_operators(make_grid(3.0, n_nodes), "local")
+    params = ModelParams()
+    h = IMEX_STEP
+    w0 = initial_state(ops, np.zeros(n_nodes),
+                       _even(np.random.default_rng(3).uniform(0.0, 2.0,
+                                                              n_nodes))).w
+    off, diag = water_bands(np.zeros(n_nodes - 2), params, ops.grid, 1.0 / h)
+    want = np.zeros(n_nodes)
+    want[1:-1] = thomas_solve(off, diag, -params.A - w0[1:-1] / h)
+    red, rhs, advance = _stepper(ops, params, parity=1)
+    v, w = np.zeros(red.size), red.restrict(w0).copy()
+    advance(v, w, *rhs(v, w))
+    assert np.array_equal(v, np.zeros(red.size))
+    assert np.abs(red.expand(w) - want).max() <= 1e-13 * np.abs(want).max()
+
+
+@pytest.mark.parametrize("field", ["v", "w"])
+def test_half_grid_rejects_a_start_that_is_not_even(small_ops, default_params,
+                                                    field):
+    n = small_ops.grid.n_nodes
+    v0, w0 = cosine_perturbed_start(small_ops.grid, 1.8, 0.45)
+    start = {"v": v0, "w": w0}
+
+    def cell(node, factor):
+        u = start[field].copy()
+        u[node] *= factor
+        return BatchCell(small_ops, default_params,
+                         **{"v0": v0, "w0": w0, field + "0": u})
+
+    # a mirror gap of 1e-13 relative passes, 1e-10 does not, nor a NaN
+    (ok,) = run_to_steady_batch([cell(3, 1.0 + 1e-13)])
+    assert ok.converged
+    for node, factor in ((3, 1.0 + 1e-10), (n - 4, 1.0 - 1e-10),
+                         (5, np.nan)):
+        with pytest.raises(AsymmetricStart):
+            run_to_steady_batch([cell(node, factor)])
+
+
+@pytest.mark.parametrize("n_nodes", [128, 129])
+def test_batch_blowup_node_is_a_full_grid_index(default_params, laplace,
+                                                n_nodes):
+    ops = build_operators(make_grid(10.0, n_nodes), "nonlocal", laplace)
+    v0 = 9e5 * (1.0 + 0.1 * np.cos(np.pi * ops.grid.nodes / 20.0))
+    (got,) = run_to_steady_batch(
+        [BatchCell(ops, default_params, v0, np.full(n_nodes, 1.8))])
+    err = got.blowup
+    assert isinstance(err, Blowup) and err.step == got.steps == 1
+    # the first node past the limit in the full-grid state: left of the
+    # centre, where no half-grid index points
+    v = got.state.v
+    assert v.shape == (n_nodes,)
+    assert err.value == v[err.node] > BLOWUP_LIMIT
+    assert np.all(np.abs(v[:err.node]) <= BLOWUP_LIMIT)
+    assert err.node < n_nodes // 2
 
 
 def test_perturbation_decay_negative_slope(default_params, laplace):
@@ -339,7 +490,7 @@ def bif_model(request, laplace):
 def test_folded_rhs_matches_reference_and_residual(bif_model):
     ops, params = bif_model
     n = ops.grid.n_nodes
-    rhs = _make_rhs(ops, params)
+    rhs = _full_rhs(ops, params)
     sr = StationaryResidual(ops, params)
     free = sr.free_mask()
     rng = np.random.default_rng(7)

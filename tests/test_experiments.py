@@ -274,8 +274,9 @@ def test_dynamics_and_continuation_agree_at_same_rainfall(laplace):
     assert steady.converged
     sr = StationaryResidual(ops, params)
     u_dyn, _ = solve_stationary(
-        sr, 1.8, sr.restrict(np.r_[steady.state.v, steady.state.w]))
+        sr, 1.8, sr.restrict(np.r_[steady.state.v, steady.state.w]),
+        tol=1e-10)
     u_cont, _ = solve_stationary(
-        sr, 1.8, sr.restrict(np.r_[v0, w0]))
+        sr, 1.8, sr.restrict(np.r_[v0, w0]), tol=1e-10)
     gap = np.max(np.abs(u_dyn[:grid.n_nodes] - u_cont[:grid.n_nodes]))
     assert gap <= 1e-3
